@@ -48,13 +48,12 @@ def _first_where(mask: np.ndarray) -> tuple | None:
 def _column_inverse(table: np.ndarray, name: str) -> np.ndarray:
     """inv[a][b] = the x with table[x][b] = a; requires permutation columns."""
     n = table.shape[0]
-    inv = np.full((n, n), -1, dtype=np.int64)
-    rows = np.arange(n)
-    for b in range(n):
-        col = table[:, b]
-        if len(np.unique(col)) != n:
-            raise ValueError(f"{name} column {b} is not a permutation; no inverse table")
-        inv[col, b] = rows
+    perm = (np.sort(table, axis=0) == np.arange(n)[:, None]).all(axis=0)
+    if not perm.all():
+        b = int(np.argmin(perm))
+        raise ValueError(f"{name} column {b} is not a permutation; no inverse table")
+    inv = np.empty((n, n), dtype=np.int64)
+    inv[table, np.arange(n)] = np.arange(n)[:, None]
     return inv
 
 
@@ -76,9 +75,6 @@ class Quandle:
 
     def op(self, a: int, b: int) -> int:
         return int(self.table[a, b])
-
-    def op_inv(self, a: int, b: int) -> int:
-        return int(self.inv_table[a, b])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Quandle) and np.array_equal(self.table, other.table)

@@ -248,13 +248,9 @@ def cmd_color(args) -> int:
                 rep = colorings_by_flow(d, obj, flow, want_list=args.list, budget=args.budget)
             else:
                 x = associated_mcq(obj) if isinstance(obj, GFamilyQ) else associated_mcb(obj)
-                rep = enumerate_colorings(
-                    d, x, want_list=args.list, budget=args.budget, threads=args.threads
-                )
+                rep = enumerate_colorings(d, x, want_list=args.list, budget=args.budget)
         elif isinstance(obj, (MCQ, MCB)):
-            rep = enumerate_colorings(
-                d, obj, want_list=args.list, budget=args.budget, threads=args.threads
-            )
+            rep = enumerate_colorings(d, obj, want_list=args.list, budget=args.budget)
         else:
             print("color expects an MCQ/MCB or G-family structure", file=sys.stderr)
             return EXIT_FAIL
@@ -400,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     sco.add_argument("--per-flow", dest="per_flow", action="store_true")
     sco.add_argument("--flow")
     sco.add_argument("--budget", type=int)
-    sco.add_argument("--threads", type=int, default=1)
     sco.set_defaults(func=cmd_color)
 
     sv = sub.add_parser("verify", help="compare MCB and Q(MCB) coloring counts")

@@ -29,10 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hlcolor.algebra import _column_inverse
 from hlcolor.diagram import Diagram, arcs_of
 from hlcolor.gfamily import GFamilyB, GFamilyQ, associated_mcb, associated_mcq
 from hlcolor.groups import FiniteGroup
 from hlcolor.mcqb import MCB, MCQ
+from hlcolor.oracle import semiarc_rules_hold
 from hlcolor.rings import SizeBoundExceededError
 
 
@@ -78,51 +80,26 @@ class NotBraidShapedError(ValueError):
     pass
 
 
-# -- crossing rule tables -----------------------------------------------------
+# -- the local rules as table equations ------------------------------------------
 #
-# Equations are (table, a, b, c) meaning table[a, b] == c, with slot names
-# drawn from oi/oo/ui/uo.  Negative crossings swap in/out on both strands.
+# Every rule is a conjunction of equations tbl[a, b] == c on variable names,
+# written (a, b, c, (tbl, col, row)).  The optional column-solve table gives
+# a = col[c, b] and the optional row-solve table gives b = row[a, c].  Tables
+# are nested lists; -1 marks an undefined entry and _MANY a solve entry that
+# several values fit, which forces nothing.
 
-_MCB_POS_EQS = (
-    ("under", "ui", "oo", "uo"),
-    ("over", "oo", "ui", "oi"),
-)
-_MCQ_POS_EQS = (("star", "ui", "ov", "uo"),)
-
-_NEG_SWAP = {"oi": "oo", "oo": "oi", "ui": "uo", "uo": "ui", "ov": "ov"}
-
-
-def _crossing_eqs(pos_eqs, sign: int):
-    if sign > 0:
-        return pos_eqs
-    return tuple((t, _NEG_SWAP[a], _NEG_SWAP[b], _NEG_SWAP[c]) for t, a, b, c in pos_eqs)
-
-
-# -- generic constraints -------------------------------------------------------
+_MANY = -2
 
 
 class _TableConstraint:
-    """Conjunction of table equations table[a, b] == c over slot variables.
+    """Conjunction of table equations tbl[a, b] == c over variable names."""
 
-    ``tables`` maps a table name to (table, column_inverse or None); the
-    column inverse solves for the first argument.
-    """
-
-    def __init__(self, slot_vars: dict[str, str], eqs, tables):
-        self.slot_vars = slot_vars
+    def __init__(self, *eqs):
         self.eqs = eqs
-        self.tables = tables
-        self.vars = tuple(sorted(set(slot_vars.values())))
+        self.vars = tuple(sorted({v for eq in eqs for v in eq[:3]}))
 
     def check(self, assign) -> bool:
-        for tname, a, b, c in self.eqs:
-            tbl, _ = self.tables[tname]
-            va = assign[self.slot_vars[a]]
-            vb = assign[self.slot_vars[b]]
-            vc = assign[self.slot_vars[c]]
-            if tbl[va, vb] != vc:
-                return False
-        return True
+        return all(tbl[assign[a]][assign[b]] == assign[c] for a, b, c, (tbl, _, _) in self.eqs)
 
     def propagate(self, assign):
         """Return list of (var, value) forced by the equations, or False on conflict."""
@@ -131,158 +108,68 @@ class _TableConstraint:
         changed = True
         while changed:
             changed = False
-            for tname, a, b, c in self.eqs:
-                tbl, inv = self.tables[tname]
-                va = local[self.slot_vars[a]]
-                vb = local[self.slot_vars[b]]
-                vc = local[self.slot_vars[c]]
+            for a, b, c, (tbl, col, row) in self.eqs:
+                va, vb, vc = local[a], local[b], local[c]
                 if va is not None and vb is not None:
-                    want = int(tbl[va, vb])
-                    if vc is None:
-                        local[self.slot_vars[c]] = want
-                        forced.append((self.slot_vars[c], want))
-                        changed = True
-                    elif vc != want:
-                        return False
-                elif vc is not None and vb is not None and inv is not None:
-                    want = int(inv[vc, vb])
-                    if va is None:
-                        local[self.slot_vars[a]] = want
-                        forced.append((self.slot_vars[a], want))
-                        changed = True
-                    elif va != want:
-                        return False
+                    var, want = c, tbl[va][vb]
+                elif vc is not None and vb is not None and col is not None:
+                    var, want = a, col[vc][vb]
+                elif va is not None and vc is not None and row is not None:
+                    var, want = b, row[va][vc]
+                else:
+                    continue
+                if want == _MANY:
+                    continue
+                if want < 0:
+                    return False
+                if local[var] is None:
+                    local[var] = want
+                    forced.append((var, want))
+                    changed = True
+                elif local[var] != want:
+                    return False
         return forced
 
 
-# vertex rule parameters: how the block element b is read off the twisted
-# slot, the product order for e3, and which slot carries the twist
-_MCB_MERGE_RULE = ("over_inv", "21", "e1")
-_MCQ_MERGE_RULE = ("plain", "12", "e2")
-# splits impose the merge relation on the same slots (e1, e2, e3)
-_SPLIT_SLOT_PERM = "id"
+def _with_solvers(tbl: np.ndarray) -> tuple[list, list, list]:
+    """(tbl, col, row) for a square table whose undefined entries are -1."""
+    n = len(tbl)
+    a, b = np.nonzero(tbl >= 0)
+    c = tbl[a, b]
+
+    def solver(keys, values) -> list:
+        out = np.full((n, n), -1, dtype=np.int64)
+        out[keys] = values
+        hits = np.zeros((n, n), dtype=np.int64)
+        np.add.at(hits, keys, 1)
+        out[hits > 1] = _MANY
+        return out.tolist()
+
+    return tbl.tolist(), solver((c, b), a), solver((a, c), b)
 
 
-def _merge_b(x, rule_kind: str, plain: int, twisted: int) -> int:
-    """Recover the block element b from the twisted slot's color."""
-    if rule_kind == "plain":
-        return twisted
-    if rule_kind == "over_inv":
-        return int(x.over_inv[twisted, plain])
-    if rule_kind == "over":
-        return int(x.over[twisted, plain])
-    if rule_kind == "under_inv":
-        return int(x.under_inv[twisted, plain])
-    if rule_kind == "under":
-        return int(x.under[twisted, plain])
-    raise ValueError(rule_kind)
+def _rule_tables(x: MCB | MCQ) -> dict[str, tuple]:
+    """The (tbl, col, row) tables of x's local rules, built once per structure.
 
-
-def _merge_twisted(x, rule_kind: str, plain: int, b: int) -> int:
-    """Inverse of _merge_b: the twisted slot's color from (plain, b)."""
-    if rule_kind == "plain":
-        return b
-    if rule_kind == "over_inv":
-        return int(x.over[b, plain])
-    if rule_kind == "over":
-        return int(x.over_inv[b, plain])
-    if rule_kind == "under_inv":
-        return int(x.under[b, plain])
-    if rule_kind == "under":
-        return int(x.under_inv[b, plain])
-    raise ValueError(rule_kind)
-
-
-class _MergeConstraint:
-    """Vertex rule on slots (e1, e2, e3), shared by merges and splits.
-
-    With the pinned MCB rule the twisted slot is e1:  e1 = b over e2  and
-    e3 = b . e2  for a block element b of e2's block; the MCQ rule is the
-    plain in-block product e3 = e1 . e2.
+    The MCB vertex table is V[e1, e2] = (e1 over^-1 e2) . e2, so V[e1, e2] = e3
+    says e1 = b over e2 and e3 = b . e2 for a block element b; the MCQ vertex
+    table is prod.  Both are -1 across blocks.
     """
-
-    def __init__(self, x: MCB | MCQ, v1: str, v2: str, v3: str, swap: bool, mcq: bool):
-        self.x = x
-        if swap and _SPLIT_SLOT_PERM == "swap":
-            v1, v2 = v2, v1
-        self.rule = _MCQ_MERGE_RULE if mcq else _MCB_MERGE_RULE
-        if self.rule[2] == "e1":
-            v1, v2 = v2, v1
-        self.v1, self.v2, self.v3 = v1, v2, v3
-        self.mcq = mcq
-        self.vars = tuple(sorted({v1, v2, v3}))
-
-    def _out(self, plain: int, b: int) -> int:
-        if self.rule[1] == "12":
-            return int(self.x.prod[plain, b])
-        return int(self.x.prod[b, plain])
-
-    def _b_from_out(self, plain: int, c3: int) -> int:
-        if self.rule[1] == "12":
-            return int(self.x.prod[int(self.x.ginv[plain]), c3])
-        return int(self.x.prod[c3, int(self.x.ginv[plain])])
-
-    def _b_from12(self, c1: int, c2: int) -> int | None:
-        b = _merge_b(self.x, self.rule[0], c1, c2)
-        if self.x.block_of[b] != self.x.block_of[c1]:
-            return None
-        return b
-
-    def check(self, assign) -> bool:
-        c1, c2, c3 = assign[self.v1], assign[self.v2], assign[self.v3]
-        b = self._b_from12(c1, c2)
-        return b is not None and self._out(c1, b) == c3
-
-    def propagate(self, assign):
-        c1 = assign.get(self.v1)
-        c2 = assign.get(self.v2)
-        c3 = assign.get(self.v3)
-        known = sum(v is not None for v in (c1, c2, c3))
-        if known < 2:
-            return []
-        if known == 3:
-            return [] if self.check(assign) else False
-        if c1 is not None and c2 is not None:
-            b = self._b_from12(c1, c2)
-            if b is None:
-                return False
-            return self._emit(assign, self.v3, self._out(c1, b))
-        if c1 is not None and c3 is not None:
-            if self.x.block_of[c1] != self.x.block_of[c3]:
-                return False
-            b = self._b_from_out(c1, c3)
-            return self._emit(assign, self.v2, _merge_twisted(self.x, self.rule[0], c1, b))
-        # c2 and c3 known: scan for c1 (no direct formula)
-        hits = []
-        probe = dict(assign)
-        for v in range(self.x.n):
-            probe[self.v1] = v
-            if self.check(probe):
-                hits.append(v)
-                if len(hits) > 1:
-                    return []
-        if not hits:
-            return False
-        return self._emit(assign, self.v1, hits[0])
-
-    def _emit(self, assign, var, val):
-        if var in assign:
-            return [] if assign[var] == val else False
-        return [(var, val)]
-
-
-# -- constraint builders -------------------------------------------------------
-
-
-def _mcb_tables(x: MCB):
-    return {
-        "under": (x.under, x.under_inv),
-        "over": (x.over, x.over_inv),
-    }
-
-
-def _mcq_tables(x: MCQ):
-    return {"star": (x.star, x.star_inv)}
+    tables = getattr(x, "_rule_tables", None)
+    if tables is None:
+        if isinstance(x, MCB):
+            tables = {
+                "under": (x.under.tolist(), x.under_inv.tolist(), None),
+                "over": (x.over.tolist(), x.over_inv.tolist(), None),
+                "vertex": _with_solvers(x.prod[x.over_inv, np.arange(x.n)[None, :]]),
+            }
+        else:
+            tables = {
+                "star": (x.star.tolist(), x.star_inv.tolist(), None),
+                "vertex": _with_solvers(x.prod),
+            }
+        x._rule_tables = tables
+    return tables
 
 
 def coloring_vars(d: Diagram, on_arcs: bool) -> list[str]:
@@ -291,65 +178,48 @@ def coloring_vars(d: Diagram, on_arcs: bool) -> list[str]:
     return sorted(set(d.semiarcs) | set(d.loops))
 
 
+def _crossing_slots(c) -> tuple[str, str, str, str]:
+    """(oi, oo, ui, uo), with in and out swapped on both strands if negative."""
+    if c.sign > 0:
+        return c.over_in, c.over_out, c.under_in, c.under_out
+    return c.over_out, c.over_in, c.under_out, c.under_in
+
+
 def _mcb_constraints(d: Diagram, x: MCB) -> list:
-    tables = _mcb_tables(x)
+    t = _rule_tables(x)
     cons: list = []
     for c in d.crossings:
-        slot_vars = {"oi": c.over_in, "oo": c.over_out, "ui": c.under_in, "uo": c.under_out}
-        cons.append(_TableConstraint(slot_vars, _crossing_eqs(_MCB_POS_EQS, c.sign), tables))
+        oi, oo, ui, uo = _crossing_slots(c)
+        cons.append(_TableConstraint((ui, oo, uo, t["under"]), (oo, ui, oi, t["over"])))
     for v in d.vertices:
-        cons.append(_MergeConstraint(x, v.e1, v.e2, v.e3, swap=(v.kind == "split"), mcq=False))
+        cons.append(_TableConstraint((v.e1, v.e2, v.e3, t["vertex"])))
+    return cons
+
+
+def _arc_constraints(d: Diagram, crossing, vertex) -> list:
+    """crossing[ui, over] = uo and vertex[e1, e2] = e3 on arcs."""
+    arcs = arcs_of(d)
+    cons: list = []
+    for c in d.crossings:
+        _, _, ui, uo = _crossing_slots(c)
+        cons.append(_TableConstraint((arcs[ui], arcs[c.over_in], arcs[uo], crossing)))
+    for v in d.vertices:
+        cons.append(_TableConstraint((arcs[v.e1], arcs[v.e2], arcs[v.e3], vertex)))
     return cons
 
 
 def _mcq_constraints(d: Diagram, x: MCQ) -> list:
-    arcs = arcs_of(d)
-    tables = _mcq_tables(x)
-    cons: list = []
-    for c in d.crossings:
-        slot_vars = {
-            "ui": arcs[c.under_in],
-            "uo": arcs[c.under_out],
-            "ov": arcs[c.over_in],
-        }
-        cons.append(_TableConstraint(slot_vars, _crossing_eqs(_MCQ_POS_EQS, c.sign), tables))
-    for v in d.vertices:
-        cons.append(
-            _MergeConstraint(x, arcs[v.e1], arcs[v.e2], arcs[v.e3], swap=(v.kind == "split"), mcq=True)
-        )
-    return cons
+    t = _rule_tables(x)
+    return _arc_constraints(d, t["star"], t["vertex"])
 
 
 def _flow_constraints(d: Diagram, g: FiniteGroup) -> list:
-    arcs = arcs_of(d)
-    n = g.n
-    conj = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        for h in range(n):
-            conj[a, h] = g.conj(a, h)
-    conj_inv = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        for h in range(n):
-            conj_inv[conj[a, h], h] = a
-    prod = g.cayley
-    prod_inv_left = np.empty((n, n), dtype=np.int64)  # solves x . b = c for x
-    for b in range(n):
-        for xx in range(n):
-            prod_inv_left[prod[xx, b], b] = xx
-    tables = {"conj": (conj, conj_inv), "prod": (prod, prod_inv_left)}
-    cons: list = []
-    for c in d.crossings:
-        slot_vars = {"ui": arcs[c.under_in], "uo": arcs[c.under_out], "ov": arcs[c.over_in]}
-        cons.append(
-            _TableConstraint(slot_vars, _crossing_eqs((("conj", "ui", "ov", "uo"),), c.sign), tables)
-        )
-    for v in d.vertices:
-        v1, v2 = v.e1, v.e2
-        if v.kind == "split" and _SPLIT_SLOT_PERM == "swap":
-            v1, v2 = v2, v1
-        slot_vars = {"a": arcs[v1], "b": arcs[v2], "c": arcs[v.e3]}
-        cons.append(_TableConstraint(slot_vars, (("prod", "a", "b", "c"),), tables))
-    return cons
+    """The group shadows: conjugation at crossings, products at vertices."""
+    prod, conj = g.cayley, g.conj_table()
+    return _arc_constraints(
+        d, (conj.tolist(), _column_inverse(conj, "group conjugation").tolist(), None),
+        (prod.tolist(), _column_inverse(prod, "group product").tolist(), None),
+    )
 
 
 # -- the search engine ---------------------------------------------------------
@@ -443,44 +313,6 @@ def _enumerate(
         yield from search(base)
 
 
-def _enumerate_maybe_threaded(
-    vars_, domain_size, constraints, fixed, domains, collect, budget, threads
-):
-    """Partition the first branch variable across workers; merge in order."""
-    if threads <= 1:
-        yield from _enumerate(
-            vars_, domain_size, constraints, fixed=fixed, domains=domains,
-            collect=collect, budget=budget,
-        )
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    fixed = dict(fixed) if fixed else {}
-    branch = next((v for v in vars_ if v not in fixed), None)
-    if branch is None:
-        yield from _enumerate(
-            vars_, domain_size, constraints, fixed=fixed, domains=domains,
-            collect=collect, budget=budget,
-        )
-        return
-    dom = domains.get(branch) if domains else None
-    values = list(dom) if dom is not None else list(range(domain_size))
-
-    def work(val):
-        sub = dict(fixed)
-        sub[branch] = val
-        return list(
-            _enumerate(
-                vars_, domain_size, constraints, fixed=sub, domains=domains,
-                collect=True, budget=budget,
-            )
-        )
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for chunk in pool.map(work, values):
-            yield from chunk
-
-
 def _report(
     d: Diagram,
     x,
@@ -491,13 +323,13 @@ def _report(
     fixed=None,
     domains=None,
     budget=None,
-    threads: int = 1,
 ) -> ColoringSetReport:
     vars_ = coloring_vars(d, on_arcs)
     count = 0
     out: list[Coloring] | None = [] if want_list else None
-    for assign in _enumerate_maybe_threaded(
-        vars_, domain_size, constraints, fixed, domains, want_list, budget, threads
+    for assign in _enumerate(
+        vars_, domain_size, constraints, fixed=fixed, domains=domains, collect=want_list,
+        budget=budget,
     ):
         count += 1
         if want_list:
@@ -509,23 +341,17 @@ def _report(
 
 
 def enumerate_colorings_mcb(
-    d: Diagram, x: MCB, want_list: bool = False, fixed=None, domains=None,
-    budget=None, threads: int = 1,
+    d: Diagram, x: MCB, want_list: bool = False, fixed=None, domains=None, budget=None,
 ) -> ColoringSetReport:
     d.validate(allow_open=True)
-    return _report(
-        d, x, False, _mcb_constraints(d, x), x.n, want_list, fixed, domains, budget, threads
-    )
+    return _report(d, x, False, _mcb_constraints(d, x), x.n, want_list, fixed, domains, budget)
 
 
 def enumerate_colorings_mcq(
-    d: Diagram, x: MCQ, want_list: bool = False, fixed=None, domains=None,
-    budget=None, threads: int = 1,
+    d: Diagram, x: MCQ, want_list: bool = False, fixed=None, domains=None, budget=None,
 ) -> ColoringSetReport:
     d.validate(allow_open=True)
-    return _report(
-        d, x, True, _mcq_constraints(d, x), x.n, want_list, fixed, domains, budget, threads
-    )
+    return _report(d, x, True, _mcq_constraints(d, x), x.n, want_list, fixed, domains, budget)
 
 
 def enumerate_colorings(d: Diagram, x, **kw) -> ColoringSetReport:
@@ -535,21 +361,21 @@ def enumerate_colorings(d: Diagram, x, **kw) -> ColoringSetReport:
 
 
 def brute_force_colorings(d: Diagram, x, bound: int = 10**6) -> int:
-    """Independent oracle: test every assignment against every constraint."""
+    """Independent oracle: test every assignment against the local rules."""
     from itertools import product as iproduct
 
     on_arcs = isinstance(x, MCQ)
     vars_ = coloring_vars(d, on_arcs)
-    cons = _mcq_constraints(d, x) if on_arcs else _mcb_constraints(d, x)
     total = x.n ** len(vars_)
     if total > bound:
         raise SizeBoundExceededError(f"brute force space {total} exceeds bound {bound}")
-    count = 0
-    for combo in iproduct(range(x.n), repeat=len(vars_)):
-        assign = dict(zip(vars_, combo))
-        if all(c.check(assign) for c in cons):
-            count += 1
-    return count
+    # each semi-arc takes the color of its arc (of itself on an MCB)
+    of = arcs_of(d) if on_arcs else {v: v for v in vars_}
+    slot = {s: vars_.index(a) for s, a in of.items()}
+    return sum(
+        semiarc_rules_hold(d, x, {s: combo[i] for s, i in slot.items()})
+        for combo in iproduct(range(x.n), repeat=len(vars_))
+    )
 
 
 def enumerate_flows(d: Diagram, g: FiniteGroup, budget=None) -> list[Flow]:
@@ -563,34 +389,47 @@ def enumerate_flows(d: Diagram, g: FiniteGroup, budget=None) -> list[Flow]:
     return flows
 
 
-def _flow_domains(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow, assoc_n: int):
-    """Per-semi-arc (or arc) domains of associated-structure colors matching the flow."""
+def _check_flow(d: Diagram, group: FiniteGroup, flow: Flow) -> dict[str, int]:
+    """The flow as an arc -> element dict; FlowInvalidError unless it is a G-flow of d."""
+    if flow.group != group:
+        raise FlowInvalidError(f"flow group has order {flow.group.n}, the family's has {group.n}")
     arcs = arcs_of(d)
     fd = flow.as_dict()
-    ng = f.group.n
-    missing = [a for a in set(arcs.values()) if a not in fd]
+    missing = sorted({a for a in arcs.values() if a not in fd})
     if missing:
-        raise FlowInvalidError(f"flow misses arcs {sorted(missing)}")
-    domains: dict[str, list[int]] = {}
-    on_arcs = isinstance(f, GFamilyQ)
-    keys = coloring_vars(d, on_arcs)
-    for k in keys:
-        g = fd[k if on_arcs else arcs[k]]
-        domains[k] = [x * ng + g for x in range(f.n)]
-    return domains
+        raise FlowInvalidError(f"flow misses arcs {missing}")
+    bad = sorted(a for a in set(arcs.values()) if not 0 <= fd[a] < group.n)
+    if bad:
+        raise FlowInvalidError(f"flow values out of range(0, {group.n}) on arcs {bad}")
+    for c in d.crossings:
+        _, _, ui, uo = _crossing_slots(c)
+        if group.conj(fd[arcs[ui]], fd[arcs[c.over_in]]) != fd[arcs[uo]]:
+            raise FlowInvalidError(f"flow breaks the crossing relation at under arc {arcs[ui]}")
+    for v in d.vertices:
+        if group.mul(fd[arcs[v.e1]], fd[arcs[v.e2]]) != fd[arcs[v.e3]]:
+            raise FlowInvalidError(f"flow breaks the vertex relation at {v.e1} {v.e2} {v.e3}")
+    return fd
 
 
 def colorings_by_flow(
     d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow, want_list: bool = False, budget=None
 ) -> ColoringSetReport:
     """Colorings of the associated MCQ/MCB whose group projection equals the flow."""
-    if isinstance(f, GFamilyQ):
-        x = associated_mcq(f)
-        domains = _flow_domains(d, f, flow, x.n)
-        return enumerate_colorings_mcq(d, x, want_list=want_list, domains=domains, budget=budget)
-    x = associated_mcb(f)
-    domains = _flow_domains(d, f, flow, x.n)
-    return enumerate_colorings_mcb(d, x, want_list=want_list, domains=domains, budget=budget)
+    fd = _check_flow(d, f.group, flow)
+    arcs = arcs_of(d)
+    on_arcs = isinstance(f, GFamilyQ)
+    ng = f.group.n
+    domains = {
+        k: [x * ng + fd[k if on_arcs else arcs[k]] for x in range(f.n)]
+        for k in coloring_vars(d, on_arcs)
+    }
+    if on_arcs:
+        return enumerate_colorings_mcq(
+            d, associated_mcq(f), want_list=want_list, domains=domains, budget=budget
+        )
+    return enumerate_colorings_mcb(
+        d, associated_mcb(f), want_list=want_list, domains=domains, budget=budget
+    )
 
 
 def per_flow_counts(d: Diagram, f: GFamilyQ | GFamilyB, budget=None) -> dict[Flow, int]:
@@ -662,11 +501,8 @@ def linear_colorings(
 
     if getattr(f, "alexander", None) is None:
         raise ValueError("linear path requires an Alexander family")
+    fd = _check_flow(d, f.group, flow)
     arcs = arcs_of(d)
-    fd = flow.as_dict()
-    missing = [a for a in set(arcs.values()) if a not in fd]
-    if missing:
-        raise FlowInvalidError(f"flow misses arcs {sorted(missing)}")
     on_arcs = isinstance(f, GFamilyQ)
     vars_ = coloring_vars(d, on_arcs)
     index = {v: i for i, v in enumerate(vars_)}

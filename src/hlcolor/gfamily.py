@@ -41,6 +41,7 @@ class GFamilyQ:
         self.n = self.ops.shape[1]
         self.labels = labels
         self.alexander = alexander
+        self._assoc: MCQ | None = None
 
 
 class GFamilyB:
@@ -60,6 +61,7 @@ class GFamilyB:
         self.n = self.under_ops.shape[1]
         self.labels = labels
         self.alexander = alexander
+        self._assoc: MCB | None = None
 
 
 # -- axiom checks -----------------------------------------------------------
@@ -264,47 +266,45 @@ def _assoc_labels(f, nblocks: int):
 def _assoc_partition_product(f):
     ng = f.group.n
     total = f.n * ng
-    block_of = [x for x in range(f.n) for _ in range(ng)]
+    block_of = np.repeat(np.arange(f.n), ng)
     prod = np.full((total, total), -1, dtype=np.int64)
     for x in range(f.n):
-        base = x * ng
-        for g in range(ng):
-            for h in range(ng):
-                prod[base + g, base + h] = base + f.group.mul(g, h)
+        prod[x * ng:(x + 1) * ng, x * ng:(x + 1) * ng] = x * ng + f.group.cayley
     return block_of, prod
 
 
-def associated_mcq(f: GFamilyQ) -> MCQ:
-    """Carrier X x G, blocks {x} x G, (x,g)*(y,h) = (x *^h y, h^{-1} g h)."""
+def _assoc_op(f, ops: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The table (x,g) op (y,h) = (x op^h y, shift[g, h]) on X x G."""
     ng = f.group.n
     total = f.n * ng
-    block_of, prod = _assoc_partition_product(f)
-    star = np.empty((total, total), dtype=np.int64)
-    for x in range(f.n):
-        for g in range(ng):
-            a = x * ng + g
-            for y in range(f.n):
-                for h in range(ng):
-                    star[a, y * ng + h] = int(f.ops[h, x, y]) * ng + f.group.conj(g, h)
-    return MCQ(block_of, prod, star, labels=_assoc_labels(f, f.n))
+    # entry [x, g, y, h] = ops[h, x, y] * |G| + shift[g, h]
+    return (ops.transpose(1, 2, 0)[:, None] * ng + shift[None, :, None, :]).reshape(total, total)
+
+
+def associated_mcq(f: GFamilyQ) -> MCQ:
+    """Carrier X x G, blocks {x} x G, (x,g)*(y,h) = (x *^h y, h^{-1} g h).
+
+    Built once per family object.
+    """
+    if f._assoc is None:
+        block_of, prod = _assoc_partition_product(f)
+        star = _assoc_op(f, f.ops, f.group.conj_table())
+        f._assoc = MCQ(block_of, prod, star, labels=_assoc_labels(f, f.n))
+    return f._assoc
 
 
 def associated_mcb(f: GFamilyB) -> MCB:
-    """(x,g) under (y,h) = (x under^h y, h^{-1} g h); (x,g) over (y,h) = (x over^h y, g)."""
-    ng = f.group.n
-    total = f.n * ng
-    block_of, prod = _assoc_partition_product(f)
-    under = np.empty((total, total), dtype=np.int64)
-    over = np.empty((total, total), dtype=np.int64)
-    for x in range(f.n):
-        for g in range(ng):
-            a = x * ng + g
-            for y in range(f.n):
-                for h in range(ng):
-                    b = y * ng + h
-                    under[a, b] = int(f.under_ops[h, x, y]) * ng + f.group.conj(g, h)
-                    over[a, b] = int(f.over_ops[h, x, y]) * ng + g
-    return MCB(block_of, prod, under, over, labels=_assoc_labels(f, f.n))
+    """(x,g) under (y,h) = (x under^h y, h^{-1} g h); (x,g) over (y,h) = (x over^h y, g).
+
+    Built once per family object.
+    """
+    if f._assoc is None:
+        block_of, prod = _assoc_partition_product(f)
+        ng = f.group.n
+        under = _assoc_op(f, f.under_ops, f.group.conj_table())
+        over = _assoc_op(f, f.over_ops, np.broadcast_to(np.arange(ng)[:, None], (ng, ng)))
+        f._assoc = MCB(block_of, prod, under, over, labels=_assoc_labels(f, f.n))
+    return f._assoc
 
 
 def qg_map(f: GFamilyB) -> GFamilyQ:

@@ -48,6 +48,11 @@ class FiniteGroup:
         """h^{-1} g h."""
         return self.mul(self.mul(self.inv(h), g), h)
 
+    def conj_table(self) -> np.ndarray:
+        """conj_table()[g, h] = h^{-1} g h."""
+        gs, hs = np.arange(self.n)[:, None], np.arange(self.n)[None, :]
+        return self.cayley[self.cayley[self.inverse[hs], gs], hs]
+
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and np.array_equal(self.cayley, other.cayley)
 

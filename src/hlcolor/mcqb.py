@@ -67,9 +67,6 @@ class _PartitionedCarrier:
     def same_block(self, a: int, b: int) -> bool:
         return self.block_of[a] == self.block_of[b]
 
-    def identity_of(self, a: int) -> int:
-        return self.identities[int(self.block_of[a])]
-
     def _block_group_violations(self) -> list[tuple[str, tuple]]:
         violations = []
         for members in self.blocks:

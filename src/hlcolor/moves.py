@@ -81,11 +81,6 @@ class _Editor:
         self.fresh_ids.append(name)
         return name
 
-    def fresh_loop(self) -> str:
-        name = self.fresh()
-        self.loops.append(name)
-        return name
-
     def end_consumer(self, s: str):
         """(kind, index, slot) of the record consuming s, or None."""
         for i, c in enumerate(self.crossings):
@@ -120,9 +115,11 @@ class _Editor:
 
     def splice(self, head: str, tail: str) -> str:
         """Join the strand head -> ... -> tail into one semi-arc after the
-        interior records are gone; returns the surviving id (or a new loop)."""
+        interior records are gone; returns the surviving id, head.  A strand
+        that closes up (head == tail) becomes the loop head."""
         if head == tail:
-            return self.fresh_loop()
+            self.loops.append(head)
+            return head
         self.reroute_end(tail, head)
         return head
 
@@ -157,17 +154,18 @@ def _r1_apply(d: Diagram, site: MoveSite) -> MoveResult:
     _require(variant in ("under", "over"), f"unknown R1 variant {site.variant!r}")
     ed = _Editor(d, site.move.lower())
     if s in ed.loops:
+        # the loop keeps its id as the kink's outer semi-arc
         ed.loops.remove(s)
-        f1, f2 = ed.fresh(), ed.fresh()
+        f1 = ed.fresh()
         if variant == "under":
-            ed.crossings.append(Crossing(sign, f1, f2, f2, f1))
+            ed.crossings.append(Crossing(sign, f1, s, s, f1))
         else:
-            ed.crossings.append(Crossing(sign, f2, f1, f1, f2))
+            ed.crossings.append(Crossing(sign, s, f1, f1, s))
         return MoveResult(
-            ed.build([s]),
+            ed.build([]),
             MoveSite(site.move, "undo", (f1,), variant),
-            tuple(ed.fresh_ids),
-            (s,),
+            (f1,),
+            (),
         )
     _require(s in d.semiarcs, f"no semi-arc or loop {s!r}")
     f1, f2 = ed.fresh(), ed.fresh()
@@ -208,7 +206,7 @@ def _r1_undo(d: Diagram, site: MoveSite) -> MoveResult:
         ed.build([mid]),
         MoveSite(site.move, "apply", (joined,), variant),
         tuple(ed.fresh_ids),
-        (mid, tail) if head != tail else (mid, head, tail),
+        (mid, tail) if head != tail else (mid,),
     )
 
 

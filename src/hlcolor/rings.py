@@ -9,7 +9,6 @@ share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
@@ -115,9 +114,6 @@ class FiniteRing:
                     acc[i + j] += x * y
         return tuple(self._reduce(acc))
 
-    def scalar_mul(self, k: int, a: Element) -> Element:
-        return tuple((k * x) % self.m for x in a)
-
     def pow(self, a: Element, n: int) -> Element:
         if n < 0:
             return self.pow(self.inverse(a), -n)
@@ -205,28 +201,21 @@ def solve_linear(
 ) -> LinearSystemSolution:
     """Solve A x = b exactly.
 
-    Fields take the Gaussian-elimination path; plain Z_m takes a Smith normal
-    form path; other quotient rings fall back to exhaustive enumeration below
+    Fields take the Gaussian-elimination path; plain Z_m takes a diagonalisation
+    mod m; other quotient rings fall back to exhaustive enumeration below
     ``bound`` assignments.
     """
     if len(rows) != len(rhs):
         raise ValueError("matrix/vector size mismatch")
-    ncols = len(rows[0]) if rows else _infer_cols(rhs)
+    ncols = len(rows[0]) if rows else 0
     for r in rows:
         if len(r) != ncols:
             raise ValueError("ragged matrix")
-    if not rows:
-        # no constraints at all: count unknowns from context (caller passes ncols via rows)
-        ncols = 0
     if ring.is_field:
         return _solve_field(ring, [list(r) for r in rows], list(rhs))
     if ring.degree == 0:
         return _solve_zm(ring, rows, rhs)
     return _solve_bruteforce(ring, rows, rhs, bound)
-
-
-def _infer_cols(rhs: Sequence[Element]) -> int:
-    return 0
 
 
 def _solve_field(ring: FiniteRing, a: list[list[Element]], b: list[Element]) -> LinearSystemSolution:
@@ -272,123 +261,81 @@ def _solve_field(ring: FiniteRing, a: list[list[Element]], b: list[Element]) -> 
     )
 
 
-def smith_normal_form(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Integer Smith normal form: returns (D, U, V) with U @ mat @ V = D diagonal."""
-    a = [row[:] for row in mat]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul_row(dst, src, k):
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, k):
-        for r in a:
-            r[dst] += k * r[src]
-        for r in v:
-            r[dst] += k * r[src]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # find a nonzero pivot in the remaining block
-        piv = next(
-            ((i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j]), None
-        )
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            reduced = True
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    addmul_row(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        reduced = False
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    addmul_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        reduced = False
-            if reduced:
-                break
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    # enforce divisibility d_i | d_{i+1}
-    for i in range(t - 1):
-        for j in range(i + 1, t):
-            if a[j][j] % a[i][i]:
-                addmul_col(i, j, 1)
-                # re-eliminate the 2x2 block
-                while a[j][i]:
-                    q = a[i][i] // a[j][i] if a[j][i] else 0
-                    if abs(a[j][i]) <= abs(a[i][i]):
-                        q = a[i][i] // a[j][i]
-                        addmul_row(i, j, -q)
-                    a[i], a[j] = a[j], a[i]
-                    u[i], u[j] = u[j], u[i]
-                if a[i][j]:
-                    q = a[i][j] // a[i][i]
-                    addmul_col(j, i, -q)
-                if a[i][i] < 0:
-                    a[i] = [-x for x in a[i]]
-                    u[i] = [-x for x in u[i]]
-                if a[j][j] < 0:
-                    a[j] = [-x for x in a[j]]
-                    u[j] = [-x for x in u[j]]
-    return a, u, v
+def _clear(p: int, e: int, m: int) -> tuple[int, int, int, int]:
+    """A determinant-1 matrix [[s, t], [u, w]] mod m that sends the pair
+    (p, e), p != 0, to (gcd(p, e), 0); it is [[1, 0], [-e/p, 1]] when p | e."""
+    if e % p == 0:
+        return 1, 0, -(e // p) % m, 1
+    g, s, t = _xgcd(p, e)
+    return s % m, t % m, -(e // g) % m, (p // g) % m
 
 
 def _solve_zm(ring: FiniteRing, rows: Sequence[Sequence[Element]], rhs: Sequence[Element]) -> LinearSystemSolution:
+    """Diagonalise [A | b] over Z_m with every entry kept in [0, m).
+
+    Row operations act on the augmented matrix and column operations are
+    recorded in V, so the system becomes D y = c with x = V y.  Each step
+    either subtracts a multiple of the pivot or, when the pivot does not
+    divide the entry, moves gcd(pivot, entry) < pivot into the pivot, so the
+    sweeps of one pivot end.
+    """
     m = ring.m
     nrows, ncols = len(rows), (len(rows[0]) if rows else 0)
     if ncols == 0:
         ok = all(x == ring.zero for x in rhs)
         return LinearSystemSolution(cardinality=1 if ok else 0, particular=[] if ok else None)
-    imat = [[int(e[0]) for e in r] for r in rows]
-    ivec = [int(e[0]) for e in rhs]
-    d, u, _v = smith_normal_form(imat)
-    c = [sum(u[i][k] * ivec[k] for k in range(nrows)) % m for i in range(nrows)]
-    count = 1
+    a = [[e[0] for e in r] + [b[0]] for r, b in zip(rows, rhs)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    for t in range(min(nrows, ncols)):
+        piv = next(((i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j]), None)
+        if piv is None:
+            break
+        a[t], a[piv[0]] = a[piv[0]], a[t]
+        for r in a + v:
+            r[t], r[piv[1]] = r[piv[1]], r[t]
+        while True:
+            below = [i for i in range(t + 1, nrows) if a[i][t]]
+            right = [j for j in range(t + 1, ncols) if a[t][j]]
+            if not below and not right:
+                break
+            for i in below:
+                s_, t_, u_, w_ = _clear(a[t][t], a[i][t], m)
+                a[t], a[i] = (
+                    [(s_ * x + t_ * y) % m for x, y in zip(a[t], a[i])],
+                    [(u_ * x + w_ * y) % m for x, y in zip(a[t], a[i])],
+                )
+            for j in right:
+                s_, t_, u_, w_ = _clear(a[t][t], a[t][j], m)
+                for r in a + v:
+                    r[t], r[j] = (s_ * r[t] + t_ * r[j]) % m, (u_ * r[t] + w_ * r[j]) % m
+    count = m ** max(ncols - nrows, 0)
     y = [0] * ncols
-    for i in range(min(nrows, ncols)):
-        di = d[i][i] % m
+    for i in range(nrows):
+        di = a[i][i] if i < ncols else 0
         g = gcd(di, m)
-        if c[i] % g:
+        if a[i][ncols] % g:
             return LinearSystemSolution(cardinality=0)
-        count *= g
-        # one solution of di * y = c[i] (mod m)
-        mg = m // g
-        y[i] = (c[i] // g) * pow((di // g) % mg, -1, mg) % m if mg > 1 else 0
-    for i in range(ncols, nrows):
-        if c[i] % m:
-            return LinearSystemSolution(cardinality=0)
-    count *= m ** max(ncols - nrows, 0)
-    x = [sum(_v[i][k] * y[k] for k in range(ncols)) % m for i in range(ncols)]
+        if i < ncols:
+            count *= g
+            mg = m // g
+            y[i] = (a[i][ncols] // g) * pow(di // g, -1, mg) % m if mg > 1 else 0
+    x = [sum(v[i][k] * y[k] for k in range(ncols)) % m for i in range(ncols)]
     particular = [ring.element(xi) for xi in x]
     for r, want in zip(rows, rhs):
         acc = ring.zero
         for coef, xi in zip(r, particular):
             acc = ring.add(acc, ring.mul(coef, xi))
-        assert acc == want, "internal SNF solve error"
+        assert acc == want, "internal Z_m solve error"
     return LinearSystemSolution(cardinality=count, particular=particular)
 
 

@@ -1,7 +1,13 @@
+import os
+
 import numpy as np
+import pytest
 
 from hlcolor.cli import main
 from tests.conftest import corpus_path
+
+PINNED_LIST = os.path.join(os.path.dirname(__file__), "data",
+                           "color-list-assoc-z3-z2-mcb-stem-clasp.txt")
 
 
 def run(capsys, *argv):
@@ -209,15 +215,37 @@ def test_move_bad_site(capsys):
     assert code == 1
 
 
-def test_machine_format_stable_across_threads(capsys):
-    argv = [
-        "--format", "machine", "color",
+def test_machine_color_list_is_pinned(capsys):
+    # the exact listing order, with crossing and vertex rules both in play
+    code, out = run(
+        capsys, "--format", "machine", "color",
         corpus_path("structures", "assoc-z3-z2-mcb.txt"),
-        corpus_path("diagrams", "trefoil.txt"),
+        corpus_path("diagrams", "stem-clasp.txt"),
         "--list",
-    ]
-    code1, out1 = run(capsys, *argv)
-    code2, out2 = run(capsys, *argv, "--threads", "3")
-    assert code1 == code2 == 0
-    assert out1 == out2
-    assert out1.startswith("count=")
+    )
+    assert code == 0
+    with open(PINNED_LIST, encoding="utf-8") as fh:
+        assert out == fh.read()
+    assert out.startswith("count=72\n")
+
+
+def _trefoil_gf9_flow(capsys, tmp_path, body: str, *extra):
+    flow_file = tmp_path / "flow.txt"
+    flow_file.write_text(body)
+    return run(
+        capsys, "color",
+        corpus_path("structures", "gf9-z8-family.txt"),
+        corpus_path("diagrams", "trefoil.txt"),
+        "--flow", str(flow_file), *extra,
+    )
+
+
+@pytest.mark.parametrize("extra", [(), ("--dim",)])
+@pytest.mark.parametrize("body", [
+    "flow zn=8\nassign s1 1\nassign s2 2\nassign s4 3\n",  # breaks the crossing relation
+    "flow zn=8\nassign s1 99\nassign s2 99\nassign s4 99\n",  # out of range
+    "flow zn=4\nassign s1 2\nassign s2 2\nassign s4 2\n",  # Z_4 flow, Z_8 family
+])
+def test_invalid_flow_exits_1_on_both_paths(capsys, tmp_path, body, extra):
+    code, out = _trefoil_gf9_flow(capsys, tmp_path, body, *extra)
+    assert code == 1 and "count" not in out

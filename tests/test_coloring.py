@@ -136,14 +136,6 @@ def test_multiplicativity_over_disjoint_union(mcq6, mcb6):
     assert enumerate_colorings(disjoint_union(loop_diagram(), loop_diagram()), mcq6).count == 36
 
 
-def test_threaded_enumeration_matches_and_is_stable(mcb6):
-    d = trefoil()
-    seq = enumerate_colorings_mcb(d, mcb6, want_list=True)
-    par = enumerate_colorings_mcb(d, mcb6, want_list=True, threads=3)
-    assert seq.count == par.count
-    assert [c.assignment for c in seq.colorings] == [c.assignment for c in par.colorings]
-
-
 # -- flow filtering --------------------------------------------------------------
 
 
@@ -167,6 +159,20 @@ def test_flow_invalid(dihedral_family):
     bad = Flow.from_dict(dihedral_family.group, {"nope": 0})
     with pytest.raises(FlowInvalidError):
         colorings_by_flow(trefoil(), dihedral_family, bad)
+
+
+@pytest.mark.parametrize("group, values", [
+    (8, {"s1": 1, "s2": 2, "s4": 3}),  # breaks the crossing relation
+    (8, {"s1": 99, "s2": 99, "s4": 99}),  # out of range
+    (4, {"s1": 2, "s2": 2, "s4": 2}),  # a Z_4 flow for the Z_8 family
+])
+def test_invalid_flow_rejected_by_both_paths(corpus_structures, group, values):
+    fam = corpus_structures["gf9-z8-family"]
+    flow = Flow.from_dict(cyclic_group(group), values)
+    with pytest.raises(FlowInvalidError):
+        colorings_by_flow(trefoil(), fam, flow)
+    with pytest.raises(FlowInvalidError):
+        linear_colorings(trefoil(), fam, flow)
 
 
 def test_scalar_action_closes_on_flow_filtered_sets(corpus_structures):
@@ -251,15 +257,14 @@ def test_verify_correspondence_dims_gf9(corpus_structures):
 
 
 def test_reverse_mirror_transfer(mcb6):
-    from hlcolor.coloring import _mcb_constraints
     from hlcolor.diagram import reverse_mirror
+    from hlcolor.oracle import local_rules_hold
 
     for d in (trefoil(), theta_curve(), handcuff_clasp()):
         rm = reverse_mirror(d)
         cols = enumerate_colorings_mcb(d, mcb6, want_list=True).colorings
-        cons = _mcb_constraints(rm, mcb6)
         for c in cols:
-            assert all(con.check(c.assignment) for con in cons)
+            assert local_rules_hold(rm, mcb6, c.assignment)
         assert enumerate_colorings_mcb(rm, mcb6).count == len(cols)
 
 
@@ -297,3 +302,19 @@ def test_braid_determinism_three_strands(corpus_structures):
 def test_braid_determinism_rejects_closed(mcb6):
     with pytest.raises(NotBraidShapedError):
         braid_boundary_determinism(trefoil(), mcb6)
+
+
+def test_linear_z9_braid_with_18_semiarcs_matches_backtracking():
+    # a one-strand handlebody braid whose Z_9 systems are only solved in
+    # time when the elimination keeps every entry reduced mod 9
+    z9 = ring_make(9)
+    from hlcolor.gfamily import gfamily_alexander_b
+
+    fam = gfamily_alexander_b(z9, 6, z9.element([2]), z9.element([4]))
+    word = [("s", 0), ("s", 1), ("x", 0, 1), ("x", 1, -1), ("x", 0, -1), ("x", 1, 1),
+            ("x", 0, 1), ("x", 1, -1), ("m", 1), ("m", 0)]
+    d = build_braid(1, word)
+    assert len(d.semiarcs) == 18
+    flows = enumerate_flows(d, fam.group)
+    for flow in flows[:: len(flows) // 12]:
+        assert linear_colorings(d, fam, flow).count == colorings_by_flow(d, fam, flow).count

@@ -9,6 +9,7 @@ from hlcolor.algebra import (
     type_of,
 )
 from hlcolor.gfamily import (
+    GFamilyQ,
     OrderMismatchError,
     associated_mcb,
     associated_mcq,
@@ -170,3 +171,42 @@ def test_qg_compat_on_corpus(corpus_structures, family_name):
 def test_qg_compat_quandle_lift_family():
     fam = zkm_family_from_biquandle(quandle_lift(dihedral_quandle(3)), 1)
     assert verify_qg_compat(fam)
+
+
+def _assoc_entrywise(f):
+    """prod and the operation tables of the associated structure, entry by entry."""
+    g_, ng = f.group, f.group.n
+    total = f.n * ng
+    quandle = isinstance(f, GFamilyQ)
+    prod = np.full((total, total), -1, dtype=np.int64)
+    ops = [np.empty((total, total), dtype=np.int64) for _ in range(1 if quandle else 2)]
+    for x in range(f.n):
+        for g in range(ng):
+            for h in range(ng):
+                prod[x * ng + g, x * ng + h] = x * ng + g_.mul(g, h)
+            for y in range(f.n):
+                for h in range(ng):
+                    a, b = x * ng + g, y * ng + h
+                    if quandle:
+                        ops[0][a, b] = f.ops[h, x, y] * ng + g_.conj(g, h)
+                    else:
+                        ops[0][a, b] = f.under_ops[h, x, y] * ng + g_.conj(g, h)
+                        ops[1][a, b] = f.over_ops[h, x, y] * ng + g
+    return prod, ops
+
+
+@pytest.mark.parametrize("family_name", ["gf9-z8-family", "z5-z4-family", "dihedral-z2-family"])
+def test_associated_tables_match_entrywise_definition(corpus_structures, family_name):
+    from hlcolor.groups import symmetric_group
+
+    s3 = symmetric_group(3)
+    # a family over a non-abelian group, so that conjugation is not trivial
+    trivial = GFamilyQ(s3, np.broadcast_to(np.arange(2)[:, None], (s3.n, 2, 2)))
+    for f in (corpus_structures[family_name], trivial):
+        build = associated_mcq if isinstance(f, GFamilyQ) else associated_mcb
+        x = build(f)
+        prod, ops = _assoc_entrywise(f)
+        assert np.array_equal(x.prod, prod)
+        got = [x.star] if isinstance(f, GFamilyQ) else [x.under, x.over]
+        assert all(np.array_equal(a, b) for a, b in zip(got, ops))
+        assert build(f) is x  # built once per family object

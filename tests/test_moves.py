@@ -176,3 +176,48 @@ def test_transport_mcq_arcs(x6):
         c2 = transport_coloring(d, res.diagram, c, qx6)
         back = transport_coloring(res.diagram, d, c2, qx6)
         assert back.assignment == c.assignment
+
+
+# -- transport across moves that create or remove a free loop --------------------
+
+
+def _assert_transport_round_trips(d, x, site):
+    d2 = apply_move(d, site).diagram
+    cols = enumerate_colorings(d, x, want_list=True).colorings
+    for col in cols:
+        moved = transport_coloring(d, d2, col, x)
+        assert transport_coloring(d2, d, moved, x).assignment == col.assignment, site
+    assert cols
+
+
+@pytest.mark.parametrize("move", ["R1a", "R1b"])
+@pytest.mark.parametrize("variant", ["under", "over"])
+def test_transport_across_r1_on_a_loop(x6, move, variant):
+    lp = loop_diagram()
+    site = MoveSite(move, "apply", ("l0",), variant)
+    res = apply_move(lp, site)
+    assert res.fresh == (res.inverse.ids[0],)  # the loop id survives as the outer semi-arc
+    assert "l0" in res.diagram.semiarcs
+    _assert_transport_round_trips(lp, x6, site)
+    back = apply_move(res.diagram, res.inverse).diagram
+    assert back.loops == ("l0",)
+
+
+def test_transport_across_kinked_unknot_r1a_undo(x6, corpus_diagrams):
+    d = corpus_diagrams["kinked-unknot"]
+    sites = find_sites(d, "R1a", "undo")
+    assert sites
+    for site in sites:
+        assert apply_move(d, site).diagram.loops  # the undo leaves a free loop
+        _assert_transport_round_trips(d, x6, site)
+
+
+def test_transport_across_r2_undo_leaving_a_free_loop(x6):
+    from hlcolor.diagram import build_braid
+
+    d = build_braid(2, [("x", 0, 1), ("x", 0, -1)])
+    sites = find_sites(d, "R2a", "undo") + find_sites(d, "R2b", "undo")
+    assert sites
+    for site in sites:
+        assert apply_move(d, site).diagram.loops
+        _assert_transport_round_trips(d, x6, site)

@@ -12,7 +12,6 @@ from hlcolor.rings import (
     parse_element,
     parse_ring_literal,
     ring_make,
-    smith_normal_form,
     solve_linear,
 )
 
@@ -128,7 +127,7 @@ def test_solve_linear_field_solutions_satisfy_system():
                 assert acc == want
 
 
-@pytest.mark.parametrize("m", [4, 6, 12])
+@pytest.mark.parametrize("m", [4, 6, 8, 9, 12])
 def test_solve_linear_zm_matches_bruteforce(m):
     ring = ring_make(m)
     rng = random.Random(m)
@@ -157,32 +156,6 @@ def test_solve_linear_nonfield_quotient_bruteforce_and_bound():
     assert sol.cardinality > 1
     with pytest.raises(SizeBoundExceededError):
         solve_linear(Z81, [[Z81.one] * 4], [Z81.zero], bound=100)
-
-
-def test_smith_normal_form_transforms():
-    rng = random.Random(5)
-    for _ in range(30):
-        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
-        mat = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
-        d, u, v = smith_normal_form(mat)
-        # U M V == D
-        prod = [
-            [sum(u[i][k] * mat[k][j] for k in range(nr)) for j in range(nc)]
-            for i in range(nr)
-        ]
-        prod = [
-            [sum(prod[i][k] * v[k][j] for k in range(nc)) for j in range(nc)]
-            for i in range(nr)
-        ]
-        assert prod == d
-        diag = [d[i][i] for i in range(min(nr, nc))]
-        for i in range(min(nr, nc)):
-            for j in range(nc):
-                if i != j and j < nc:
-                    assert d[i][j] == 0 or i == j
-        for a, b in zip(diag, diag[1:]):
-            if a and b:
-                assert b % a == 0
 
 
 def test_literals_roundtrip():
