@@ -2,12 +2,13 @@
 move rewriting and coloring/flow computations.
 
 Exit codes: 0 success, 1 semantic failure (axiom violation, count mismatch,
-site mismatch), 2 parse error, 3 budget exceeded.
+site mismatch), 2 parse or usage error, 3 budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from hlcolor.algebra import Biquandle, Quandle, biquandle_check, quandle_check
@@ -215,8 +216,12 @@ def cmd_color(args) -> int:
         if isinstance(obj, (GFamilyQ, GFamilyB)):
             flow = None
             if args.flow:
-                with open(args.flow, encoding="utf-8") as fh:
-                    flow = parse_flow(fh.read())
+                try:
+                    with open(args.flow, encoding="utf-8") as fh:
+                        flow = parse_flow(fh.read())
+                except OSError as exc:
+                    print(f"parse error: {exc}", file=sys.stderr)
+                    return EXIT_PARSE
             if args.per_flow:
                 table = per_flow_counts(d, obj, budget=args.budget)
                 _emit(args, "count", sum(table.values()))
@@ -351,6 +356,13 @@ def cmd_move(args) -> int:
     return EXIT_OK
 
 
+def _budget(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hlcolor",
@@ -395,14 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
     sco.add_argument("--dim", action="store_true")
     sco.add_argument("--per-flow", dest="per_flow", action="store_true")
     sco.add_argument("--flow")
-    sco.add_argument("--budget", type=int)
+    sco.add_argument("--budget", type=_budget)
     sco.set_defaults(func=cmd_color)
 
     sv = sub.add_parser("verify", help="compare MCB and Q(MCB) coloring counts")
     sv.add_argument("structure")
     sv.add_argument("diagram")
     sv.add_argument("--per-flow", dest="per_flow", action="store_true")
-    sv.add_argument("--budget", type=int)
+    sv.add_argument("--budget", type=_budget)
     sv.add_argument("--inject-wrong-q", action="store_true", help=argparse.SUPPRESS)
     sv.set_defaults(func=cmd_verify)
 
@@ -421,14 +433,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except StructParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``); point stdout at devnull
+        # so that the flush at interpreter exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

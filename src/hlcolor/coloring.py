@@ -26,10 +26,10 @@ it is pinned by those tests rather than by figure inspection (see README).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from hlcolor.algebra import _column_inverse
 from hlcolor.diagram import Diagram, arcs_of
 from hlcolor.gfamily import GFamilyB, GFamilyQ, associated_mcb, associated_mcq
 from hlcolor.groups import FiniteGroup
@@ -70,6 +70,7 @@ class ColoringSetReport:
     colorings: list[Coloring] | None = None
     module_info: tuple[int, list] | None = None  # (dimension, basis vectors)
     per_flow: dict[Flow, int] | None = None
+    nodes: int | None = None  # values tried by the search, a deterministic cost
 
 
 class FlowInvalidError(ValueError):
@@ -83,12 +84,63 @@ class NotBraidShapedError(ValueError):
 # -- the local rules as table equations ------------------------------------------
 #
 # Every rule is a conjunction of equations tbl[a, b] == c on variable names,
-# written (a, b, c, (tbl, col, row)).  The optional column-solve table gives
-# a = col[c, b] and the optional row-solve table gives b = row[a, c].  Tables
-# are nested lists; -1 marks an undefined entry and _MANY a solve entry that
-# several values fit, which forces nothing.
+# written (a, b, c, table) with a _RuleTable.
 
-_MANY = -2
+
+def _bitmasks(m: np.ndarray) -> list:
+    """Nested lists of ints whose bit j is m[..., j], for a boolean array m."""
+    words = -(-m.shape[-1] // 64)
+    padded = np.zeros(m.shape[:-1] + (64 * words,), dtype=bool)
+    padded[..., : m.shape[-1]] = m
+    word = np.packbits(padded, axis=-1, bitorder="little").view("<u8").astype(object)
+    masks = word[..., 0]
+    for k in range(1, words):
+        masks = masks | word[..., k] << 64 * k
+    return masks.tolist()
+
+
+def _pair_masks(p: np.ndarray, q: np.ndarray, v: np.ndarray, n: int) -> list:
+    """masks[p][q] with bit v set for every entry (p, q, v) of the index arrays.
+
+    Built a slab of p values at a time, so the dense support stays near 2^16
+    booleans rather than n^3.
+    """
+    order = np.argsort(p, kind="stable")
+    p, q, v = p[order], q[order], v[order]
+    step = max(1, 2**16 // (n * n))
+    masks: list = []
+    for first in range(0, n, step):
+        last = min(first + step, n)
+        lo, hi = np.searchsorted(p, (first, last))
+        support = np.zeros((last - first, n, n), dtype=bool)
+        support[p[lo:hi] - first, q[lo:hi], v[lo:hi]] = True
+        masks += _bitmasks(support)
+    return masks
+
+
+class _RuleTable:
+    """A rule table tbl[a, b] == c, -1 where undefined, with its support masks.
+
+    ab[a][b] is the c the table gives.  With c and b known, a lies in the mask
+    cb[c][b]; with a and c known, b lies in ac[a][c].  With only slot s known
+    to hold v, each other slot i lies in masks[v] for (i, masks) in given[s];
+    projections that are full filter nothing and are left out.
+    """
+
+    def __init__(self, tbl: np.ndarray):
+        n = len(tbl)
+        a, b = np.nonzero(tbl >= 0)
+        c = tbl[a, b]
+        self.ab = tbl.tolist()
+        self.cb = _pair_masks(c, b, a, n)
+        self.ac = _pair_masks(a, c, b, n)
+        slots = (a, b, c)
+        self.given: tuple[list, list, list] = ([], [], [])
+        for s, i in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+            seen = np.zeros((n, n), dtype=bool)
+            seen[slots[s], slots[i]] = True
+            if not seen.all():
+                self.given[s].append((i, _bitmasks(seen)))
 
 
 class _TableConstraint:
@@ -96,78 +148,29 @@ class _TableConstraint:
 
     def __init__(self, *eqs):
         self.eqs = eqs
-        self.vars = tuple(sorted({v for eq in eqs for v in eq[:3]}))
 
     def check(self, assign) -> bool:
-        return all(tbl[assign[a]][assign[b]] == assign[c] for a, b, c, (tbl, _, _) in self.eqs)
-
-    def propagate(self, assign):
-        """Return list of (var, value) forced by the equations, or False on conflict."""
-        forced = []
-        local = {v: assign.get(v) for v in self.vars}
-        changed = True
-        while changed:
-            changed = False
-            for a, b, c, (tbl, col, row) in self.eqs:
-                va, vb, vc = local[a], local[b], local[c]
-                if va is not None and vb is not None:
-                    var, want = c, tbl[va][vb]
-                elif vc is not None and vb is not None and col is not None:
-                    var, want = a, col[vc][vb]
-                elif va is not None and vc is not None and row is not None:
-                    var, want = b, row[va][vc]
-                else:
-                    continue
-                if want == _MANY:
-                    continue
-                if want < 0:
-                    return False
-                if local[var] is None:
-                    local[var] = want
-                    forced.append((var, want))
-                    changed = True
-                elif local[var] != want:
-                    return False
-        return forced
+        return all(t.ab[assign[a]][assign[b]] == assign[c] for a, b, c, t in self.eqs)
 
 
-def _with_solvers(tbl: np.ndarray) -> tuple[list, list, list]:
-    """(tbl, col, row) for a square table whose undefined entries are -1."""
-    n = len(tbl)
-    a, b = np.nonzero(tbl >= 0)
-    c = tbl[a, b]
-
-    def solver(keys, values) -> list:
-        out = np.full((n, n), -1, dtype=np.int64)
-        out[keys] = values
-        hits = np.zeros((n, n), dtype=np.int64)
-        np.add.at(hits, keys, 1)
-        out[hits > 1] = _MANY
-        return out.tolist()
-
-    return tbl.tolist(), solver((c, b), a), solver((a, c), b)
-
-
-def _rule_tables(x: MCB | MCQ) -> dict[str, tuple]:
-    """The (tbl, col, row) tables of x's local rules, built once per structure.
+def _rule_tables(x: MCB | MCQ | FiniteGroup) -> dict[str, _RuleTable]:
+    """The rule tables of x, built once per structure object and stored on it.
 
     The MCB vertex table is V[e1, e2] = (e1 over^-1 e2) . e2, so V[e1, e2] = e3
     says e1 = b over e2 and e3 = b . e2 for a block element b; the MCQ vertex
-    table is prod.  Both are -1 across blocks.
+    table is prod.  Both are -1 across blocks.  A group's tables are its
+    conjugation (the flow rule at crossings) and its product (at vertices).
     """
     tables = getattr(x, "_rule_tables", None)
     if tables is None:
         if isinstance(x, MCB):
-            tables = {
-                "under": (x.under.tolist(), x.under_inv.tolist(), None),
-                "over": (x.over.tolist(), x.over_inv.tolist(), None),
-                "vertex": _with_solvers(x.prod[x.over_inv, np.arange(x.n)[None, :]]),
-            }
+            vertex = x.prod[x.over_inv, np.arange(x.n)[None, :]]
+            tables = {"under": x.under, "over": x.over, "vertex": vertex}
+        elif isinstance(x, MCQ):
+            tables = {"star": x.star, "vertex": x.prod}
         else:
-            tables = {
-                "star": (x.star.tolist(), x.star_inv.tolist(), None),
-                "vertex": _with_solvers(x.prod),
-            }
+            tables = {"conj": x.conj_table(), "prod": x.cayley}
+        tables = {name: _RuleTable(tbl) for name, tbl in tables.items()}
         x._rule_tables = tables
     return tables
 
@@ -215,14 +218,182 @@ def _mcq_constraints(d: Diagram, x: MCQ) -> list:
 
 def _flow_constraints(d: Diagram, g: FiniteGroup) -> list:
     """The group shadows: conjugation at crossings, products at vertices."""
-    prod, conj = g.cayley, g.conj_table()
-    return _arc_constraints(
-        d, (conj.tolist(), _column_inverse(conj, "group conjugation").tolist(), None),
-        (prod.tolist(), _column_inverse(prod, "group product").tolist(), None),
-    )
+    t = _rule_tables(g)
+    return _arc_constraints(d, t["conj"], t["prod"])
 
 
 # -- the search engine ---------------------------------------------------------
+
+
+def _propagate(dom: list[int], queue: list[int], var_eqs: list) -> bool:
+    """Forward checking from the queued variables; False on an empty domain.
+
+    A variable is known when its domain is a single bit.  In every equation of
+    a queued variable, two known slots narrow the third to the values the table
+    allows, and one known slot narrows the other two to its partners.  A domain
+    that shrinks to one bit is queued in turn, so on success every equation
+    whose slots are all known holds.
+    """
+    while queue:
+        for a, b, c, t in var_eqs[queue.pop()]:
+            da, db, dc = dom[a], dom[b], dom[c]
+            ka, kb, kc = not da & (da - 1), not db & (db - 1), not dc & (dc - 1)
+            if ka and kb:
+                want = t.ab[da.bit_length() - 1][db.bit_length() - 1]
+                if want < 0 or not dc >> want & 1:
+                    return False
+                if not kc:
+                    dom[c] = 1 << want
+                    queue.append(c)
+                continue
+            if kb and kc:
+                narrow = ((a, t.cb[dc.bit_length() - 1][db.bit_length() - 1]),)
+            elif ka and kc:
+                narrow = ((b, t.ac[da.bit_length() - 1][dc.bit_length() - 1]),)
+            elif ka or kb or kc:
+                s = 0 if ka else 1 if kb else 2
+                v = (da, db, dc)[s].bit_length() - 1
+                narrow = [((a, b, c)[i], masks[v]) for i, masks in t.given[s]]
+            else:
+                continue
+            for var, mask in narrow:
+                d = dom[var]
+                new = d & mask
+                if new != d:
+                    if not new:
+                        return False
+                    dom[var] = new
+                    if not new & (new - 1):
+                        queue.append(var)
+    return True
+
+
+class _Search:
+    """Forward-checking search over one integer-indexed constraint network.
+
+    Variable i is the i-th name in sorted order and its domain is an int whose
+    bit v says that value v is still possible.  After the fixed values and
+    domains are propagated, the unknown variables split into the connected
+    components of the equations that still hold two or more of them; each
+    component is searched on its own and the counts multiply.  The search
+    branches on a variable of smallest domain, the first in sorted order on a
+    tie, and tries its values in ascending order.  ``nodes`` counts the values
+    tried, over all components; past ``budget`` the search raises
+    SizeBoundExceededError.
+    """
+
+    def __init__(self, all_vars, domain_size, constraints, fixed=None, domains=None, budget=None):
+        self.names = sorted(all_vars)
+        index = {v: i for i, v in enumerate(self.names)}
+        self.var_eqs: list[list] = [[] for _ in self.names]
+        for con in constraints:
+            for a, b, c, t in con.eqs:
+                eq = (index[a], index[b], index[c], t)
+                for v in set(eq[:3]):
+                    self.var_eqs[v].append(eq)
+        full = (1 << domain_size) - 1
+        dom = [full] * len(self.names)
+        for v, vals in (domains or {}).items():
+            dom[index[v]] = sum(1 << val for val in set(vals)) & full
+        for v, val in (fixed or {}).items():
+            dom[index[v]] &= 1 << val
+        known = [i for i, d in enumerate(dom) if not d & (d - 1)]
+        self.dom = dom if all(dom) and _propagate(dom, known, self.var_eqs) else None
+        self.budget = budget
+        self.nodes = 0
+        self.components = [] if self.dom is None else self._components()
+
+    def _components(self) -> list[list[int]]:
+        dom = self.dom
+        parent = {i: i for i, d in enumerate(dom) if d & (d - 1)}
+
+        def root(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for eqs in self.var_eqs:
+            for eq in eqs:
+                open_ = [v for v in eq[:3] if v in parent]
+                for v in open_[1:]:
+                    parent[root(v)] = root(open_[0])
+        groups: dict[int, list[int]] = {}
+        for i in parent:
+            groups.setdefault(root(i), []).append(i)
+        return sorted(groups.values())
+
+    def _branches(self, dom: list[int], comp: list[int]):
+        """The propagated children of dom on its branch variable, or None at a leaf."""
+        var, size = -1, 0
+        for v in comp:
+            d = dom[v]
+            if d & (d - 1) and (var < 0 or d.bit_count() < size):
+                var, size = v, d.bit_count()
+        if var < 0:
+            return None
+        return self._children(dom, var)
+
+    def _children(self, dom: list[int], var: int):
+        d = dom[var]
+        while d:
+            bit = d & -d
+            d ^= bit
+            self.nodes += 1
+            if self.budget is not None and self.nodes > self.budget:
+                raise SizeBoundExceededError(f"enumeration exceeded branch budget {self.budget}")
+            child = dom[:]
+            child[var] = bit
+            if _propagate(child, [var], self.var_eqs):
+                yield child
+
+    def _count(self, dom: list[int], comp: list[int]) -> int:
+        children = self._branches(dom, comp)
+        if children is None:
+            return 1
+        return sum(self._count(child, comp) for child in children)
+
+    def _solutions(self, dom: list[int], comp: list[int], out: list) -> list:
+        children = self._branches(dom, comp)
+        if children is None:
+            out.append([dom[v].bit_length() - 1 for v in comp])
+        else:
+            for child in children:
+                self._solutions(child, comp, out)
+        return out
+
+    def count(self) -> int:
+        total = 0 if self.dom is None else 1
+        for comp in self.components:
+            total *= self._count(self.dom, comp)
+            if not total:
+                break
+        return total
+
+    def assignments(self):
+        """Yield every solution as a dict, in lexicographic order of the values
+        in sorted variable order."""
+        if self.dom is None:
+            return
+        parts = []
+        for comp in self.components:
+            parts.append(self._solutions(self.dom, comp, []))
+            if not parts[-1]:
+                return
+        known = [i for i, d in enumerate(self.dom) if not d & (d - 1)]
+        head = [self.dom[i].bit_length() - 1 for i in known]
+        where = [0] * len(self.names)
+        for pos, v in enumerate(known + [v for comp in self.components for v in comp]):
+            where[v] = pos
+        # rows are lists, not tuples: freed tuples of up to 20 items stay on
+        # the interpreter's free lists and would hold memory after the call
+        rows = []
+        for combo in product(*parts):
+            flat = head + [val for part in combo for val in part]
+            rows.append([flat[p] for p in where])
+        rows.sort()
+        for row in rows:
+            yield dict(zip(self.names, row))
 
 
 def _enumerate(
@@ -234,83 +405,14 @@ def _enumerate(
     collect: bool = True,
     budget: int | None = None,
 ):
-    """Backtracking enumeration with constraint propagation.
+    """All solutions of the constraints, by bitset forward checking (see _Search).
 
-    Yields assignment dicts in deterministic order: branch variables are
-    most-constrained-first with lexicographic tie-break, values ascending.
+    With collect, an iterator over the assignment dicts in lexicographic order
+    of the values in sorted variable order; without, their number, the product
+    of the per-component counts.
     """
-    var_cons: dict[str, list] = {v: [] for v in all_vars}
-    for con in constraints:
-        for v in con.vars:
-            var_cons[v].append(con)
-    full_domains = {v: (domains[v] if domains and v in domains else None) for v in all_vars}
-    nodes = 0
-
-    def in_domain(v: str, val: int) -> bool:
-        dom = full_domains[v]
-        return dom is None or val in dom
-
-    def propagate(assign, trail, queue) -> bool:
-        while queue:
-            con = queue.pop()
-            result = con.propagate(assign)
-            if result is False:
-                return False
-            for var, val in result:
-                if var in assign:
-                    if assign[var] != val:
-                        return False
-                    continue
-                if not in_domain(var, val):
-                    return False
-                assign[var] = val
-                trail.append(var)
-                for c2 in var_cons[var]:
-                    queue.append(c2)
-        return True
-
-    def pick_var(assign) -> str | None:
-        best = None
-        best_score = -1
-        for v in all_vars:
-            if v in assign:
-                continue
-            score = 0
-            for con in var_cons[v]:
-                score += sum(1 for w in con.vars if w in assign)
-            if score > best_score or (score == best_score and best is not None and v < best):
-                best, best_score = v, score
-        return best
-
-    def search(assign):
-        nonlocal nodes
-        var = pick_var(assign)
-        if var is None:
-            yield dict(assign) if collect else assign
-            return
-        dom = full_domains[var]
-        values = dom if dom is not None else range(domain_size)
-        for val in values:
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise SizeBoundExceededError(f"enumeration exceeded branch budget {budget}")
-            trail = [var]
-            assign[var] = val
-            queue = list(var_cons[var])
-            if propagate(assign, trail, queue):
-                yield from search(assign)
-            for v in trail:
-                del assign[v]
-
-    init = dict(fixed) if fixed else {}
-    for v, val in init.items():
-        if not in_domain(v, val):
-            return
-    trail0: list[str] = []
-    queue0 = [c for v in init for c in var_cons.get(v, [])]
-    base = dict(init)
-    if propagate(base, trail0, queue0):
-        yield from search(base)
+    search = _Search(all_vars, domain_size, constraints, fixed, domains, budget)
+    return search.assignments() if collect else search.count()
 
 
 def _report(
@@ -324,17 +426,11 @@ def _report(
     domains=None,
     budget=None,
 ) -> ColoringSetReport:
-    vars_ = coloring_vars(d, on_arcs)
-    count = 0
-    out: list[Coloring] | None = [] if want_list else None
-    for assign in _enumerate(
-        vars_, domain_size, constraints, fixed=fixed, domains=domains, collect=want_list,
-        budget=budget,
-    ):
-        count += 1
-        if want_list:
-            out.append(Coloring(x, dict(assign)))
-    return ColoringSetReport(count=count, colorings=out)
+    search = _Search(coloring_vars(d, on_arcs), domain_size, constraints, fixed, domains, budget)
+    if want_list:
+        out = [Coloring(x, assign) for assign in search.assignments()]
+        return ColoringSetReport(count=len(out), colorings=out, nodes=search.nodes)
+    return ColoringSetReport(count=search.count(), nodes=search.nodes)
 
 
 # -- public operations -----------------------------------------------------------

@@ -31,14 +31,17 @@ class _PartitionedCarrier:
         self.ginv = self._find_inverses()
 
     def _check_partial_product_shape(self) -> None:
-        for a in range(self.n):
-            for b in range(self.n):
-                inside = self.block_of[a] == self.block_of[b]
-                val = int(self.prod[a, b])
-                if inside and not (0 <= val < self.n):
-                    raise ValueError(f"product undefined inside a block at ({a},{b})")
-                if not inside and val != -1:
-                    raise ValueError(f"product defined across blocks at ({a},{b})")
+        """Raise at the first (a, b) in row-major order where prod is not defined
+        exactly inside the blocks."""
+        inside = self.block_of[:, None] == self.block_of[None, :]
+        undefined = (self.prod < 0) | (self.prod >= self.n)
+        w = _first_where(np.where(inside, undefined, self.prod != -1))
+        if w is None:
+            return
+        a, b = w
+        if inside[a, b]:
+            raise ValueError(f"product undefined inside a block at ({a},{b})")
+        raise ValueError(f"product defined across blocks at ({a},{b})")
 
     def _find_identities(self) -> list[int]:
         ids = []
@@ -97,13 +100,6 @@ class MCQ(_PartitionedCarrier):
         self.star = _as_table(star, "mcq star")
         if self.star.shape != (self.n, self.n):
             raise ValueError("star table shape mismatch")
-        self._star_inv: np.ndarray | None = None
-
-    @property
-    def star_inv(self) -> np.ndarray:
-        if self._star_inv is None:
-            self._star_inv = _column_inverse(self.star, "mcq star")
-        return self._star_inv
 
     def __eq__(self, other) -> bool:
         return (
@@ -123,14 +119,7 @@ class MCB(_PartitionedCarrier):
         self.over = _as_table(over, "mcb over")
         if self.under.shape != (self.n, self.n) or self.over.shape != (self.n, self.n):
             raise ValueError("under/over table shape mismatch")
-        self._under_inv: np.ndarray | None = None
         self._over_inv: np.ndarray | None = None
-
-    @property
-    def under_inv(self) -> np.ndarray:
-        if self._under_inv is None:
-            self._under_inv = _column_inverse(self.under, "mcb under")
-        return self._under_inv
 
     @property
     def over_inv(self) -> np.ndarray:

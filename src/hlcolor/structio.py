@@ -45,6 +45,13 @@ def _clean_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _int(text: str, line: int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise StructParseError(f"line {line}: bad {what} {text!r}") from None
+
+
 def _fields(tokens: list[str], line: int) -> dict[str, str]:
     """Parse key=value tokens; a ring= value swallows following ring tokens."""
     out: dict[str, str] = {}
@@ -275,7 +282,10 @@ def parse_flow(text: str, base_dir: str = "."):
     lineno, header = lines[0]
     fields = _fields(header.split()[1:], lineno)
     if "zn" in fields:
-        group = cyclic_group(int(fields["zn"]))
+        n = _int(fields["zn"], lineno, "zn=")
+        if n < 1:
+            raise StructParseError(f"line {lineno}: zn= must be at least 1, got {n}")
+        group = cyclic_group(n)
     elif "group" in fields:
         group = parse_structure_file(os.path.join(base_dir, fields["group"]))
     else:
@@ -285,7 +295,7 @@ def parse_flow(text: str, base_dir: str = "."):
         parts = line.split()
         if len(parts) != 3 or parts[0] != "assign":
             raise StructParseError(f"line {lno}: expected 'assign <arc> <element>'")
-        assignment[parts[1]] = int(parts[2])
+        assignment[parts[1]] = _int(parts[2], lno, "element")
     return Flow.from_dict(group, assignment)
 
 
@@ -306,7 +316,7 @@ def parse_coloring_assignment(text: str) -> dict[str, int]:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "assign":
             raise StructParseError(f"line {lno}: expected 'assign <id> <element>'")
-        out[parts[1]] = int(parts[2])
+        out[parts[1]] = _int(parts[2], lno, "element")
     return out
 
 

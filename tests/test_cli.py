@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +143,67 @@ def test_color_budget_exit(capsys):
         "--budget", "5",
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["color", "verify"])
+def test_negative_budget_is_a_usage_error(capsys, command):
+    code, _ = run(
+        capsys, command,
+        corpus_path("structures", "assoc-z3-z2-mcb.txt"),
+        corpus_path("diagrams", "trefoil.txt"),
+        "--budget", "-1",
+    )
+    assert code == 2
+
+
+def test_missing_flow_file_is_a_parse_error(capsys, tmp_path):
+    code, _ = run(
+        capsys, "color",
+        corpus_path("structures", "gf9-z8-family.txt"),
+        corpus_path("diagrams", "trefoil.txt"),
+        "--flow", str(tmp_path / "nonexistent.txt"),
+    )
+    assert code == 2
+
+
+@pytest.mark.parametrize("text", [
+    "flow zn=8\nassign s1 abc\n",
+    "flow zn=abc\n",
+    "flow zn=0\n",
+])
+def test_malformed_flow_file_is_a_parse_error(capsys, tmp_path, text):
+    from hlcolor.structio import StructParseError, parse_flow
+
+    with pytest.raises(StructParseError):
+        parse_flow(text)
+    flow_file = tmp_path / "flow.txt"
+    flow_file.write_text(text)
+    code, _ = run(
+        capsys, "color",
+        corpus_path("structures", "gf9-z8-family.txt"),
+        corpus_path("diagrams", "trefoil.txt"),
+        "--flow", str(flow_file),
+    )
+    assert code == 2
+
+
+def test_list_into_a_closed_pipe_prints_no_traceback():
+    # the listing (about 100 kB) outgrows the pipe buffer, so the writer
+    # still has output left when the reader goes away after one line
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hlcolor.cli", "color",
+         corpus_path("structures", "assoc-z5-z4-mcb.txt"),
+         corpus_path("diagrams", "union-trefoil-theta.txt"), "--list"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"count:")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
+    assert proc.returncode in (0, 1, 2, 3)
 
 
 def test_verify_corpus_and_injection(capsys):

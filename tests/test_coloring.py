@@ -1,5 +1,8 @@
 import itertools
+import math
+import random
 
+import numpy as np
 import pytest
 
 from hlcolor.algebra import dihedral_quandle
@@ -9,6 +12,7 @@ from hlcolor.coloring import (
     NotBraidShapedError,
     braid_boundary_determinism,
     brute_force_colorings,
+    coloring_vars,
     colorings_by_flow,
     enumerate_colorings,
     enumerate_colorings_mcb,
@@ -35,7 +39,8 @@ from hlcolor.gfamily import (
     zkm_family_from_quandle,
 )
 from hlcolor.groups import cyclic_group, symmetric_group
-from hlcolor.mcqb import conjugation_mcq
+from hlcolor.mcqb import MCB, MCQ, conjugation_mcq, q_functor_mcb
+from hlcolor.oracle import local_rules_hold
 from hlcolor.rings import SizeBoundExceededError, ring_make
 
 
@@ -73,7 +78,7 @@ def test_flows_trefoil():
 def test_flows_brute_force_oracle():
     g = symmetric_group(3)
     d = theta_curve()
-    from hlcolor.coloring import _flow_constraints, coloring_vars
+    from hlcolor.coloring import _flow_constraints
 
     vars_ = coloring_vars(d, True)
     cons = _flow_constraints(d, g)
@@ -134,6 +139,87 @@ def test_multiplicativity_over_disjoint_union(mcq6, mcb6):
         du = disjoint_union(trefoil(), theta_curve())
         assert enumerate_colorings(du, x).count == n_tr * n_th
     assert enumerate_colorings(disjoint_union(loop_diagram(), loop_diagram()), mcq6).count == 36
+
+
+def _restricted_brute_force(d, x, domains) -> list[tuple]:
+    """The colorings inside the given value lists, by the oracle's local rules."""
+    vars_ = coloring_vars(d, isinstance(x, MCQ))
+    return [
+        combo for combo in itertools.product(*(domains[v] for v in vars_))
+        if local_rules_hold(d, x, dict(zip(vars_, combo)))
+    ]
+
+
+@pytest.mark.parametrize("name", ["mcb6", "mcq6", "assoc-z3-z2-mcb"])
+def test_domains_and_fixed_match_brute_force(name, request, corpus_structures, corpus_diagrams):
+    x = request.getfixturevalue(name) if name in ("mcb6", "mcq6") else corpus_structures[name]
+    rng = random.Random(name)
+    checked = 0
+    for d in corpus_diagrams.values():
+        vars_ = coloring_vars(d, isinstance(x, MCQ))
+        colorings = enumerate_colorings(d, x, want_list=True).colorings
+        for _ in range(6):
+            # each domain keeps the values of one true coloring, so most
+            # restricted sets are not empty
+            base = rng.choice(colorings).assignment
+            domains = {v: sorted({base[v], *rng.sample(range(x.n), rng.randint(0, 2))})
+                       for v in vars_}
+            fixed = {v: base[v] for v in rng.sample(vars_, rng.randint(0, len(vars_) // 2))}
+            space = {v: [fixed[v]] if v in fixed else domains[v] for v in vars_}
+            if math.prod(len(vals) for vals in space.values()) > 20000:
+                continue
+            want = _restricted_brute_force(d, x, space)
+            rep = enumerate_colorings(d, x, want_list=True, domains=domains, fixed=fixed)
+            assert [c.restrict(vars_) for c in rep.colorings] == want
+            assert enumerate_colorings(d, x, domains=domains, fixed=fixed).count == len(want)
+            checked += 1
+    assert checked >= 30
+
+
+def test_union_with_an_uncolorable_component_is_empty(mcq6):
+    # the trefoil (primed arcs, searched second) has no coloring inside these
+    # domains, and no domain holds a single value, so only the search sees it
+    d = disjoint_union(theta_curve(), trefoil())
+    domains = {"s1'": [0, 2], "s2'": [2, 4], "s4": [4, 0]}
+    assert _restricted_brute_force(trefoil(), mcq6, {
+        "s1": [0, 2], "s2": [2, 4], "s4": [0, 4]}) == []
+    assert enumerate_colorings(d, mcq6, domains=domains).count == 0
+    rep = enumerate_colorings(d, mcq6, want_list=True, domains=domains)
+    assert rep.count == 0 and rep.colorings == []
+
+
+def test_listing_is_lexicographic_in_sorted_variable_order(
+    corpus_mcbs, corpus_mcqs, corpus_diagrams
+):
+    structures = [x for x in (*corpus_mcbs.values(), *corpus_mcqs.values()) if x.n <= 24]
+    structures += [q_functor_mcb(x) for x in structures if isinstance(x, MCB)]
+    for x in structures:
+        for d in corpus_diagrams.values():
+            rep = enumerate_colorings(d, x, want_list=True)
+            rows = [tuple(v for _, v in sorted(c.assignment.items())) for c in rep.colorings]
+            assert rows == sorted(set(rows))
+            assert rep.count == len(rows) == enumerate_colorings(d, x).count
+
+
+def test_budget_counts_nodes_over_all_components(mcq6):
+    n1 = enumerate_colorings(theta_curve(), mcq6).nodes
+    n2 = enumerate_colorings(trefoil(), mcq6).nodes
+    du = disjoint_union(theta_curve(), trefoil())
+    rep = enumerate_colorings(du, mcq6)
+    assert rep.nodes == n1 + n2
+    assert enumerate_colorings(du, mcq6, budget=rep.nodes).count == rep.count
+    # both components take at least one node, so the first one completes
+    # within this budget and the second one exceeds it
+    with pytest.raises(SizeBoundExceededError):
+        enumerate_colorings(du, mcq6, budget=rep.nodes - 1)
+
+
+def test_gf9_mcb_node_counts_stay_under_50000(corpus_structures, corpus_diagrams):
+    # forward checking keeps the 72-element MCB within reach of its functor
+    # image; without it fig8 took 751,752 nodes and stem-clasp 3,032,712
+    x = associated_mcb(corpus_structures["gf9-z8-family"])
+    for name in ("fig8", "stem-clasp", "stem-clasp-slid-under", "union-trefoil-theta"):
+        assert enumerate_colorings_mcb(corpus_diagrams[name], x).nodes <= 50_000, name
 
 
 # -- flow filtering --------------------------------------------------------------
@@ -318,3 +404,12 @@ def test_linear_z9_braid_with_18_semiarcs_matches_backtracking():
     flows = enumerate_flows(d, fam.group)
     for flow in flows[:: len(flows) // 12]:
         assert linear_colorings(d, fam, flow).count == colorings_by_flow(d, fam, flow).count
+
+
+def test_bitmasks_match_a_loop_across_word_boundaries():
+    from hlcolor.coloring import _bitmasks
+
+    rng = np.random.default_rng(0)
+    for n in (1, 63, 64, 65, 72, 130):
+        m = rng.random((3, n)) < 0.5
+        assert _bitmasks(m) == [sum(1 << j for j in range(n) if m[i, j]) for i in range(3)]

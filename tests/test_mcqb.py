@@ -165,3 +165,34 @@ def test_mcb_mutations_rejected(mcb6):
         else:
             over[a, b] = (over[a, b] + rng.randrange(1, 6)) % 6
         assert not mcb_check(MCB(mcb6.block_of, mcb6.prod, under, over)).ok
+
+
+def _first_shape_error(block_of, prod):
+    """The loop the vectorised product-shape check replaced, kept as its reference."""
+    n = len(block_of)
+    for a in range(n):
+        for b in range(n):
+            inside = block_of[a] == block_of[b]
+            val = int(prod[a, b])
+            if inside and not 0 <= val < n:
+                return f"product undefined inside a block at ({a},{b})"
+            if not inside and val != -1:
+                return f"product defined across blocks at ({a},{b})"
+    return None
+
+
+def test_partial_product_shape_errors_match_the_loop(mcq6):
+    rng = random.Random(5)
+    block_of, good = mcq6.block_of, mcq6.prod
+    kinds = set()
+    for _ in range(200):
+        prod = good.copy()
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.randrange(mcq6.n), rng.randrange(mcq6.n)
+            prod[a, b] = rng.choice((-1, mcq6.n)) if block_of[a] == block_of[b] else 0
+        want = _first_shape_error(block_of, prod)
+        kinds.add(want.split(" at ")[0])
+        with pytest.raises(ValueError) as exc:
+            MCQ(block_of, prod, mcq6.star)
+        assert str(exc.value) == want
+    assert kinds == {"product undefined inside a block", "product defined across blocks"}

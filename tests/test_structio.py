@@ -104,3 +104,5 @@ def test_coloring_assignment_roundtrip():
     assert parse_coloring_assignment(text) == {"s1": 4, "s2": 0}
     with pytest.raises(StructParseError):
         parse_coloring_assignment("assign s1 4\n")
+    with pytest.raises(StructParseError, match="line 2"):
+        parse_coloring_assignment("coloring\nassign s1 abc\n")
