@@ -2,7 +2,8 @@
 move rewriting and coloring/flow computations.
 
 Exit codes: 0 success, 1 semantic failure (axiom violation, count mismatch,
-site mismatch), 2 parse or usage error, 3 budget exceeded.
+site mismatch, invalid flow or coloring), 2 parse or usage error, 3 search
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from hlcolor.algebra import Biquandle, Quandle, biquandle_check, quandle_check
 from hlcolor.coloring import (
     Coloring,
     FlowInvalidError,
+    coloring_vars,
     colorings_by_flow,
     enumerate_colorings,
-    enumerate_colorings_mcb,
-    enumerate_colorings_mcq,
     enumerate_flows,
     linear_colorings,
     per_flow_counts,
@@ -46,8 +46,9 @@ from hlcolor.mcqb import (
     q_functor_mcb,
     quandle_lift_mcb,
 )
-from hlcolor.moves import MoveSite, SiteMismatchError, apply_move
-from hlcolor.rings import SizeBoundExceededError
+from hlcolor.moves import MoveSite, SiteMismatchError, apply_move, transport_coloring
+from hlcolor.oracle import local_rules_hold
+from hlcolor.rings import SizeBoundExceededError, format_element
 from hlcolor.structio import (
     StructParseError,
     parse_coloring_assignment,
@@ -102,9 +103,9 @@ def _checker_for(obj):
     raise TypeError(f"no checker for {type(obj).__name__}")
 
 
-def _write_out(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write_out(path: str | None, text: str) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -128,7 +129,7 @@ def cmd_functor(args) -> int:
     if not mcb_check(obj).ok:
         print("input fails mcb axioms", file=sys.stderr)
         return EXIT_FAIL
-    _write_out(args, serialize_structure(q_functor_mcb(obj)))
+    _write_out(args.out, serialize_structure(q_functor_mcb(obj)))
     return EXIT_OK
 
 
@@ -140,7 +141,7 @@ def cmd_qg(args) -> int:
     if not gfb_check(obj).ok:
         print("input fails G-family axioms", file=sys.stderr)
         return EXIT_FAIL
-    _write_out(args, serialize_structure(qg_map(obj)))
+    _write_out(args.out, serialize_structure(qg_map(obj)))
     return EXIT_OK
 
 
@@ -180,12 +181,12 @@ def cmd_build(args) -> int:
     else:
         print(f"unknown build target {args.what!r}", file=sys.stderr)
         return EXIT_FAIL
-    _write_out(args, serialize_structure(out))
+    _write_out(args.out, serialize_structure(out))
     return EXIT_OK
 
 
 def _group_from_args(args):
-    if args.zn:
+    if args.zn is not None:
         return cyclic_group(args.zn)
     if args.group:
         g = _load_structure(args.group)
@@ -218,7 +219,7 @@ def cmd_color(args) -> int:
             if args.flow:
                 try:
                     with open(args.flow, encoding="utf-8") as fh:
-                        flow = parse_flow(fh.read())
+                        flow = parse_flow(fh.read(), base_dir=os.path.dirname(args.flow) or ".")
                 except OSError as exc:
                     print(f"parse error: {exc}", file=sys.stderr)
                     return EXIT_PARSE
@@ -234,15 +235,11 @@ def cmd_color(args) -> int:
                 return EXIT_PARSE
             if flow is not None:
                 if args.dim:
-                    rep = linear_colorings(d, obj, flow, bound=args.budget or 10**6)
+                    rep = linear_colorings(d, obj, flow)
                     _emit(args, "count", rep.count)
                     if rep.module_info is not None:
                         _emit(args, "dimension", rep.module_info[0])
-                        vars_ = None
                         if args.list and rep.module_info[1]:
-                            from hlcolor.coloring import coloring_vars
-                            from hlcolor.rings import format_element
-
                             vars_ = coloring_vars(d, isinstance(obj, GFamilyQ))
                             for i, vec in enumerate(rep.module_info[1]):
                                 body = " ".join(
@@ -286,25 +283,9 @@ def cmd_verify(args) -> int:
         print("verify expects an MCB or G-family-of-biquandles file", file=sys.stderr)
         return EXIT_FAIL
     try:
-        if args.inject_wrong_q:
-            # test hook: post-compose the functor image's star with an
-            # in-block transposition, so the compared counts must disagree
-            import numpy as np
-
-            from hlcolor.coloring import CorrespondenceReport
-
-            q = q_functor_mcb(x)
-            block0 = [i for i in range(q.n) if q.block_of[i] == q.block_of[0]]
-            sigma = np.arange(q.n)
-            sigma[[block0[0], block0[1]]] = sigma[[block0[1], block0[0]]]
-            wrong = MCQ(q.block_of.copy(), q.prod.copy(), sigma[q.star])
-            nb = enumerate_colorings_mcb(d, x, budget=args.budget).count
-            nq = enumerate_colorings_mcq(d, wrong, budget=args.budget).count
-            report = CorrespondenceReport(nb, nq, nb == nq)
-        else:
-            report = verify_correspondence(
-                d, x, family=family if args.per_flow else None, budget=args.budget
-            )
+        report = verify_correspondence(
+            d, x, family=family if args.per_flow else None, budget=args.budget
+        )
     except SizeBoundExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -324,6 +305,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _coloring_problem(d, x, assignment: dict[str, int]) -> str | None:
+    """Why the assignment is not a coloring of d by x, or None if it is one."""
+    want, got = set(coloring_vars(d, isinstance(x, MCQ))), set(assignment)
+    if got != want:
+        return f"missing {sorted(want - got)}, unknown {sorted(got - want)}"
+    if not all(0 <= v < x.n for v in assignment.values()):
+        return f"a value outside range(0, {x.n})"
+    if not local_rules_hold(d, x, assignment):
+        return "it breaks a crossing or vertex rule"
+    return None
+
+
 def cmd_move(args) -> int:
     d = _load_diagram(args.diagram)
     site = MoveSite(args.move, args.direction, tuple(args.site.split(",")), args.variant)
@@ -332,7 +325,6 @@ def cmd_move(args) -> int:
     except SiteMismatchError as exc:
         print(f"site mismatch: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    _write_out(args, serialize_diagram(result.diagram))
     if args.transport:
         if not args.structure:
             print("--transport needs --structure", file=sys.stderr)
@@ -342,25 +334,33 @@ def cmd_move(args) -> int:
             x = associated_mcq(x)
         elif isinstance(x, GFamilyB):
             x = associated_mcb(x)
-        with open(args.transport, encoding="utf-8") as fh:
-            assignment = parse_coloring_assignment(fh.read())
-        from hlcolor.moves import transport_coloring
-
+        try:
+            with open(args.transport, encoding="utf-8") as fh:
+                assignment = parse_coloring_assignment(fh.read())
+        except OSError as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        problem = _coloring_problem(d, x, assignment)
+        if problem is not None:
+            print(f"invalid coloring: {problem}", file=sys.stderr)
+            return EXIT_FAIL
+    _write_out(args.out, serialize_diagram(result.diagram))
+    if args.transport:
         moved = transport_coloring(d, result.diagram, Coloring(x, assignment), x)
-        out = serialize_coloring(moved)
-        if args.transport_out:
-            with open(args.transport_out, "w", encoding="utf-8") as fh:
-                fh.write(out)
-        else:
-            sys.stdout.write(out)
+        _write_out(args.transport_out, serialize_coloring(moved))
     return EXIT_OK
 
 
-def _budget(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
-    return n
+def _at_least(least: int):
+    """The argparse type of an integer option no smaller than least."""
+
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sfl = sub.add_parser("flows", help="enumerate G-flows of a diagram")
     sfl.add_argument("diagram")
-    sfl.add_argument("--zn", type=int)
+    sfl.add_argument("--zn", type=_at_least(1))
     sfl.add_argument("--group")
     sfl.add_argument("--list", action="store_true")
     sfl.set_defaults(func=cmd_flows)
@@ -407,15 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
     sco.add_argument("--dim", action="store_true")
     sco.add_argument("--per-flow", dest="per_flow", action="store_true")
     sco.add_argument("--flow")
-    sco.add_argument("--budget", type=_budget)
+    sco.add_argument("--budget", type=_at_least(0))
     sco.set_defaults(func=cmd_color)
 
     sv = sub.add_parser("verify", help="compare MCB and Q(MCB) coloring counts")
     sv.add_argument("structure")
     sv.add_argument("diagram")
     sv.add_argument("--per-flow", dest="per_flow", action="store_true")
-    sv.add_argument("--budget", type=_budget)
-    sv.add_argument("--inject-wrong-q", action="store_true", help=argparse.SUPPRESS)
+    sv.add_argument("--budget", type=_at_least(0))
     sv.set_defaults(func=cmd_verify)
 
     sm = sub.add_parser("move", help="apply a Reidemeister move at a site")

@@ -84,7 +84,8 @@ class NotBraidShapedError(ValueError):
 # -- the local rules as table equations ------------------------------------------
 #
 # Every rule is a conjunction of equations tbl[a, b] == c on variable names,
-# written (a, b, c, table) with a _RuleTable.
+# written (a, b, c, table) with a _RuleTable; the constraint builders return
+# flat lists of them.
 
 
 def _bitmasks(m: np.ndarray) -> list:
@@ -143,16 +144,6 @@ class _RuleTable:
                 self.given[s].append((i, _bitmasks(seen)))
 
 
-class _TableConstraint:
-    """Conjunction of table equations tbl[a, b] == c over variable names."""
-
-    def __init__(self, *eqs):
-        self.eqs = eqs
-
-    def check(self, assign) -> bool:
-        return all(t.ab[assign[a]][assign[b]] == assign[c] for a, b, c, t in self.eqs)
-
-
 def _rule_tables(x: MCB | MCQ | FiniteGroup) -> dict[str, _RuleTable]:
     """The rule tables of x, built once per structure object and stored on it.
 
@@ -190,25 +181,25 @@ def _crossing_slots(c) -> tuple[str, str, str, str]:
 
 def _mcb_constraints(d: Diagram, x: MCB) -> list:
     t = _rule_tables(x)
-    cons: list = []
+    eqs: list = []
     for c in d.crossings:
         oi, oo, ui, uo = _crossing_slots(c)
-        cons.append(_TableConstraint((ui, oo, uo, t["under"]), (oo, ui, oi, t["over"])))
+        eqs += [(ui, oo, uo, t["under"]), (oo, ui, oi, t["over"])]
     for v in d.vertices:
-        cons.append(_TableConstraint((v.e1, v.e2, v.e3, t["vertex"])))
-    return cons
+        eqs.append((v.e1, v.e2, v.e3, t["vertex"]))
+    return eqs
 
 
 def _arc_constraints(d: Diagram, crossing, vertex) -> list:
     """crossing[ui, over] = uo and vertex[e1, e2] = e3 on arcs."""
     arcs = arcs_of(d)
-    cons: list = []
+    eqs: list = []
     for c in d.crossings:
         _, _, ui, uo = _crossing_slots(c)
-        cons.append(_TableConstraint((arcs[ui], arcs[c.over_in], arcs[uo], crossing)))
+        eqs.append((arcs[ui], arcs[c.over_in], arcs[uo], crossing))
     for v in d.vertices:
-        cons.append(_TableConstraint((arcs[v.e1], arcs[v.e2], arcs[v.e3], vertex)))
-    return cons
+        eqs.append((arcs[v.e1], arcs[v.e2], arcs[v.e3], vertex))
+    return eqs
 
 
 def _mcq_constraints(d: Diagram, x: MCQ) -> list:
@@ -286,11 +277,10 @@ class _Search:
         self.names = sorted(all_vars)
         index = {v: i for i, v in enumerate(self.names)}
         self.var_eqs: list[list] = [[] for _ in self.names]
-        for con in constraints:
-            for a, b, c, t in con.eqs:
-                eq = (index[a], index[b], index[c], t)
-                for v in set(eq[:3]):
-                    self.var_eqs[v].append(eq)
+        for a, b, c, t in constraints:
+            eq = (index[a], index[b], index[c], t)
+            for v in set(eq[:3]):
+                self.var_eqs[v].append(eq)
         full = (1 << domain_size) - 1
         dom = [full] * len(self.names)
         for v, vals in (domains or {}).items():
@@ -584,9 +574,7 @@ def verify_correspondence(
     return report
 
 
-def linear_colorings(
-    d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow, bound: int = 10**6
-) -> ColoringSetReport:
+def linear_colorings(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow) -> ColoringSetReport:
     """Flow-filtered colorings of an Alexander family via exact linear algebra.
 
     One linear equation over the family's coefficient ring per local rule;
@@ -653,7 +641,7 @@ def linear_colorings(
     if not rows:
         rows = [[ring.zero] * len(vars_)]
         rhs = [ring.zero]
-    sol = solve_linear(ring, rows, rhs, bound=bound)
+    sol = solve_linear(ring, rows, rhs)
     module_info = None
     if sol.dimension is not None:
         module_info = (sol.dimension, sol.basis)

@@ -1,13 +1,14 @@
 """The local coloring rules checked straight from a structure's tables.
 
 This module is the oracle the search engine is tested against, so it shares
-none of the engine's encoding: no rule tables, no solve tables, no
-constraint objects.  It states the rules as the README does.
+none of the engine's encoding: no rule tables, no support masks, no
+equation lists.  It states the rules as the README does.
 """
 
 from __future__ import annotations
 
 from hlcolor.diagram import Diagram, arcs_of
+from hlcolor.groups import FiniteGroup
 from hlcolor.mcqb import MCB, MCQ
 
 
@@ -48,3 +49,21 @@ def semiarc_rules_hold(d: Diagram, x: MCB | MCQ, color: dict[str, int]) -> bool:
         ):
             return False
     return True
+
+
+def flow_rules_hold(d: Diagram, g: FiniteGroup, assignment: dict[str, int]) -> bool:
+    """True iff the assignment of group elements to arcs is a G-flow.
+
+    Crossing: the under arc is conjugated by the over arc, g.conj(ui, over)
+    = uo, with in and out swapped at a negative crossing.  Vertex (e1, e2,
+    e3): e1 . e2 = e3.
+    """
+    arcs = arcs_of(d)
+    color = {s: assignment[arcs[s]] for s in arcs}
+    for c in d.crossings:
+        ui, uo = color[c.under_in], color[c.under_out]
+        if c.sign < 0:
+            ui, uo = uo, ui
+        if g.conj(ui, color[c.over_in]) != uo:
+            return False
+    return all(g.mul(color[v.e1], color[v.e2]) == color[v.e3] for v in d.vertices)

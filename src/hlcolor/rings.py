@@ -4,6 +4,9 @@ Elements are canonical little-endian coefficient tuples of length max(deg f, 1),
 entries reduced into [0, m).  With deg f = 0 the ring is Z_m itself and elements
 are 1-tuples.  All operations are pure; a ring handle is immutable and safe to
 share.
+
+Linear systems are solved exactly over every such ring: by Gaussian elimination
+over a field, otherwise over Z_m through the regular representation.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ class NonUnitError(ValueError):
 
 
 class SizeBoundExceededError(RuntimeError):
-    """Raised when no exact solving path fits within the configured size bound."""
+    """Raised when a coloring search passes its budget, or a brute-force count its size bound."""
 
 
 class FiniteRing:
@@ -183,8 +186,8 @@ class LinearSystemSolution:
     """Solution set of A x = b over a finite ring.
 
     ``dimension`` and ``basis`` are reported only over fields, where the
-    solution set is an affine subspace;  over Z_m only the exact cardinality
-    (and a particular solution when one exists) is reported.
+    solution set is an affine subspace;  over every other ring only the exact
+    cardinality (and a particular solution when one exists) is reported.
     """
 
     cardinality: int
@@ -194,16 +197,12 @@ class LinearSystemSolution:
 
 
 def solve_linear(
-    ring: FiniteRing,
-    rows: Sequence[Sequence[Element]],
-    rhs: Sequence[Element],
-    bound: int = 10**6,
+    ring: FiniteRing, rows: Sequence[Sequence[Element]], rhs: Sequence[Element]
 ) -> LinearSystemSolution:
     """Solve A x = b exactly.
 
-    Fields take the Gaussian-elimination path; plain Z_m takes a diagonalisation
-    mod m; other quotient rings fall back to exhaustive enumeration below
-    ``bound`` assignments.
+    Fields take Gaussian elimination.  Every other ring Z_m[x]/(f) is reduced
+    to Z_m through its regular representation and diagonalised mod m.
     """
     if len(rows) != len(rhs):
         raise ValueError("matrix/vector size mismatch")
@@ -213,9 +212,7 @@ def solve_linear(
             raise ValueError("ragged matrix")
     if ring.is_field:
         return _solve_field(ring, [list(r) for r in rows], list(rhs))
-    if ring.degree == 0:
-        return _solve_zm(ring, rows, rhs)
-    return _solve_bruteforce(ring, rows, rhs, bound)
+    return _solve_zm(ring, rows, rhs)
 
 
 def _solve_field(ring: FiniteRing, a: list[list[Element]], b: list[Element]) -> LinearSystemSolution:
@@ -283,18 +280,26 @@ def _clear(p: int, e: int, m: int) -> tuple[int, int, int, int]:
 def _solve_zm(ring: FiniteRing, rows: Sequence[Sequence[Element]], rhs: Sequence[Element]) -> LinearSystemSolution:
     """Diagonalise [A | b] over Z_m with every entry kept in [0, m).
 
+    A ring of degree k enters through its regular representation: an entry a
+    becomes the k x k block of y -> a y in the basis 1, x, ..., x^(k-1), whose
+    column j holds the coefficients of a x^j.  So each equation becomes k
+    equations over Z_m and each unknown k unknowns; Z_m itself is k = 1.
     Row operations act on the augmented matrix and column operations are
     recorded in V, so the system becomes D y = c with x = V y.  Each step
     either subtracts a multiple of the pivot or, when the pivot does not
     divide the entry, moves gcd(pivot, entry) < pivot into the pivot, so the
-    sweeps of one pivot end.
+    sweeps of one pivot end.  The solution is read back as ring elements of k
+    coefficients each.
     """
-    m = ring.m
-    nrows, ncols = len(rows), (len(rows[0]) if rows else 0)
-    if ncols == 0:
+    m, k = ring.m, ring.width
+    if not rows or not rows[0]:
         ok = all(x == ring.zero for x in rhs)
         return LinearSystemSolution(cardinality=1 if ok else 0, particular=[] if ok else None)
-    a = [[e[0] for e in r] + [b[0]] for r, b in zip(rows, rhs)]
+    basis = [ring.element([0] * j + [1]) for j in range(k)]
+    entries = {e for r in rows for e in r}
+    block = {e: list(zip(*(ring.mul(e, y) for y in basis))) for e in entries}
+    a = [[x for e in r for x in block[e][i]] + [b[i]] for r, b in zip(rows, rhs) for i in range(k)]
+    nrows, ncols = len(a), k * len(rows[0])
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     for t in range(min(nrows, ncols)):
         piv = next(((i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j]), None)
@@ -329,38 +334,13 @@ def _solve_zm(ring: FiniteRing, rows: Sequence[Sequence[Element]], rhs: Sequence
             count *= g
             mg = m // g
             y[i] = (a[i][ncols] // g) * pow(di // g, -1, mg) % m if mg > 1 else 0
-    x = [sum(v[i][k] * y[k] for k in range(ncols)) % m for i in range(ncols)]
-    particular = [ring.element(xi) for xi in x]
+    x = [sum(v[i][j] * y[j] for j in range(ncols)) % m for i in range(ncols)]
+    particular = [ring.element(x[j : j + k]) for j in range(0, ncols, k)]
     for r, want in zip(rows, rhs):
         acc = ring.zero
         for coef, xi in zip(r, particular):
             acc = ring.add(acc, ring.mul(coef, xi))
         assert acc == want, "internal Z_m solve error"
-    return LinearSystemSolution(cardinality=count, particular=particular)
-
-
-def _solve_bruteforce(ring, rows, rhs, bound) -> LinearSystemSolution:
-    ncols = len(rows[0]) if rows else 0
-    total = ring.size**ncols
-    if total > bound:
-        raise SizeBoundExceededError(
-            f"{total} assignments exceed bound {bound} for non-field quotient ring"
-        )
-    count = 0
-    particular = None
-    for xs in product(ring.elements(), repeat=ncols):
-        ok = True
-        for r, want in zip(rows, rhs):
-            acc = ring.zero
-            for coef, xi in zip(r, xs):
-                acc = ring.add(acc, ring.mul(coef, xi))
-            if acc != want:
-                ok = False
-                break
-        if ok:
-            count += 1
-            if particular is None:
-                particular = list(xs)
     return LinearSystemSolution(cardinality=count, particular=particular)
 
 

@@ -206,7 +206,7 @@ def test_list_into_a_closed_pipe_prints_no_traceback():
     assert proc.returncode in (0, 1, 2, 3)
 
 
-def test_verify_corpus_and_injection(capsys):
+def test_verify_corpus_and_injection(capsys, monkeypatch):
     code, out = run(
         capsys, "verify",
         corpus_path("structures", "assoc-z3-z2-mcb.txt"),
@@ -220,11 +220,25 @@ def test_verify_corpus_and_injection(capsys):
         "--per-flow",
     )
     assert code == 0 and "per_flow_equal: true" in out
+    # a wrong Q(X): the image's star post-composed with an in-block
+    # transposition, so the compared counts must disagree
+    import hlcolor.mcqb
+    from hlcolor.mcqb import MCQ
+
+    q_functor_mcb = hlcolor.mcqb.q_functor_mcb
+
+    def wrong_q(x):
+        q = q_functor_mcb(x)
+        block0 = [i for i in range(q.n) if q.block_of[i] == q.block_of[0]]
+        sigma = np.arange(q.n)
+        sigma[[block0[0], block0[1]]] = sigma[[block0[1], block0[0]]]
+        return MCQ(q.block_of.copy(), q.prod.copy(), sigma[q.star])
+
+    monkeypatch.setattr(hlcolor.mcqb, "q_functor_mcb", wrong_q)
     code, out = run(
         capsys, "verify",
         corpus_path("structures", "assoc-z3-z2-mcb.txt"),
         corpus_path("diagrams", "trefoil.txt"),
-        "--inject-wrong-q",
     )
     assert code == 1
 
@@ -268,6 +282,73 @@ def test_move_roundtrip_and_transport(capsys, tmp_path):
     count_before = ec(tr, x).count
     assert ec(moved, x).count == count_before
     assert tcol.read_text().startswith("coloring")
+
+
+def _transport_across_trefoil_r2a(capsys, col_path):
+    code = main([
+        "move", corpus_path("diagrams", "trefoil.txt"), "--move", "R2a", "--site", "s1,s2",
+        "--transport", str(col_path),
+        "--structure", corpus_path("structures", "assoc-z3-z2-mcb.txt"),
+    ])
+    return code, capsys.readouterr()
+
+
+def test_move_missing_transport_file_is_a_parse_error(capsys, tmp_path):
+    code, captured = _transport_across_trefoil_r2a(capsys, tmp_path / "nonexistent.txt")
+    assert code == 2
+    assert captured.err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("body", [
+    "assign s1 1\nassign s2 0\nassign s3 0\nassign s4 0\nassign s5 0\nassign s6 0\n",
+    "assign s1 99\nassign s2 99\nassign s3 99\nassign s4 99\nassign s5 99\nassign s6 99\n",
+    "assign s1 0\n",
+    "assign s1 0\nassign s2 0\nassign s3 0\nassign s4 0\nassign s5 0\nassign s6 0\n"
+    "assign s7 0\n",
+], ids=["breaks-a-rule", "out-of-range", "partial", "extra-semiarc"])
+def test_move_transport_rejects_a_non_coloring(capsys, tmp_path, body):
+    col_file = tmp_path / "col.txt"
+    col_file.write_text("coloring\n" + body)
+    code, captured = _transport_across_trefoil_r2a(capsys, col_file)
+    assert code == 1
+    assert captured.err.startswith("invalid coloring:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("zn", ["-1", "0"])
+def test_flows_zn_must_be_positive(capsys, zn):
+    code, _ = run(capsys, "flows", corpus_path("diagrams", "theta.txt"), "--zn", zn)
+    assert code == 2
+
+
+def test_flow_group_path_is_relative_to_the_flow_file(capsys, tmp_path, monkeypatch):
+    flows = tmp_path / "flows"
+    flows.mkdir()
+    with open(corpus_path("structures", "z8.txt"), encoding="utf-8") as fh:
+        (flows / "z8.txt").write_text(fh.read())
+    (flows / "flow.txt").write_text("flow group=z8.txt\nassign s1 0\nassign s2 0\nassign s4 0\n")
+    monkeypatch.chdir(tmp_path)
+    code, out = run(
+        capsys, "color",
+        corpus_path("structures", "gf9-z8-family.txt"),
+        corpus_path("diagrams", "trefoil.txt"),
+        "--flow", str(flows / "flow.txt"),
+    )
+    assert code == 0 and "count: 9" in out
+
+
+@pytest.mark.parametrize("extra", [(), ("--dim",)])
+def test_color_flow_over_a_nonfield_quotient_ring(capsys, tmp_path, extra):
+    # Z_4[t]/(t^2+t+1) is not a field: --dim solves it over Z_4
+    flow_file = tmp_path / "flow.txt"
+    flow_file.write_text("flow zn=3\nassign s1 1\nassign s2 1\nassign s4 1\n")
+    code, out = run(
+        capsys, "color",
+        corpus_path("structures", "gr16-z3-family.txt"),
+        corpus_path("diagrams", "trefoil.txt"),
+        "--flow", str(flow_file), *extra,
+    )
+    assert code == 0 and "count: 64" in out
 
 
 def test_move_bad_site(capsys):

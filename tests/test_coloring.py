@@ -40,7 +40,7 @@ from hlcolor.gfamily import (
 )
 from hlcolor.groups import cyclic_group, symmetric_group
 from hlcolor.mcqb import MCB, MCQ, conjugation_mcq, q_functor_mcb
-from hlcolor.oracle import local_rules_hold
+from hlcolor.oracle import flow_rules_hold, local_rules_hold
 from hlcolor.rings import SizeBoundExceededError, ring_make
 
 
@@ -77,17 +77,13 @@ def test_flows_trefoil():
 
 def test_flows_brute_force_oracle():
     g = symmetric_group(3)
-    d = theta_curve()
-    from hlcolor.coloring import _flow_constraints
-
-    vars_ = coloring_vars(d, True)
-    cons = _flow_constraints(d, g)
-    want = 0
-    for combo in itertools.product(range(g.n), repeat=len(vars_)):
-        assign = dict(zip(vars_, combo))
-        if all(c.check(assign) for c in cons):
-            want += 1
-    assert len(enumerate_flows(d, g)) == want
+    for d in (theta_curve(), trefoil()):
+        vars_ = coloring_vars(d, True)
+        want = 0
+        for combo in itertools.product(range(g.n), repeat=len(vars_)):
+            if flow_rules_hold(d, g, dict(zip(vars_, combo))):
+                want += 1
+        assert len(enumerate_flows(d, g)) == want
 
 
 # -- counting examples from the module contracts --------------------------------
@@ -404,6 +400,27 @@ def test_linear_z9_braid_with_18_semiarcs_matches_backtracking():
     flows = enumerate_flows(d, fam.group)
     for flow in flows[:: len(flows) // 12]:
         assert linear_colorings(d, fam, flow).count == colorings_by_flow(d, fam, flow).count
+
+
+def test_linear_over_nonfield_quotients_matches_backtracking(corpus_structures, corpus_diagrams):
+    # rings that are neither fields nor Z_m: solved over Z_m through the
+    # regular representation, on every corpus diagram and flow
+    from hlcolor.gfamily import gfamily_alexander_b
+
+    z2 = ring_make(2, [0, 0, 1])  # Z_2[t]/(t^2), units 1 and 1+t
+    gr16 = corpus_structures["gr16-z3-family"]
+    ring, t, _ = gr16.alexander[1:]
+    fams = [gr16, gfamily_alexander_b(ring, 3, t, ring.one),
+            gfamily_alexander_b(z2, 2, z2.element([1, 1]), z2.one)]
+    fams += [qg_map(f) for f in fams]
+    for fam in fams:
+        assert not fam.alexander[1].is_field
+        for d in corpus_diagrams.values():
+            for flow in enumerate_flows(d, fam.group):
+                assert (
+                    linear_colorings(d, fam, flow).count
+                    == colorings_by_flow(d, fam, flow).count
+                )
 
 
 def test_bitmasks_match_a_loop_across_word_boundaries():

@@ -1,12 +1,12 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
 from hlcolor.rings import (
     FiniteRing,
     NonUnitError,
-    SizeBoundExceededError,
     format_element,
     format_ring_literal,
     parse_element,
@@ -150,12 +150,96 @@ def test_solve_linear_zm_matches_bruteforce(m):
                 assert acc == b[0]
 
 
+@lru_cache(maxsize=None)
+def _tables(ring):
+    """The ring's elements, their positions, and + and * as tables of positions."""
+    els = ring.elements()
+    pos = {e: i for i, e in enumerate(els)}
+    add = [[pos[ring.add(a, b)] for b in els] for a in els]
+    mul = [[pos[ring.mul(a, b)] for b in els] for a in els]
+    return els, pos, add, mul
+
+
+def _solve_bruteforce(ring, rows, rhs) -> int:
+    """The oracle: the number of solutions, by testing every assignment."""
+    els, pos, add, mul = _tables(ring)
+    rows = [[pos[e] for e in r] for r in rows]
+    rhs = [pos[b] for b in rhs]
+    zero = pos[ring.zero]
+    count = 0
+    for xs in itertools.product(range(len(els)), repeat=len(rows[0]) if rows else 0):
+        ok = True
+        for r, want in zip(rows, rhs):
+            acc = zero
+            for coef, xi in zip(r, xs):
+                acc = add[acc][mul[coef][xi]]
+            if acc != want:
+                ok = False
+                break
+        count += ok
+    return count
+
+
+def _row_value(ring, row, xs):
+    acc = ring.zero
+    for coef, x in zip(row, xs):
+        acc = ring.add(acc, ring.mul(coef, x))
+    return acc
+
+
+def _satisfies(ring, rows, rhs, xs) -> bool:
+    return all(_row_value(ring, r, xs) == want for r, want in zip(rows, rhs))
+
+
 def test_solve_linear_nonfield_quotient_bruteforce_and_bound():
-    sol = solve_linear(Z81, [[Z81.element([2, 1])]], [Z81.zero], bound=100)
+    sol = solve_linear(Z81, [[Z81.element([2, 1])]], [Z81.zero])
     # t - 1 is a zero divisor: the annihilator is nontrivial
     assert sol.cardinality > 1
-    with pytest.raises(SizeBoundExceededError):
-        solve_linear(Z81, [[Z81.one] * 4], [Z81.zero], bound=100)
+    assert sol.cardinality == _solve_bruteforce(Z81, [[Z81.element([2, 1])]], [Z81.zero])
+    # 81^4 assignments, past any brute-force bound, and the count is exact
+    sol = solve_linear(Z81, [[Z81.one] * 4], [Z81.zero])
+    assert sol.cardinality == 81**3
+    assert _satisfies(Z81, [[Z81.one] * 4], [Z81.zero], sol.particular)
+
+
+NONFIELD_QUOTIENTS = {
+    "Z9[t]/(t^2+1)": ring_make(9, [1, 0, 1]),
+    "Z3[t]/(t^4-1)": Z81,
+    "Z4[t]/(t^2+t+1)": ring_make(4, [1, 1, 1]),
+    "Z4[t]/(t^2)": ring_make(4, [0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONFIELD_QUOTIENTS))
+def test_solve_linear_quotient_matches_bruteforce(name):
+    ring = NONFIELD_QUOTIENTS[name]
+    assert not ring.is_field
+    els = ring.elements()
+    nonunits = [a for a in els if not ring.is_unit(a)]
+    # unknowns per system: at most 81^2 or 16^3 assignments for the oracle
+    most = 2 if ring.size > 16 else 3
+    rng = random.Random(name)
+    solvable = 0
+    for _ in range(200):
+        nr, nc = rng.randint(1, 3), rng.randint(1, most)
+        # half the entries are non-units, so the solution sets vary
+        rows = [
+            [rng.choice(nonunits if rng.random() < 0.5 else els) for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        if rng.random() < 0.5:
+            rhs = [rng.choice(els) for _ in range(nr)]
+        else:
+            x0 = [rng.choice(els) for _ in range(nc)]
+            rhs = [_row_value(ring, r, x0) for r in rows]
+        got = solve_linear(ring, rows, rhs)
+        want = _solve_bruteforce(ring, rows, rhs)
+        assert got.cardinality == want, (rows, rhs)
+        assert (got.particular is None) == (want == 0)
+        if want:
+            solvable += 1
+            assert _satisfies(ring, rows, rhs, got.particular)
+    assert solvable >= 50
 
 
 def test_literals_roundtrip():
