@@ -213,14 +213,11 @@ def alexander_quandle(ring: FiniteRing, t: Element) -> Quandle:
     """a * b = t a + (1 - t) b on the carrier of ``ring``; t must be a unit."""
     if not ring.is_unit(t):
         raise NonUnitError(f"Alexander parameter t must be a unit")
-    els = ring.elements()
-    index = {e: i for i, e in enumerate(els)}
-    one_minus_t = ring.sub(ring.one, t)
-    table = [
-        [index[ring.add(ring.mul(t, a), ring.mul(one_minus_t, b))] for b in els]
-        for a in els
-    ]
-    return Quandle(table, labels=els)
+    tb = ring.tables
+    add, mul = np.array(tb.add), np.array(tb.mul)
+    one_minus_t = tb.code[ring.sub(ring.one, t)]
+    table = add[mul[tb.code[t]][:, None], mul[one_minus_t][None, :]]
+    return Quandle(table, labels=ring.elements())
 
 
 def alexander_biquandle(ring: FiniteRing, s: Element, t: Element) -> Biquandle:
@@ -228,15 +225,12 @@ def alexander_biquandle(ring: FiniteRing, s: Element, t: Element) -> Biquandle:
     for name, val in (("s", s), ("t", t)):
         if not ring.is_unit(val):
             raise NonUnitError(f"Alexander parameter {name} must be a unit")
-    els = ring.elements()
-    index = {e: i for i, e in enumerate(els)}
-    s_minus_t = ring.sub(s, t)
-    under = [
-        [index[ring.add(ring.mul(t, a), ring.mul(s_minus_t, b))] for b in els]
-        for a in els
-    ]
-    over = [[index[ring.mul(s, a)] for _b in els] for a in els]
-    return Biquandle(under, over, labels=els)
+    tb = ring.tables
+    add, mul = np.array(tb.add), np.array(tb.mul)
+    s_minus_t = tb.code[ring.sub(s, t)]
+    under = add[mul[tb.code[t]][:, None], mul[s_minus_t][None, :]]
+    over = np.tile(mul[tb.code[s]][:, None], (1, ring.size))
+    return Biquandle(under, over, labels=ring.elements())
 
 
 def quandle_lift(q: Quandle) -> Biquandle:

@@ -213,8 +213,15 @@ def cmd_flows(args) -> int:
 def cmd_color(args) -> int:
     obj = _load_structure(args.structure)
     d = _load_diagram(args.diagram)
+    family = isinstance(obj, (GFamilyQ, GFamilyB))
+    if not family and (args.dim or args.flow or args.per_flow):
+        print("--dim, --flow and --per-flow need a G-family structure", file=sys.stderr)
+        return EXIT_PARSE
+    if args.per_flow and (args.dim or args.flow):
+        print("--per-flow cannot be combined with --flow or --dim", file=sys.stderr)
+        return EXIT_PARSE
     try:
-        if isinstance(obj, (GFamilyQ, GFamilyB)):
+        if family:
             flow = None
             if args.flow:
                 try:

@@ -475,8 +475,13 @@ def enumerate_flows(d: Diagram, g: FiniteGroup, budget=None) -> list[Flow]:
     return flows
 
 
-def _check_flow(d: Diagram, group: FiniteGroup, flow: Flow) -> dict[str, int]:
-    """The flow as an arc -> element dict; FlowInvalidError unless it is a G-flow of d."""
+def _check_flow(
+    d: Diagram, group: FiniteGroup, flow: Flow
+) -> tuple[dict[str, str], dict[str, int]]:
+    """d's semi-arc -> arc map and the flow as an arc -> element dict.
+
+    Raises FlowInvalidError unless the flow is a G-flow of d.
+    """
     if flow.group != group:
         raise FlowInvalidError(f"flow group has order {flow.group.n}, the family's has {group.n}")
     arcs = arcs_of(d)
@@ -494,15 +499,14 @@ def _check_flow(d: Diagram, group: FiniteGroup, flow: Flow) -> dict[str, int]:
     for v in d.vertices:
         if group.mul(fd[arcs[v.e1]], fd[arcs[v.e2]]) != fd[arcs[v.e3]]:
             raise FlowInvalidError(f"flow breaks the vertex relation at {v.e1} {v.e2} {v.e3}")
-    return fd
+    return arcs, fd
 
 
 def colorings_by_flow(
     d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow, want_list: bool = False, budget=None
 ) -> ColoringSetReport:
     """Colorings of the associated MCQ/MCB whose group projection equals the flow."""
-    fd = _check_flow(d, f.group, flow)
-    arcs = arcs_of(d)
+    arcs, fd = _check_flow(d, f.group, flow)
     on_arcs = isinstance(f, GFamilyQ)
     ng = f.group.n
     domains = {
@@ -585,8 +589,7 @@ def linear_colorings(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow) -> Coloring
 
     if getattr(f, "alexander", None) is None:
         raise ValueError("linear path requires an Alexander family")
-    fd = _check_flow(d, f.group, flow)
-    arcs = arcs_of(d)
+    arcs, fd = _check_flow(d, f.group, flow)
     on_arcs = isinstance(f, GFamilyQ)
     vars_ = coloring_vars(d, on_arcs)
     index = {v: i for i, v in enumerate(vars_)}
@@ -594,38 +597,51 @@ def linear_colorings(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow) -> Coloring
         kind, ring, u = f.alexander
     else:
         kind, ring, t, s = f.alexander
+    zero, one, neg_one = ring.zero, ring.one, ring.neg(ring.one)
     rows: list[list] = []
     rhs: list = []
 
     def row(*terms):
-        r = [ring.zero] * len(vars_)
+        r = [zero] * len(vars_)
         for var, coef in terms:
-            r[index[var]] = ring.add(r[index[var]], coef)
+            i = index[var]
+            r[i] = coef if r[i] == zero else ring.add(r[i], coef)
         rows.append(r)
-        rhs.append(ring.zero)
+        rhs.append(zero)
 
-    one, neg_one = ring.one, ring.neg(ring.one)
+    def powers(x):
+        """x^h for h = 0, 1, ..., |G| - 1."""
+        out = [one]
+        for _ in range(f.group.n - 1):
+            out.append(ring.mul(out[-1], x))
+        return out
+
+    # the row coefficients -u^h, u^h - 1, -t^h, -s^h and t^h - s^h for each h in G
+    if on_arcs:
+        u_pows = powers(u)
+        neg_u = [ring.neg(p) for p in u_pows]
+        u_minus_one = [ring.sub(p, one) for p in u_pows]
+    else:
+        t_pows, s_pows = powers(t), powers(s)
+        neg_t = [ring.neg(p) for p in t_pows]
+        neg_s = [ring.neg(p) for p in s_pows]
+        t_minus_s = [ring.sub(tp, sp) for tp, sp in zip(t_pows, s_pows)]
     for c in d.crossings:
         h = fd[arcs[c.over_in]]
         if on_arcs:
-            uh = ring.pow(u, h)
             a_in, a_out, a_ov = arcs[c.under_in], arcs[c.under_out], arcs[c.over_in]
             src, dst = (a_in, a_out) if c.sign > 0 else (a_out, a_in)
             # dst = u^h src + (1 - u^h) over
-            row((dst, one), (src, ring.neg(uh)), (a_ov, ring.sub(uh, one)))
+            row((dst, one), (src, neg_u[h]), (a_ov, u_minus_one[h]))
+        elif c.sign > 0:
+            g = fd[arcs[c.under_in]]
+            # uo = t^h ui + (s^h - t^h) oo ;  oi = s^g oo
+            row((c.under_out, one), (c.under_in, neg_t[h]), (c.over_out, t_minus_s[h]))
+            row((c.over_in, one), (c.over_out, neg_s[g]))
         else:
-            th, sh = ring.pow(t, h), ring.pow(s, h)
-            if c.sign > 0:
-                g = fd[arcs[c.under_in]]
-                # uo = t^h ui + (s^h - t^h) oo ;  oi = s^g oo
-                row((c.under_out, one), (c.under_in, ring.neg(th)),
-                    (c.over_out, ring.sub(th, sh)))
-                row((c.over_in, one), (c.over_out, ring.neg(ring.pow(s, g))))
-            else:
-                g = fd[arcs[c.under_out]]
-                row((c.under_in, one), (c.under_out, ring.neg(th)),
-                    (c.over_in, ring.sub(th, sh)))
-                row((c.over_out, one), (c.over_in, ring.neg(ring.pow(s, g))))
+            g = fd[arcs[c.under_out]]
+            row((c.under_in, one), (c.under_out, neg_t[h]), (c.over_in, t_minus_s[h]))
+            row((c.over_out, one), (c.over_in, neg_s[g]))
     for v in d.vertices:
         if on_arcs:
             a1, a2, a3 = arcs[v.e1], arcs[v.e2], arcs[v.e3]
@@ -635,12 +651,11 @@ def linear_colorings(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow) -> Coloring
                 row((a3, one), (a2, neg_one))
         else:
             # e1 = b over e2 and e3 = b . e2:  x_e1 = s^{flow(e2)} x_e2, x_e3 = x_e2
-            sg = ring.pow(s, fd[arcs[v.e2]])
-            row((v.e1, one), (v.e2, ring.neg(sg)))
+            row((v.e1, one), (v.e2, neg_s[fd[arcs[v.e2]]]))
             row((v.e3, one), (v.e2, neg_one))
     if not rows:
-        rows = [[ring.zero] * len(vars_)]
-        rhs = [ring.zero]
+        rows = [[zero] * len(vars_)]
+        rhs = [zero]
     sol = solve_linear(ring, rows, rhs)
     module_info = None
     if sol.dimension is not None:

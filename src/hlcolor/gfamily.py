@@ -176,22 +176,23 @@ def gfb_check(f: GFamilyB) -> AxiomReport:
 # -- constructors -----------------------------------------------------------
 
 
+def _unit_powers(ring: FiniteRing, n: int, u: Element) -> np.ndarray:
+    """The codes of u^0, u^1, ..., u^(n-1)."""
+    return np.array([ring.tables.code[ring.pow(u, i)] for i in range(n)])
+
+
 def gfamily_alexander_q(ring: FiniteRing, n: int, u: Element) -> GFamilyQ:
     """Z_n-family on the ring carrier: x *^i y = u^i x + (1 - u^i) y."""
     if not ring.is_unit(u):
         raise NonUnitError("Alexander family unit u is not invertible")
     if ring.pow(u, n) != ring.one:
         raise OrderMismatchError(f"u^{n} != 1 for u={u}")
-    els = ring.elements()
-    index = {e: i for i, e in enumerate(els)}
-    ops = np.empty((n, len(els), len(els)), dtype=np.int64)
-    for i in range(n):
-        ui = ring.pow(u, i)
-        one_minus = ring.sub(ring.one, ui)
-        for a_idx, a in enumerate(els):
-            for b_idx, b in enumerate(els):
-                ops[i, a_idx, b_idx] = index[ring.add(ring.mul(ui, a), ring.mul(one_minus, b))]
-    return GFamilyQ(cyclic_group(n), ops, labels=els, alexander=("quandle", ring, u))
+    tb = ring.tables
+    add, sub, mul = np.array(tb.add), np.array(tb.sub), np.array(tb.mul)
+    ui = _unit_powers(ring, n, u)
+    one_minus = sub[tb.one, ui]
+    ops = add[mul[ui][:, :, None], mul[one_minus][:, None, :]]
+    return GFamilyQ(cyclic_group(n), ops, labels=ring.elements(), alexander=("quandle", ring, u))
 
 
 def gfamily_alexander_b(ring: FiniteRing, n: int, t: Element, s: Element) -> GFamilyB:
@@ -201,21 +202,14 @@ def gfamily_alexander_b(ring: FiniteRing, n: int, t: Element, s: Element) -> GFa
             raise NonUnitError(f"Alexander family unit {name} is not invertible")
         if ring.pow(val, n) != ring.one:
             raise OrderMismatchError(f"{name}^{n} != 1")
-    els = ring.elements()
-    index = {e: i for i, e in enumerate(els)}
-    m = len(els)
-    under = np.empty((n, m, m), dtype=np.int64)
-    over = np.empty((n, m, m), dtype=np.int64)
-    for i in range(n):
-        ti, si = ring.pow(t, i), ring.pow(s, i)
-        smt = ring.sub(si, ti)
-        for a_idx, a in enumerate(els):
-            sa = index[ring.mul(si, a)]
-            ta = ring.mul(ti, a)
-            for b_idx, b in enumerate(els):
-                under[i, a_idx, b_idx] = index[ring.add(ta, ring.mul(smt, b))]
-                over[i, a_idx, b_idx] = sa
-    return GFamilyB(cyclic_group(n), under, over, labels=els, alexander=("biquandle", ring, t, s))
+    tb = ring.tables
+    add, sub, mul = np.array(tb.add), np.array(tb.sub), np.array(tb.mul)
+    ti, si = _unit_powers(ring, n, t), _unit_powers(ring, n, s)
+    under = add[mul[ti][:, :, None], mul[sub[si, ti]][:, None, :]]
+    over = np.repeat(mul[si][:, :, None], ring.size, axis=2)
+    return GFamilyB(
+        cyclic_group(n), under, over, labels=ring.elements(), alexander=("biquandle", ring, t, s)
+    )
 
 
 def zkm_family_from_quandle(q: Quandle, k: int) -> GFamilyQ:

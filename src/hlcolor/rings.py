@@ -5,6 +5,12 @@ entries reduced into [0, m).  With deg f = 0 the ring is Z_m itself and elements
 are 1-tuples.  All operations are pure; a ring handle is immutable and safe to
 share.
 
+Elements stay tuples at the API.  Inside, the field solver and the Alexander
+constructors work on integer codes, an element's code being its position in
+``elements()``, through the ``add``/``sub``/``mul`` tables, ``neg`` and ``inv``
+of ``FiniteRing.tables``, built vectorised once per ring object on first use.
+Units, inverses, unit orders and ``is_field`` are read from those tables.
+
 Linear systems are solved exactly over every such ring: by Gaussian elimination
 over a field, otherwise over Z_m through the regular representation.
 """
@@ -15,6 +21,8 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
+
+import numpy as np
 
 Element = tuple[int, ...]
 
@@ -52,8 +60,7 @@ class FiniteRing:
         self.size = m ** self.degree if self.degree else m
         self.zero: Element = (0,) * self.width
         self.one: Element = (1,) + (0,) * (self.width - 1)
-        self._inverses: dict[Element, Element] | None = None
-        self._is_field: bool | None = None
+        self._tables: RingTables | None = None
 
     def __repr__(self) -> str:
         if not self.degree:
@@ -129,48 +136,89 @@ class FiniteRing:
             n >>= 1
         return result
 
-    def _inverse_table(self) -> dict[Element, Element]:
-        if self._inverses is None:
-            inv: dict[Element, Element] = {}
-            els = self.elements()
-            for a in els:
-                if a in inv:
-                    continue
-                for b in els:
-                    if self.mul(a, b) == self.one:
-                        inv[a] = b
-                        inv[b] = a
-                        break
-            self._inverses = inv
-        return self._inverses
+    @property
+    def tables(self) -> RingTables:
+        """The ring's operations on element codes, built on first use."""
+        if self._tables is None:
+            self._tables = _build_tables(self)
+        return self._tables
 
     def is_unit(self, a: Element) -> bool:
-        return a in self._inverse_table()
+        tb = self.tables
+        return tb.inv[tb.code[a]] >= 0
 
     def inverse(self, a: Element) -> Element:
-        """Multiplicative inverse, found by exhaustive search (desk scale)."""
-        inv = self._inverse_table().get(a)
-        if inv is None:
+        """Multiplicative inverse, read from the ``inv`` table."""
+        tb = self.tables
+        c = tb.inv[tb.code[a]]
+        if c < 0:
             raise NonUnitError(f"{format_element(a)} is not a unit in {self!r}")
-        return inv
+        return tb.elements[c]
 
     def unit_order(self, a: Element) -> int:
         """Least n >= 1 with a^n = 1."""
         if not self.is_unit(a):
             raise NonUnitError(f"{format_element(a)} is not a unit in {self!r}")
-        n, cur = 1, a
-        while cur != self.one:
-            cur = self.mul(cur, a)
+        tb = self.tables
+        a_code = tb.code[a]
+        n, cur = 1, a_code
+        while cur != tb.one:
+            cur = tb.mul[cur][a_code]
             n += 1
         return n
 
     @property
     def is_field(self) -> bool:
-        """True iff every nonzero element is invertible (checked exhaustively)."""
-        if self._is_field is None:
-            table = self._inverse_table()
-            self._is_field = all(a in table for a in self.elements() if a != self.zero)
-        return self._is_field
+        """True iff every nonzero element is invertible (read off the ``inv`` table)."""
+        return all(c >= 0 for c in self.tables.inv[1:])
+
+
+@dataclass(frozen=True)
+class RingTables:
+    """A ring's elements as integer codes, and its operations as code tables.
+
+    An element's code is its position in ``elements``; ``code`` maps back.
+    Zero has code 0.  ``add``, ``sub`` and ``mul`` are size x size tables of
+    codes (``mul[a][b]`` is the code of a b), ``neg`` and ``inv`` lists of
+    codes, with -1 in ``inv`` at a non-unit.  They are Python lists, for the
+    scalar lookups of the solver; vectorised callers wrap them in numpy.
+    """
+
+    elements: list[Element]
+    code: dict[Element, int]
+    one: int
+    add: list[list[int]]
+    sub: list[list[int]]
+    mul: list[list[int]]
+    neg: list[int]
+    inv: list[int]
+
+
+def _build_tables(ring: FiniteRing) -> RingTables:
+    m, w = ring.m, ring.width
+    place = m ** np.arange(w - 1, -1, -1)  # code = coefficients @ place
+    coeffs = np.arange(ring.size)[:, None] // place % m  # row c: the coefficients of code c
+    # x^p mod f for p < 2w - 1, and shifted[i, c]: the coefficients of x^i times code c
+    xpow = np.array([ring.element([0] * p + [1]) for p in range(2 * w - 1)])
+    shifted = np.stack([coeffs @ xpow[i : i + w] % m for i in range(w)])
+    # one coefficient at a time, so no array is larger than size x size
+    add = sum((coeffs[:, None, k] + coeffs[None, :, k]) % m * place[k] for k in range(w))
+    mul = sum(coeffs @ shifted[:, :, k] % m * place[k] for k in range(w))
+    neg = -coeffs % m @ place
+    one = int(place[0])
+    is_one = mul == one
+    inv = np.where(is_one.any(axis=1), is_one.argmax(axis=1), -1)
+    elements = ring.elements()
+    return RingTables(
+        elements=elements,
+        code={e: i for i, e in enumerate(elements)},
+        one=one,
+        add=add.tolist(),
+        sub=add[:, neg].tolist(),
+        mul=mul.tolist(),
+        neg=neg.tolist(),
+        inv=inv.tolist(),
+    )
 
 
 def ring_make(m: int, poly: Sequence[int] = ()) -> FiniteRing:
@@ -211,46 +259,66 @@ def solve_linear(
         if len(r) != ncols:
             raise ValueError("ragged matrix")
     if ring.is_field:
-        return _solve_field(ring, [list(r) for r in rows], list(rhs))
+        return _solve_field(ring, rows, rhs)
     return _solve_zm(ring, rows, rhs)
 
 
-def _solve_field(ring: FiniteRing, a: list[list[Element]], b: list[Element]) -> LinearSystemSolution:
+def _solve_field(
+    ring: FiniteRing, a: Sequence[Sequence[Element]], b: Sequence[Element]
+) -> LinearSystemSolution:
+    """Gauss-Jordan elimination on the augmented matrix [A | b] in codes.
+
+    Each row is a sparse dict column -> nonzero code, column ``ncols`` holding
+    b.  The pivot of a column is the first row at or below the current one
+    with a nonzero entry there; that row is scaled by the pivot's inverse and
+    the column is cleared in every other row.
+    """
+    tb = ring.tables
+    mul, sub = tb.mul, tb.sub
     nrows, ncols = len(a), (len(a[0]) if a else 0)
-    # forward elimination with partial pivoting by first unit entry
+    mat: list[dict[int, int]] = []
+    for r, y in zip(a, b):
+        codes = {j: tb.code[x] for j, x in enumerate(r) if x != ring.zero}
+        if y != ring.zero:
+            codes[ncols] = tb.code[y]
+        mat.append(codes)
     pivot_cols: list[int] = []
     row = 0
     for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if a[r][col] != ring.zero), None)
+        piv = next((r for r in range(row, nrows) if col in mat[r]), None)
         if piv is None:
             continue
-        a[row], a[piv] = a[piv], a[row]
-        b[row], b[piv] = b[piv], b[row]
-        inv = ring.inverse(a[row][col])
-        a[row] = [ring.mul(inv, x) for x in a[row]]
-        b[row] = ring.mul(inv, b[row])
-        for r in range(nrows):
-            if r != row and a[r][col] != ring.zero:
-                factor = a[r][col]
-                a[r] = [ring.sub(x, ring.mul(factor, y)) for x, y in zip(a[r], a[row])]
-                b[r] = ring.sub(b[r], ring.mul(factor, b[row]))
+        mat[row], mat[piv] = mat[piv], mat[row]
+        scale = mul[tb.inv[mat[row][col]]]
+        prow = mat[row] = {j: scale[x] for j, x in mat[row].items()}
+        for r, cur in enumerate(mat):
+            factor = cur.get(col)
+            if factor is None or r == row:
+                continue
+            times = mul[factor]
+            for j, y in prow.items():
+                v = sub[cur.get(j, 0)][times[y]]
+                if v:
+                    cur[j] = v
+                else:
+                    cur.pop(j, None)
         pivot_cols.append(col)
         row += 1
         if row == nrows:
             break
-    for r in range(row, nrows):
-        if b[r] != ring.zero:
-            return LinearSystemSolution(cardinality=0)
+    if any(ncols in r for r in mat[row:]):
+        return LinearSystemSolution(cardinality=0)
+    els = tb.elements
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     particular = [ring.zero] * ncols
     for i, col in enumerate(pivot_cols):
-        particular[col] = b[i]
+        particular[col] = els[mat[i].get(ncols, 0)]
     basis: list[list[Element]] = []
     for fc in free_cols:
         vec = [ring.zero] * ncols
         vec[fc] = ring.one
         for i, col in enumerate(pivot_cols):
-            vec[col] = ring.neg(a[i][fc])
+            vec[col] = els[tb.neg[mat[i].get(fc, 0)]]
         basis.append(vec)
     dim = len(free_cols)
     return LinearSystemSolution(
@@ -336,11 +404,13 @@ def _solve_zm(ring: FiniteRing, rows: Sequence[Sequence[Element]], rhs: Sequence
             y[i] = (a[i][ncols] // g) * pow(di // g, -1, mg) % m if mg > 1 else 0
     x = [sum(v[i][j] * y[j] for j in range(ncols)) % m for i in range(ncols)]
     particular = [ring.element(x[j : j + k]) for j in range(0, ncols, k)]
+    tb = ring.tables
+    xs = [tb.code[xi] for xi in particular]
     for r, want in zip(rows, rhs):
-        acc = ring.zero
-        for coef, xi in zip(r, particular):
-            acc = ring.add(acc, ring.mul(coef, xi))
-        assert acc == want, "internal Z_m solve error"
+        acc = 0
+        for coef, xi in zip(r, xs):
+            acc = tb.add[acc][tb.mul[tb.code[coef]][xi]]
+        assert acc == tb.code[want], "internal Z_m solve error"
     return LinearSystemSolution(cardinality=count, particular=particular)
 
 

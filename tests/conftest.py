@@ -1,11 +1,13 @@
 import glob
 import os
+import re
 
 import pytest
 
 from hlcolor.diagram import parse_diagram
 from hlcolor.gfamily import associated_mcb
 from hlcolor.mcqb import MCB, MCQ
+from hlcolor.rings import FiniteRing, parse_ring_literal
 from hlcolor.structio import parse_structure_file
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -13,6 +15,17 @@ CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
 def corpus_path(*parts) -> str:
     return os.path.join(CORPUS, *parts)
+
+
+def corpus_rings() -> dict[str, FiniteRing]:
+    """The coefficient ring of each corpus structure file that names one."""
+    out = {}
+    for path in sorted(glob.glob(corpus_path("structures", "*.txt"))):
+        with open(path, encoding="utf-8") as fh:
+            found = re.search(r"ring=(ring m=\d+(?: poly=[\d,]+)?)", fh.read())
+        if found:
+            out[os.path.splitext(os.path.basename(path))[0]] = parse_ring_literal(found.group(1))
+    return out
 
 
 @pytest.fixture(scope="session")

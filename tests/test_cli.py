@@ -135,6 +135,40 @@ def test_color_per_flow_and_dim(capsys, tmp_path):
     assert code == 0 and "dimension: 2" in out and "basis" in out
 
 
+@pytest.mark.parametrize("flags", [
+    ("--dim",),
+    ("--per-flow",),
+    ("--flow", "FLOW"),
+    ("--dim", "--per-flow", "--flow", "FLOW"),
+])
+def test_flow_flags_on_an_mcb_are_a_usage_error(capsys, tmp_path, flags):
+    # FLOW names no file: the flags are rejected before any flow is read
+    flags = [str(tmp_path / "nonexistent.txt") if f == "FLOW" else f for f in flags]
+    for structure in ("assoc-z3-z2-mcb.txt", "s3-conj-mcq.txt"):
+        code, out = run(
+            capsys, "color",
+            corpus_path("structures", structure),
+            corpus_path("diagrams", "trefoil.txt"),
+            *flags,
+        )
+        assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("flags", [("--dim",), ("--flow", "FLOW"), ("--dim", "--flow", "FLOW")])
+def test_per_flow_with_flow_or_dim_is_a_usage_error(capsys, tmp_path, flags):
+    # a Z_3 flow on the Z_8 family: read, it would exit 1 with "invalid flow"
+    flow_file = tmp_path / "flow.txt"
+    flow_file.write_text("flow zn=3\nassign s1 1\nassign s2 1\nassign s4 1\n")
+    flags = [str(flow_file) if f == "FLOW" else f for f in flags]
+    code, out = run(
+        capsys, "color",
+        corpus_path("structures", "gf9-z8-family.txt"),
+        corpus_path("diagrams", "trefoil.txt"),
+        "--per-flow", *flags,
+    )
+    assert code == 2 and out == ""
+
+
 def test_color_budget_exit(capsys):
     code, _ = run(
         capsys, "color",

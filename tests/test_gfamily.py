@@ -3,6 +3,7 @@ import pytest
 
 from hlcolor.algebra import (
     alexander_biquandle,
+    alexander_quandle,
     dihedral_quandle,
     quandle_lift,
     trivial_quandle,
@@ -24,6 +25,7 @@ from hlcolor.gfamily import (
 )
 from hlcolor.mcqb import mcb_check, mcq_check
 from hlcolor.rings import NonUnitError, ring_make
+from tests.conftest import corpus_rings
 
 R3 = ring_make(3)
 R5 = ring_make(5)
@@ -210,3 +212,84 @@ def test_associated_tables_match_entrywise_definition(corpus_structures, family_
         got = [x.star] if isinstance(f, GFamilyQ) else [x.under, x.over]
         assert all(np.array_equal(a, b) for a, b in zip(got, ops))
         assert build(f) is x  # built once per family object
+
+
+# -- the Alexander constructors against the element-by-element loops ------------
+
+
+def _loop_alexander_quandle(ring, t):
+    els = ring.elements()
+    index = {e: i for i, e in enumerate(els)}
+    one_minus_t = ring.sub(ring.one, t)
+    return np.array([
+        [index[ring.add(ring.mul(t, a), ring.mul(one_minus_t, b))] for b in els]
+        for a in els
+    ])
+
+
+def _loop_alexander_biquandle(ring, s, t):
+    els = ring.elements()
+    index = {e: i for i, e in enumerate(els)}
+    s_minus_t = ring.sub(s, t)
+    under = [
+        [index[ring.add(ring.mul(t, a), ring.mul(s_minus_t, b))] for b in els]
+        for a in els
+    ]
+    over = [[index[ring.mul(s, a)] for _b in els] for a in els]
+    return np.array(under), np.array(over)
+
+
+def _loop_gfamily_q(ring, n, u):
+    els = ring.elements()
+    index = {e: i for i, e in enumerate(els)}
+    ops = np.empty((n, len(els), len(els)), dtype=np.int64)
+    for i in range(n):
+        ui = ring.pow(u, i)
+        one_minus = ring.sub(ring.one, ui)
+        for a_idx, a in enumerate(els):
+            for b_idx, b in enumerate(els):
+                ops[i, a_idx, b_idx] = index[ring.add(ring.mul(ui, a), ring.mul(one_minus, b))]
+    return ops
+
+
+def _loop_gfamily_b(ring, n, t, s):
+    els = ring.elements()
+    index = {e: i for i, e in enumerate(els)}
+    m = len(els)
+    under = np.empty((n, m, m), dtype=np.int64)
+    over = np.empty((n, m, m), dtype=np.int64)
+    for i in range(n):
+        ti, si = ring.pow(t, i), ring.pow(s, i)
+        smt = ring.sub(si, ti)
+        for a_idx, a in enumerate(els):
+            sa = index[ring.mul(si, a)]
+            ta = ring.mul(ti, a)
+            for b_idx, b in enumerate(els):
+                under[i, a_idx, b_idx] = index[ring.add(ta, ring.mul(smt, b))]
+                over[i, a_idx, b_idx] = sa
+    return under, over
+
+
+CONSTRUCTOR_RINGS = {**corpus_rings(), "Z9[t]/(t^2+1)": ring_make(9, [1, 0, 1])}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTOR_RINGS))
+def test_alexander_constructors_match_the_loops(name):
+    ring = CONSTRUCTOR_RINGS[name]
+    units = [a for a in ring.elements() if ring.is_unit(a)]
+    # the unit of largest order up to 8 (first in element order), and its square
+    t = max(units, key=lambda a: (ring.unit_order(a) <= 8, ring.unit_order(a)))
+    s = ring.mul(t, t)
+    n = ring.unit_order(t)
+    for u in (t, s, ring.one):
+        assert np.array_equal(alexander_quandle(ring, u).table, _loop_alexander_quandle(ring, u))
+    for x, y in ((s, t), (t, t), (ring.one, t)):
+        b = alexander_biquandle(ring, x, y)
+        under, over = _loop_alexander_biquandle(ring, x, y)
+        assert np.array_equal(b.under, under) and np.array_equal(b.over, over)
+    fq = gfamily_alexander_q(ring, n, t)
+    assert np.array_equal(fq.ops, _loop_gfamily_q(ring, n, t))
+    fb = gfamily_alexander_b(ring, n, t, s)
+    under, over = _loop_gfamily_b(ring, n, t, s)
+    assert np.array_equal(fb.under_ops, under) and np.array_equal(fb.over_ops, over)
+    assert fb.labels == fq.labels == ring.elements()

@@ -6,6 +6,7 @@ import pytest
 
 from hlcolor.rings import (
     FiniteRing,
+    LinearSystemSolution,
     NonUnitError,
     format_element,
     format_ring_literal,
@@ -14,6 +15,7 @@ from hlcolor.rings import (
     ring_make,
     solve_linear,
 )
+from tests.conftest import corpus_rings
 
 GF9 = ring_make(3, [2, 1, 1])
 Z81 = ring_make(3, [2, 0, 0, 0, 1])
@@ -240,6 +242,138 @@ def test_solve_linear_quotient_matches_bruteforce(name):
             solvable += 1
             assert _satisfies(ring, rows, rhs, got.particular)
     assert solvable >= 50
+
+
+# -- the coded field solver against the tuple solver ----------------------------
+
+
+def _solve_field_tuples(ring, a, b):
+    """Gauss-Jordan elimination in tuple arithmetic: the field solver before codes."""
+    a, b = [list(r) for r in a], list(b)
+    nrows, ncols = len(a), (len(a[0]) if a else 0)
+    pivot_cols = []
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if a[r][col] != ring.zero), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        b[row], b[piv] = b[piv], b[row]
+        inv = ring.inverse(a[row][col])
+        a[row] = [ring.mul(inv, x) for x in a[row]]
+        b[row] = ring.mul(inv, b[row])
+        for r in range(nrows):
+            if r != row and a[r][col] != ring.zero:
+                factor = a[r][col]
+                a[r] = [ring.sub(x, ring.mul(factor, y)) for x, y in zip(a[r], a[row])]
+                b[r] = ring.sub(b[r], ring.mul(factor, b[row]))
+        pivot_cols.append(col)
+        row += 1
+        if row == nrows:
+            break
+    for r in range(row, nrows):
+        if b[r] != ring.zero:
+            return LinearSystemSolution(cardinality=0)
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    particular = [ring.zero] * ncols
+    for i, col in enumerate(pivot_cols):
+        particular[col] = b[i]
+    basis = []
+    for fc in free_cols:
+        vec = [ring.zero] * ncols
+        vec[fc] = ring.one
+        for i, col in enumerate(pivot_cols):
+            vec[col] = ring.neg(a[i][fc])
+        basis.append(vec)
+    dim = len(free_cols)
+    return LinearSystemSolution(
+        cardinality=ring.size**dim, dimension=dim, basis=basis, particular=particular
+    )
+
+
+FIELDS = {
+    "GF(4)": ring_make(2, [1, 1, 1]),
+    "GF(8)": ring_make(2, [1, 1, 0, 1]),
+    "GF(9)": GF9,
+    "GF(25)": ring_make(5, [2, 0, 1]),
+    "Z5": Z5,
+    "Z7": ring_make(7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_solve_field_matches_the_tuple_solver(name):
+    ring = FIELDS[name]
+    assert ring.is_field
+    els = ring.elements()
+    rng = random.Random(name)
+    seen = {"inconsistent": 0, "zero matrix": 0, "solvable": 0}
+    for k in range(240):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        # sparse rows like the coloring systems; every tenth matrix is all zero
+        density = 0.0 if k % 10 == 0 else rng.choice((0.3, 0.6, 1.0))
+        rows = [
+            [rng.choice(els) if rng.random() < density else ring.zero for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        if rng.random() < 0.5:
+            rhs = [rng.choice(els) for _ in range(nr)]
+        else:
+            x0 = [rng.choice(els) for _ in range(nc)]
+            rhs = [_row_value(ring, r, x0) for r in rows]
+        got = solve_linear(ring, rows, rhs)
+        want = _solve_field_tuples(ring, rows, rhs)
+        assert (got.cardinality, got.dimension, got.basis, got.particular) == (
+            want.cardinality, want.dimension, want.basis, want.particular
+        ), (rows, rhs)
+        seen["inconsistent"] += want.cardinality == 0
+        seen["zero matrix"] += density == 0.0
+        seen["solvable"] += want.cardinality > 0
+    assert min(seen.values()) >= 20, seen
+
+
+TABLE_RINGS = {
+    **corpus_rings(),
+    "Z3[t]/(t^4-1)": Z81,
+    "Z4[t]/(t^2+t+1)": ring_make(4, [1, 1, 1]),
+    "Z9[t]/(t^2+1)": ring_make(9, [1, 0, 1]),
+    "Z2[t]/(t^2)": ring_make(2, [0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_RINGS))
+def test_code_tables_match_tuple_arithmetic(name):
+    # a fresh ring object, so its tables are built here
+    ring = FiniteRing(TABLE_RINGS[name].m, TABLE_RINGS[name].poly)
+    tb = ring.tables
+    els = ring.elements()
+    assert tb.elements == els and tb.code == {e: i for i, e in enumerate(els)}
+    assert els[0] == ring.zero and els[tb.one] == ring.one
+    for i, a in enumerate(els):
+        assert els[tb.neg[i]] == ring.neg(a)
+        for j, b in enumerate(els):
+            assert els[tb.add[i][j]] == ring.add(a, b)
+            assert els[tb.sub[i][j]] == ring.sub(a, b)
+            assert els[tb.mul[i][j]] == ring.mul(a, b)
+    # inverses, units, is_field and unit orders against their definitions
+    for i, a in enumerate(els):
+        inverses = [j for j, b in enumerate(els) if ring.mul(a, b) == ring.one]
+        assert inverses == ([tb.inv[i]] if tb.inv[i] >= 0 else [])
+        assert ring.is_unit(a) == bool(inverses)
+        if inverses:
+            assert ring.inverse(a) == els[inverses[0]]
+            n, cur = 1, a
+            while cur != ring.one:
+                cur, n = ring.mul(cur, a), n + 1
+            assert ring.unit_order(a) == n
+        else:
+            with pytest.raises(NonUnitError):
+                ring.inverse(a)
+            with pytest.raises(NonUnitError):
+                ring.unit_order(a)
+    assert ring.is_field == all(
+        any(ring.mul(a, b) == ring.one for b in els) for a in els if a != ring.zero
+    )
 
 
 def test_literals_roundtrip():
