@@ -26,7 +26,7 @@ it is pinned by those tests rather than by figure inspection (see README).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -259,43 +259,97 @@ def _propagate(dom: list[int], queue: list[int], var_eqs: list) -> bool:
     return True
 
 
-class _Search:
-    """Forward-checking search over one integer-indexed constraint network.
+class _Network:
+    """The integer-indexed constraint network of one (diagram, structure) pair.
 
-    Variable i is the i-th name in sorted order and its domain is an int whose
-    bit v says that value v is still possible.  After the fixed values and
-    domains are propagated, the unknown variables split into the connected
-    components of the equations that still hold two or more of them; each
-    component is searched on its own and the counts multiply.  The search
-    branches on a variable of smallest domain, the first in sorted order on a
-    tie, and tries its values in ascending order.  ``nodes`` counts the values
-    tried, over all components; past ``budget`` the search raises
-    SizeBoundExceededError.
+    Variable i is the i-th name in sorted order; eqs holds every equation as
+    (a, b, c, table) on variable indices, var_eqs[i] the equations that mention
+    variable i, and full the domain with every value possible.
     """
 
-    def __init__(self, all_vars, domain_size, constraints, fixed=None, domains=None, budget=None):
+    def __init__(self, all_vars, domain_size: int, constraints):
         self.names = sorted(all_vars)
-        index = {v: i for i, v in enumerate(self.names)}
+        self.index = {v: i for i, v in enumerate(self.names)}
+        self.eqs = [(self.index[a], self.index[b], self.index[c], t) for a, b, c, t in constraints]
         self.var_eqs: list[list] = [[] for _ in self.names]
-        for a, b, c, t in constraints:
-            eq = (index[a], index[b], index[c], t)
+        for eq in self.eqs:
             for v in set(eq[:3]):
                 self.var_eqs[v].append(eq)
-        full = (1 << domain_size) - 1
+        self.full = (1 << domain_size) - 1
+
+
+def _network(d: Diagram, x: MCB | MCQ | FiniteGroup) -> _Network:
+    """The network of d's coloring rules for x, built once and stored on d.
+
+    The first call for a structure object validates d.  The entry holds x
+    itself, so it lives as long as d does and its id cannot be reused.
+    """
+    networks = getattr(d, "_networks", None)
+    if networks is None:
+        networks = d._networks = {}
+    entry = networks.get(id(x))
+    if entry is None:
+        d.validate(allow_open=True)
+        if isinstance(x, MCB):
+            net = _Network(coloring_vars(d, False), x.n, _mcb_constraints(d, x))
+        elif isinstance(x, MCQ):
+            net = _Network(coloring_vars(d, True), x.n, _mcq_constraints(d, x))
+        else:
+            net = _Network(coloring_vars(d, True), x.n, _flow_constraints(d, x))
+        entry = networks[id(x)] = (x, net)
+    return entry[1]
+
+
+class _Search:
+    """Forward-checking search over one constraint network (see _Network).
+
+    A domain is an int whose bit v says that value v is still possible.  After
+    the fixed values and domains are propagated, the unknown variables split
+    into the connected components of the equations that still hold two or
+    more of them; each component is searched on its own and the counts
+    multiply.  The search branches on a variable of smallest domain, the first
+    in sorted order on a tie, and tries its values in ascending order.
+    ``nodes`` counts the values tried, over all components; past ``budget``
+    the search raises SizeBoundExceededError.
+    """
+
+    def __init__(self, net: _Network, fixed=None, domains=None, budget=None):
+        self.names = net.names
+        self.var_eqs = net.var_eqs
+        index, full = net.index, net.full
         dom = [full] * len(self.names)
         for v, vals in (domains or {}).items():
             dom[index[v]] = sum(1 << val for val in set(vals)) & full
         for v, val in (fixed or {}).items():
             dom[index[v]] &= 1 << val
-        known = [i for i, d in enumerate(dom) if not d & (d - 1)]
-        self.dom = dom if all(dom) and _propagate(dom, known, self.var_eqs) else None
         self.budget = budget
         self.nodes = 0
+        self.dom = dom if all(dom) and self._settle(dom, net.eqs) else None
         self.components = [] if self.dom is None else self._components()
+
+    def _settle(self, dom: list[int], eqs: list) -> bool:
+        """Propagate the initial domains; False on a conflict.
+
+        Equations whose three slots are known are checked here, once each;
+        only the known variables that share an equation with an unknown one
+        need to be queued, since narrowing starts from known slots alone.
+        """
+        queue = set()
+        for a, b, c, t in eqs:
+            da, db, dc = dom[a], dom[b], dom[c]
+            ka, kb, kc = not da & (da - 1), not db & (db - 1), not dc & (dc - 1)
+            if ka and kb and kc:
+                if t.ab[da.bit_length() - 1][db.bit_length() - 1] != dc.bit_length() - 1:
+                    return False
+            elif ka or kb or kc:
+                queue.update(v for v, k in ((a, ka), (b, kb), (c, kc)) if k)
+        return _propagate(dom, sorted(queue), self.var_eqs)
 
     def _components(self) -> list[list[int]]:
         dom = self.dom
         parent = {i: i for i, d in enumerate(dom) if d & (d - 1)}
+        if not parent:
+            return []
 
         def root(i):
             while parent[i] != i:
@@ -343,14 +397,14 @@ class _Search:
             return 1
         return sum(self._count(child, comp) for child in children)
 
-    def _solutions(self, dom: list[int], comp: list[int], out: list) -> list:
+    def _solutions(self, dom: list[int], comp: list[int]):
+        """Yield the values of comp in each solution below dom, in search order."""
         children = self._branches(dom, comp)
         if children is None:
-            out.append([dom[v].bit_length() - 1 for v in comp])
-        else:
-            for child in children:
-                self._solutions(child, comp, out)
-        return out
+            yield [dom[v].bit_length() - 1 for v in comp]
+            return
+        for child in children:
+            yield from self._solutions(child, comp)
 
     def count(self) -> int:
         total = 0 if self.dom is None else 1
@@ -367,7 +421,7 @@ class _Search:
             return
         parts = []
         for comp in self.components:
-            parts.append(self._solutions(self.dom, comp, []))
+            parts.append(list(self._solutions(self.dom, comp)))
             if not parts[-1]:
                 return
         known = [i for i, d in enumerate(self.dom) if not d & (d - 1)]
@@ -385,38 +439,27 @@ class _Search:
         for row in rows:
             yield dict(zip(self.names, row))
 
+    def unique(self) -> dict[str, int] | None:
+        """The solution as a dict if there is exactly one, else None.
 
-def _enumerate(
-    all_vars: list[str],
-    domain_size: int,
-    constraints: list,
-    fixed: dict[str, int] | None = None,
-    domains: dict[str, list[int]] | None = None,
-    collect: bool = True,
-    budget: int | None = None,
-):
-    """All solutions of the constraints, by bitset forward checking (see _Search).
-
-    With collect, an iterator over the assignment dicts in lexicographic order
-    of the values in sorted variable order; without, their number, the product
-    of the per-component counts.
-    """
-    search = _Search(all_vars, domain_size, constraints, fixed, domains, budget)
-    return search.assignments() if collect else search.count()
+        Each component is searched only until a second solution turns up.
+        """
+        if self.dom is None:
+            return None
+        dom = self.dom[:]
+        for comp in self.components:
+            found = list(islice(self._solutions(self.dom, comp), 2))
+            if len(found) != 1:
+                return None
+            for v, val in zip(comp, found[0]):
+                dom[v] = 1 << val
+        return {name: d.bit_length() - 1 for name, d in zip(self.names, dom)}
 
 
 def _report(
-    d: Diagram,
-    x,
-    on_arcs: bool,
-    constraints,
-    domain_size: int,
-    want_list: bool,
-    fixed=None,
-    domains=None,
-    budget=None,
+    d: Diagram, x, want_list: bool, fixed=None, domains=None, budget=None
 ) -> ColoringSetReport:
-    search = _Search(coloring_vars(d, on_arcs), domain_size, constraints, fixed, domains, budget)
+    search = _Search(_network(d, x), fixed, domains, budget)
     if want_list:
         out = [Coloring(x, assign) for assign in search.assignments()]
         return ColoringSetReport(count=len(out), colorings=out, nodes=search.nodes)
@@ -429,15 +472,13 @@ def _report(
 def enumerate_colorings_mcb(
     d: Diagram, x: MCB, want_list: bool = False, fixed=None, domains=None, budget=None,
 ) -> ColoringSetReport:
-    d.validate(allow_open=True)
-    return _report(d, x, False, _mcb_constraints(d, x), x.n, want_list, fixed, domains, budget)
+    return _report(d, x, want_list, fixed, domains, budget)
 
 
 def enumerate_colorings_mcq(
     d: Diagram, x: MCQ, want_list: bool = False, fixed=None, domains=None, budget=None,
 ) -> ColoringSetReport:
-    d.validate(allow_open=True)
-    return _report(d, x, True, _mcq_constraints(d, x), x.n, want_list, fixed, domains, budget)
+    return _report(d, x, want_list, fixed, domains, budget)
 
 
 def enumerate_colorings(d: Diagram, x, **kw) -> ColoringSetReport:
@@ -466,13 +507,8 @@ def brute_force_colorings(d: Diagram, x, bound: int = 10**6) -> int:
 
 def enumerate_flows(d: Diagram, g: FiniteGroup, budget=None) -> list[Flow]:
     """All G-flows by constraint propagation over arcs, deterministic order."""
-    d.validate(allow_open=True)
-    vars_ = coloring_vars(d, True)
-    cons = _flow_constraints(d, g)
-    flows = []
-    for assign in _enumerate(vars_, g.n, cons, budget=budget):
-        flows.append(Flow(g, tuple(sorted(assign.items()))))
-    return flows
+    search = _Search(_network(d, g), budget=budget)
+    return [Flow(g, tuple(assign.items())) for assign in search.assignments()]
 
 
 def _check_flow(
@@ -508,18 +544,14 @@ def colorings_by_flow(
     """Colorings of the associated MCQ/MCB whose group projection equals the flow."""
     arcs, fd = _check_flow(d, f.group, flow)
     on_arcs = isinstance(f, GFamilyQ)
+    x = associated_mcq(f) if on_arcs else associated_mcb(f)
     ng = f.group.n
     domains = {
-        k: [x * ng + fd[k if on_arcs else arcs[k]] for x in range(f.n)]
-        for k in coloring_vars(d, on_arcs)
+        k: [i * ng + fd[k if on_arcs else arcs[k]] for i in range(f.n)]
+        for k in _network(d, x).names
     }
-    if on_arcs:
-        return enumerate_colorings_mcq(
-            d, associated_mcq(f), want_list=want_list, domains=domains, budget=budget
-        )
-    return enumerate_colorings_mcb(
-        d, associated_mcb(f), want_list=want_list, domains=domains, budget=budget
-    )
+    enumerate_ = enumerate_colorings_mcq if on_arcs else enumerate_colorings_mcb
+    return enumerate_(d, x, want_list=want_list, domains=domains, budget=budget)
 
 
 def per_flow_counts(d: Diagram, f: GFamilyQ | GFamilyB, budget=None) -> dict[Flow, int]:
@@ -591,7 +623,7 @@ def linear_colorings(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow) -> Coloring
         raise ValueError("linear path requires an Alexander family")
     arcs, fd = _check_flow(d, f.group, flow)
     on_arcs = isinstance(f, GFamilyQ)
-    vars_ = coloring_vars(d, on_arcs)
+    vars_ = sorted(set(arcs.values()) if on_arcs else arcs)
     index = {v: i for i, v in enumerate(vars_)}
     if on_arcs:
         kind, ring, u = f.alexander

@@ -159,6 +159,23 @@ def _block_to_block_violations(x, table: np.ndarray, name: str) -> list[tuple[st
     return []
 
 
+def _block_pairs(x) -> tuple[np.ndarray, np.ndarray]:
+    """a, b over every ordered pair inside one block: block by block, row-major."""
+    pairs = [(a, b) for members in x.blocks for a in members for b in members]
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return a, b
+
+
+def _hom_violations(x, pairs, table: np.ndarray, name: str) -> list[tuple[str, tuple]]:
+    """Acting by a fixed y must be a homomorphism between blocks: the first
+    (a, b, y), in block, a, b, y order, where it is not."""
+    a, b = pairs
+    ay, by = table[a], table[b]
+    bad = (x.block_of[ay] != x.block_of[by]) | (table[x.prod[a, b]] != x.prod[ay, by])
+    w = _first_where(bad)
+    return [] if w is None else [(name, (int(a[w[0]]), int(b[w[0]]), w[1]))]
+
+
 def mcq_check(x: MCQ) -> AxiomReport:
     """Exhaustive verification of every MCQ axiom; witnesses name the axiom."""
     violations = x._block_group_violations()
@@ -201,23 +218,7 @@ def mcq_check(x: MCQ) -> AxiomReport:
     w = _first_where(s[s[xs, ys], zs] != s[s[xs, zs], s[ys, zs]])
     if w is not None:
         violations.append(("self-distributivity", w))
-    done = False
-    for lam, members in enumerate(x.blocks):
-        for a in members:
-            for b in members:
-                ab = p[a, b]
-                for y in range(n):
-                    ay, by = int(s[a, y]), int(s[b, y])
-                    if x.block_of[ay] != x.block_of[by] or s[ab, y] != p[ay, by]:
-                        violations.append(("block-homomorphy", (a, b, y)))
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-        if done:
-            break
+    violations += _hom_violations(x, _block_pairs(x), s, "block-homomorphy")
     violations += _column_permutation_violations(s, "star-bijectivity")
     violations += _block_to_block_violations(x, s, "block-to-block")
     return AxiomReport(not violations, violations)
@@ -240,42 +241,16 @@ def mcb_check(x: MCB) -> AxiomReport:
         w = _first_where(lhs != rhs)
         if w is not None:
             violations.append((name, w))
-    # under/over by a fixed x restrict to group homomorphisms between blocks
+    # under/over by a fixed y restrict to group homomorphisms between blocks
+    pairs = _block_pairs(x)
+    a, b = pairs
     for opname, tbl in (("hom-under", u), ("hom-over", o)):
-        done = False
-        for members in x.blocks:
-            for a in members:
-                for b in members:
-                    ab = p[a, b]
-                    for y in range(n):
-                        ay, by = int(tbl[a, y]), int(tbl[b, y])
-                        if x.block_of[ay] != x.block_of[by] or tbl[ab, y] != p[ay, by]:
-                            violations.append((opname, (a, b, y)))
-                            done = True
-                            break
-                    if done:
-                        break
-                if done:
-                    break
-            if done:
-                break
-    # x op ab = (x op a) op (b over a);  x op e = x
+        violations += _hom_violations(x, pairs, tbl, opname)
+    # x op ab = (x op a) op (b over a), first in (block, a, b, x) order;  x op e = x
     for opname, tbl in (("prod-under", u), ("prod-over", o)):
-        done = False
-        for members in x.blocks:
-            for a in members:
-                for b in members:
-                    ab = int(p[a, b])
-                    boa = int(o[b, a])
-                    if not np.array_equal(tbl[:, ab], tbl[tbl[:, a], boa]):
-                        w = _first_where(tbl[:, ab] != tbl[tbl[:, a], boa])
-                        violations.append((opname, (w[0], a, b)))
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
+        w = _first_where((tbl[:, p[a, b]] != tbl[tbl[:, a], o[b, a]]).T)
+        if w is not None:
+            violations.append((opname, (w[1], int(a[w[0]]), int(b[w[0]]))))
     for opname, tbl in (("unit-under", u), ("unit-over", o)):
         for e in x.identities:
             w = _first_where(tbl[:, e] != np.arange(n))
@@ -283,19 +258,10 @@ def mcb_check(x: MCB) -> AxiomReport:
                 violations.append((opname, (w[0], e)))
                 break
     # a^{-1}b over a = b a^{-1} under a
-    done = False
-    for members in x.blocks:
-        for a in members:
-            ai = int(x.ginv[a])
-            for b in members:
-                if o[p[ai, b], a] != u[p[b, ai], a]:
-                    violations.append(("conj-compat", (a, b)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
+    ai = x.ginv[a]
+    w = _first_where(o[p[ai, b], a] != u[p[b, ai], a])
+    if w is not None:
+        violations.append(("conj-compat", (int(a[w[0]]), int(b[w[0]]))))
     violations += _column_permutation_violations(u, "under-bijectivity")
     violations += _column_permutation_violations(o, "over-bijectivity")
     violations += _block_to_block_violations(x, u, "block-to-block-under")

@@ -801,7 +801,7 @@ def transport_coloring(d: Diagram, d2: Diagram, c, x) -> "Coloring":
     d2 must be the result of a move on d; failure to find exactly one
     extension indicates a wiring bug and raises RuntimeError.
     """
-    from hlcolor.coloring import Coloring, enumerate_colorings
+    from hlcolor.coloring import Coloring, _network, _Search
     from hlcolor.mcqb import MCQ
 
     if isinstance(x, MCQ):
@@ -818,9 +818,10 @@ def transport_coloring(d: Diagram, d2: Diagram, c, x) -> "Coloring":
     else:
         keep = set(d2.semiarcs) | set(d2.loops)
         fixed = {s: v for s, v in c.assignment.items() if s in keep}
-    rep = enumerate_colorings(d2, x, want_list=True, fixed=fixed)
-    if rep.count != 1:
+    search = _Search(_network(d2, x), fixed)
+    assignment = search.unique()
+    if assignment is None:
         raise RuntimeError(
-            f"transport expected a unique extension, found {rep.count}; wiring bug"
+            f"transport expected a unique extension, found {search.count()}; wiring bug"
         )
-    return rep.colorings[0]
+    return Coloring(x, assignment)

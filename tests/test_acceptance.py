@@ -21,7 +21,6 @@ from hlcolor.algebra import (
     type_of,
 )
 from hlcolor.coloring import (
-    _mcb_constraints,
     brute_force_colorings,
     colorings_by_flow,
     enumerate_colorings,
@@ -251,19 +250,12 @@ def test_criterion_8_reverse_mirror_bijection(corpus_mcbs, corpus_diagrams):
     for dname, d in corpus_diagrams.items():
         rm = reverse_mirror(d)
         for xname, x in corpus_mcbs.items():
-            count = 0
-            for col in _stream_colorings(d, x):
-                assert local_rules_hold(rm, x, col), (dname, xname)
-                count += 1
-            assert count == enumerate_colorings_mcb(rm, x).count, (dname, xname)
+            cols = enumerate_colorings_mcb(d, x, want_list=True).colorings
+            for col in cols:
+                assert local_rules_hold(rm, x, col.assignment), (dname, xname)
+            assert len(cols) == enumerate_colorings_mcb(rm, x).count, (dname, xname)
             pairs += 1
     _announce(8, "reverse-mirror-transfer", f"{pairs} (MCB, diagram) pairs")
-
-
-def _stream_colorings(d, x):
-    from hlcolor.coloring import _enumerate, coloring_vars
-
-    yield from _enumerate(coloring_vars(d, False), x.n, _mcb_constraints(d, x))
 
 
 # -- criterion 9: mutation sensitivity with witness replay ---------------------

@@ -430,3 +430,34 @@ def test_bitmasks_match_a_loop_across_word_boundaries():
     for n in (1, 63, 64, 65, 72, 130):
         m = rng.random((3, n)) < 0.5
         assert _bitmasks(m) == [sum(1 << j for j in range(n) if m[i, j]) for i in range(3)]
+
+
+def test_network_is_built_once_per_diagram_and_structure(mcb6, corpus_structures, monkeypatch):
+    """Counts, listings and transports on one (diagram, MCB) pair compile its
+    constraints once; another MCB object of the same size on the same diagram
+    gets its own network and its own count."""
+    from hlcolor import coloring
+    from hlcolor.moves import apply_move, find_sites, transport_coloring
+
+    built = []
+    compile_ = coloring._mcb_constraints
+    monkeypatch.setattr(
+        coloring, "_mcb_constraints", lambda d, x: built.append((d, x)) or compile_(d, x)
+    )
+    d = trefoil()
+    d2 = apply_move(d, find_sites(d, "R2a", "apply")[0]).diagram
+    cols = enumerate_colorings_mcb(d, mcb6, want_list=True).colorings
+    for _ in range(3):
+        assert enumerate_colorings_mcb(d, mcb6).count == len(cols) == 6
+        assert enumerate_colorings_mcb(d, mcb6, want_list=True).colorings == cols
+    for col in cols * 2:
+        moved = transport_coloring(d, d2, col, mcb6)
+        assert transport_coloring(d2, d, moved, mcb6).assignment == col.assignment
+    assert [(dd is d, dd is d2, x is mcb6) for dd, x in built] == [
+        (True, False, True), (False, True, True)
+    ]
+    other = corpus_structures["lift-s3-conj-mcb"]
+    assert other.n == mcb6.n
+    assert enumerate_colorings_mcb(d, other).count == brute_force_colorings(d, other) == 12
+    assert enumerate_colorings_mcb(d, mcb6).count == 6
+    assert len(built) == 3 and built[2][0] is d and built[2][1] is other

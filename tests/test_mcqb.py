@@ -196,3 +196,69 @@ def test_partial_product_shape_errors_match_the_loop(mcq6):
             MCQ(block_of, prod, mcq6.star)
         assert str(exc.value) == want
     assert kinds == {"product undefined inside a block", "product defined across blocks"}
+
+
+def _block_law_witnesses(x):
+    """The loops the vectorised block-law checks replaced, kept as their reference:
+    the first witness of each law, blocks, a, b, then y (or x) in ascending order."""
+    p = x.prod
+    out = []
+    tables = (("block-homomorphy", x.star),) if isinstance(x, MCQ) else (
+        ("hom-under", x.under), ("hom-over", x.over))
+    for name, tbl in tables:
+        out += [next(
+            ((name, (a, b, y))
+             for members in x.blocks for a in members for b in members for y in range(x.n)
+             if x.block_of[tbl[a, y]] != x.block_of[tbl[b, y]]
+             or tbl[p[a, b], y] != p[tbl[a, y], tbl[b, y]]),
+            None,
+        )]
+    if isinstance(x, MCQ):
+        return out
+    u, o = x.under, x.over
+    for name, tbl in (("prod-under", u), ("prod-over", o)):
+        out += [next(
+            ((name, (int(np.argmax(tbl[:, p[a, b]] != tbl[tbl[:, a], o[b, a]])), a, b))
+             for members in x.blocks for a in members for b in members
+             if not np.array_equal(tbl[:, p[a, b]], tbl[tbl[:, a], o[b, a]])),
+            None,
+        )]
+    out += [next(
+        (("conj-compat", (a, b))
+         for members in x.blocks for a in members for b in members
+         if o[p[x.ginv[a], b], a] != u[p[b, x.ginv[a]], a]),
+        None,
+    )]
+    return out
+
+
+def _checked_block_laws(x):
+    report = mcq_check(x) if isinstance(x, MCQ) else mcb_check(x)
+    found = {name: w for name, w in report.violations}
+    names = ("block-homomorphy",) if isinstance(x, MCQ) else (
+        "hom-under", "hom-over", "prod-under", "prod-over", "conj-compat")
+    return [(name, found[name]) if name in found else None for name in names]
+
+
+def test_block_laws_match_the_loops(corpus_mcbs, corpus_mcqs, mcb6, mcq6):
+    """Vectorised hom-, prod- and conj-compat checks give the loops' first
+    witnesses, on the corpus structures and on mutated tables."""
+    rng = random.Random(11)
+    structures = [mcb6, mcq6, *corpus_mcbs.values(), *corpus_mcqs.values()]
+    seen = set()
+    for x in structures:
+        assert _checked_block_laws(x) == _block_law_witnesses(x)
+        if x.n > 24:
+            continue
+        for _ in range(40):
+            tables = [x.star.copy()] if isinstance(x, MCQ) else [x.under.copy(), x.over.copy()]
+            for _ in range(rng.randint(1, 3)):
+                tbl = rng.choice(tables)
+                a, b = rng.randrange(x.n), rng.randrange(x.n)
+                tbl[a, b] = rng.randrange(x.n)
+            mutant = (MCQ if isinstance(x, MCQ) else MCB)(x.block_of, x.prod, *tables)
+            want = _block_law_witnesses(mutant)
+            assert _checked_block_laws(mutant) == want
+            seen.update(w[0] for w in want if w is not None)
+    assert seen == {"block-homomorphy", "hom-under", "hom-over", "prod-under", "prod-over",
+                    "conj-compat"}

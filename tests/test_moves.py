@@ -1,8 +1,9 @@
 import pytest
 
-from hlcolor.coloring import enumerate_colorings, enumerate_flows
+from hlcolor.coloring import Coloring, _network, _Search, enumerate_colorings, enumerate_flows
 from hlcolor.diagram import (
     diagrams_isomorphic,
+    disjoint_union,
     handcuff_clasp,
     loop_diagram,
     theta_curve,
@@ -221,3 +222,45 @@ def test_transport_across_r2_undo_leaving_a_free_loop(x6):
     for site in sites:
         assert apply_move(d, site).diagram.loops
         _assert_transport_round_trips(d, x6, site)
+
+
+# -- the transport contract ------------------------------------------------------
+
+
+def test_transport_rejects_a_non_coloring(x6):
+    """Both ways across R2a: the undo keeps every semi-arc of its target, so
+    nothing is left to search and the fixed values alone must be checked."""
+    d = trefoil()
+    d2 = apply_move(d, find_sites(d, "R2a", "apply")[0]).diagram
+    for src, dst in ((d, d2), (d2, d)):
+        col = enumerate_colorings(src, x6, want_list=True).colorings[0]
+        s = min(set(src.semiarcs) & set(dst.semiarcs))
+        broken = Coloring(x6, {**col.assignment, s: (col.assignment[s] + 1) % x6.n})
+        with pytest.raises(RuntimeError, match="found 0; wiring bug"):
+            transport_coloring(src, dst, broken, x6)
+
+
+def test_transport_rejects_a_non_unique_extension(x6):
+    d = trefoil()
+    d2 = disjoint_union(d, loop_diagram())  # the free loop takes any of the 6 colors
+    col = enumerate_colorings(d, x6, want_list=True).colorings[0]
+    with pytest.raises(RuntimeError, match="found 6; wiring bug"):
+        transport_coloring(d, d2, col, x6)
+
+
+@pytest.mark.parametrize("move, settled", [("R1a", False), ("R1b", False), ("R2b", False),
+                                           ("R2a", True)])
+def test_transport_round_trips_whether_or_not_propagation_settles_it(x6, move, settled):
+    """Forward checking from the kept values settles every new semi-arc across
+    R2a, but not across R1a, R1b or R2b, where the transport has to search."""
+    d = trefoil()
+    cols = enumerate_colorings(d, x6, want_list=True).colorings
+    open_ = 0
+    for site in find_sites(d, move, "apply"):
+        d2 = apply_move(d, site).diagram
+        keep = set(d2.semiarcs) | set(d2.loops)
+        for col in cols:
+            fixed = {s: v for s, v in col.assignment.items() if s in keep}
+            open_ += bool(_Search(_network(d2, x6), fixed).components)
+        _assert_transport_round_trips(d, x6, site)
+    assert (open_ == 0) == settled
