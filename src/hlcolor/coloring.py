@@ -190,9 +190,8 @@ def _mcb_constraints(d: Diagram, x: MCB) -> list:
     return eqs
 
 
-def _arc_constraints(d: Diagram, crossing, vertex) -> list:
-    """crossing[ui, over] = uo and vertex[e1, e2] = e3 on arcs."""
-    arcs = arcs_of(d)
+def _arc_constraints(d: Diagram, arcs: dict[str, str], crossing, vertex) -> list:
+    """crossing[ui, over] = uo and vertex[e1, e2] = e3 on the arcs of d."""
     eqs: list = []
     for c in d.crossings:
         _, _, ui, uo = _crossing_slots(c)
@@ -200,17 +199,6 @@ def _arc_constraints(d: Diagram, crossing, vertex) -> list:
     for v in d.vertices:
         eqs.append((arcs[v.e1], arcs[v.e2], arcs[v.e3], vertex))
     return eqs
-
-
-def _mcq_constraints(d: Diagram, x: MCQ) -> list:
-    t = _rule_tables(x)
-    return _arc_constraints(d, t["star"], t["vertex"])
-
-
-def _flow_constraints(d: Diagram, g: FiniteGroup) -> list:
-    """The group shadows: conjugation at crossings, products at vertices."""
-    t = _rule_tables(g)
-    return _arc_constraints(d, t["conj"], t["prod"])
 
 
 # -- the search engine ---------------------------------------------------------
@@ -292,10 +280,12 @@ def _network(d: Diagram, x: MCB | MCQ | FiniteGroup) -> _Network:
         d.validate(allow_open=True)
         if isinstance(x, MCB):
             net = _Network(coloring_vars(d, False), x.n, _mcb_constraints(d, x))
-        elif isinstance(x, MCQ):
-            net = _Network(coloring_vars(d, True), x.n, _mcq_constraints(d, x))
         else:
-            net = _Network(coloring_vars(d, True), x.n, _flow_constraints(d, x))
+            # an MCQ, or a group's shadows: conjugation at crossings, products at vertices
+            t = _rule_tables(x)
+            rules = (t["star"], t["vertex"]) if isinstance(x, MCQ) else (t["conj"], t["prod"])
+            arcs = arcs_of(d)
+            net = _Network(set(arcs.values()), x.n, _arc_constraints(d, arcs, *rules))
         entry = networks[id(x)] = (x, net)
     return entry[1]
 

@@ -1,7 +1,10 @@
-"""Reidemeister move engine: local rewrites R1-R6 on diagrams.
+"""Reidemeister move engine: R1-R6 as one table of local pictures.
 
-Every move is a local pattern rewrite with deterministic fresh-id allocation
-(``<move>#<n>``).  Site conventions:
+Each move of handlebody-link diagrams (Ishii, "Moves and invariants for
+knotted handlebodies", 2008) is a pair of local pictures.  ``_PICTURES`` holds
+one row per variant of a move; ``apply`` matches the row's left side at the
+site and builds its right side, ``undo`` reads the same row right to left.
+Site conventions:
 
   R1a/R1b apply (s,)        kink a semi-arc or loop; variant "under"/"over"
                             picks which pass comes first (R1a positive sign,
@@ -22,8 +25,27 @@ Every move is a local pattern rewrite with deterministic fresh-id allocation
                             variant "merge"/"split" disambiguates shared e3
   R6 apply/undo (m,)        reassociate the two vertices joined by m
 
-Rewrites preserve flow and coloring counts for every structure; colorings
-transport uniquely across each rewrite (``transport_coloring``).
+Picture syntax, one row per line::
+
+    move variant | site : records | site : records | strands
+
+Records are written as in a diagram file (``x+``/``x-`` over_in over_out
+under_in under_out, ``v<``/``v>`` e1 e2 e3), separated by commas, over local
+names; ``-`` is the empty variant.  A letter names a boundary semi-arc, which
+keeps its id on both sides.  A number names an inner semi-arc of its side: it
+goes with the matched records, and building the side gives it a fresh id
+``<move>#<n>``, in numeric order.  The site lists the names a ``MoveSite``'s ids
+bind.  A strand ``s>2`` (R1, R2) has no records on the left: apply moves the
+old consumer of s onto the exit 2, and a loop s keeps its id as the exit;
+undo joins the exit back onto s and closes a loop when the strand meets itself;
+a strand that runs on into the other strand does not match.
+
+An empty variant takes the first picture that matches (``under`` for R1
+apply, ``+-`` for R2 apply, merge for R4 apply), except that R4 undo and R5
+ask for the variant when pictures of both vertex kinds match.  An inverse
+site carries the variant of the picture used.  Rewrites preserve flow and
+coloring counts for every structure; colorings transport uniquely across
+each rewrite (``transport_coloring``).
 """
 
 from __future__ import annotations
@@ -31,7 +53,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from hlcolor.diagram import Crossing, Diagram, DiagramError, Vertex, arcs_of
+from hlcolor.diagram import Crossing, Diagram, Vertex, arcs_of
 
 
 class SiteMismatchError(ValueError):
@@ -51,745 +73,273 @@ class MoveResult:
     diagram: Diagram
     inverse: MoveSite
     fresh: tuple[str, ...]
-    removed: tuple[str, ...]
 
 
-_MOVES = ("R1a", "R1b", "R2a", "R2b", "R3", "R4a", "R4b", "R5a", "R5b", "R6")
+_PICTURES = """
+R1a under | s :                         | 1 : x+ 1 2 s 1                       | s>2
+R1a over  | s :                         | 1 : x+ s 1 1 2                       | s>2
+R1b under | s :                         | 1 : x- 1 2 s 1                       | s>2
+R1b over  | s :                         | 1 : x- s 1 1 2                       | s>2
+R2a +-    | s u :                       | 1 : x+ s 1 u 2, x- 1 3 2 4           | s>3 u>4
+R2a -+    | s u :                       | 1 : x- s 1 u 2, x+ 1 3 2 4           | s>3 u>4
+R2b +-    | s u :                       | 1 : x+ s 1 2 4, x- 1 3 u 2           | s>3 u>4
+R2b -+    | s u :                       | 1 : x- s 1 2 4, x+ 1 3 u 2           | s>3 u>4
+R3  -     | a b c : x+ a 1 b 2, x+ 1 f c 3, x+ 2 h 3 i | a b c : x+ b 1 c 2, x+ a 3 2 i, x+ 3 f 1 h |
+R4a merge | 1 s : x+ 1 o s t, v< k l 1  | 3 : x+ l 2 s 3, x+ k 1 3 t, v< 1 2 o |
+R4a merge | 1 s : x- 1 o s t, v< k l 1  | 3 : x- k 1 s 3, x- l 2 3 t, v< 1 2 o |
+R4a split | e s : x+ e 1 s t, v> k l 1  | 3 : x+ 2 l s 3, x+ 1 k 3 t, v> 1 2 e |
+R4a split | e s : x- e 1 s t, v> k l 1  | 3 : x- 1 k s 3, x- 2 l 3 t, v> 1 2 e |
+R4b merge | 1 s : x+ s t 1 o, v< k l 1  | 3 : x+ s 3 k 1, x+ 3 t l 2, v< 1 2 o |
+R4b merge | 1 s : x- s t 1 o, v< k l 1  | 3 : x- s 3 l 2, x- 3 t k 1, v< 1 2 o |
+R4b split | e s : x+ s t e 1, v> k l 1  | 3 : x+ s 3 1 k, x+ 3 t 2 l, v> 1 2 e |
+R4b split | e s : x- s t e 1, v> k l 1  | 3 : x- s 3 2 l, x- 3 t 1 k, v> 1 2 e |
+R5a merge | e : v< a b e                | e : x+ a 1 b 2, v< 2 1 e             |
+R5a split | e : v> a b e                | e : x+ 2 b 1 a, v> 2 1 e             |
+R5b merge | e : v< a b e                | e : x- b 2 a 1, v< 2 1 e             |
+R5b split | e : v> a b e                | e : x- 1 a 2 b, v> 2 1 e             |
+R6  -     | 1 : v< a b 1, v< 1 c o      | 1 : v< b c 1, v< a 1 o               |
+R6  -     | 1 : v> a 1 i, v> b c 1      | 1 : v> 1 c i, v> a b 1               |
+R6  -     | 1 : v< a b 1, v> c d 1      | 1 : v> c 1 a, v< 1 b d               |
+"""
+
+# (move kind, direction) pairs whose empty variant must not pick between vertex kinds
+_ASK_VARIANT = {("R4", "undo"), ("R5", "apply"), ("R5", "undo")}
+
+# the slots that consume a semi-arc, by record kind
+_IN_SLOTS = (("x+", 0), ("x+", 2), ("x-", 0), ("x-", 2), ("v<", 0), ("v<", 1), ("v>", 2))
 
 
-class _Editor:
-    """Mutable record view of a diagram with slot-level edit helpers."""
+@dataclass(frozen=True)
+class _Side:
+    site: tuple[str, ...]
+    records: tuple[tuple[str, tuple[str, ...]], ...]  # in build order
+    plan: tuple[tuple[str, tuple[str, ...]], ...]  # in match order: each meets a bound name
+    names: frozenset[str]
+    inner: tuple[str, ...]  # numbered names, in allocation order
+    loose: tuple[str, ...]  # site names on no record
 
-    def __init__(self, d: Diagram, prefix: str):
-        self.crossings = list(d.crossings)
-        self.vertices = list(d.vertices)
-        self.loops = list(d.loops)
-        used = set(d.semiarcs) | set(d.loops)
-        pat = re.compile(re.escape(prefix) + r"#(\d+)$")
-        top = 0
-        for s in used:
-            m = pat.match(s)
-            if m:
-                top = max(top, int(m.group(1)))
-        self._prefix = prefix
-        self._counter = top
-        self.fresh_ids: list[str] = []
 
-    def fresh(self) -> str:
-        self._counter += 1
-        name = f"{self._prefix}#{self._counter}"
-        self.fresh_ids.append(name)
-        return name
+@dataclass(frozen=True)
+class _Picture:
+    variant: str
+    src: _Side  # the side matched
+    dst: _Side  # the side built
+    strands: tuple[tuple[str, str], ...]  # (entry, exit)
 
-    def end_consumer(self, s: str):
-        """(kind, index, slot) of the record consuming s, or None."""
-        for i, c in enumerate(self.crossings):
-            if c.over_in == s:
-                return ("x", i, "over_in")
-            if c.under_in == s:
-                return ("x", i, "under_in")
-        for i, v in enumerate(self.vertices):
-            if v.kind == "merge":
-                if v.e1 == s:
-                    return ("v", i, "e1")
-                if v.e2 == s:
-                    return ("v", i, "e2")
-            elif v.e3 == s:
-                return ("v", i, "e3")
+
+def _side(text: str) -> _Side:
+    site, _, body = text.partition(":")
+    site = tuple(site.split())
+    records = tuple((r.split()[0], tuple(r.split()[1:])) for r in body.split(",") if r.strip())
+    bound, plan, todo = set(site), [], list(records)
+    while todo:
+        rec = next(r for r in todo if bound.intersection(r[1]))
+        todo.remove(rec)
+        plan.append(rec)
+        bound.update(rec[1])
+    names = frozenset(bound)
+    on_records = {v for _, vs in records for v in vs}
+    return _Side(site, records, tuple(plan), names,
+                 tuple(sorted((v for v in names if v.isdigit()), key=int)),
+                 tuple(v for v in site if v not in on_records))
+
+
+def _parse_pictures(text: str) -> dict[tuple[str, str], list[_Picture]]:
+    table: dict[tuple[str, str], list[_Picture]] = {}
+    for row in text.strip().splitlines():
+        head, left, right, strands = row.split("|")
+        move, variant = head.split()
+        variant = "" if variant == "-" else variant
+        left, right = _side(left), _side(right)
+        if {v for v in left.names if not v.isdigit()} != {v for v in right.names if not v.isdigit()}:
+            raise ValueError(f"the sides of {move} {variant} have different boundaries")
+        pairs = tuple(tuple(s.split(">")) for s in strands.split())
+        table.setdefault((move, "apply"), []).append(_Picture(variant, left, right, pairs))
+        table.setdefault((move, "undo"), []).append(_Picture(variant, right, left, pairs))
+    return table
+
+
+_TABLE = _parse_pictures(_PICTURES)
+
+
+class _Records:
+    """A diagram's records, indexed by (semi-arc id, record kind, slot)."""
+
+    def __init__(self, d: Diagram):
+        self.d = d
+        self.ids = set(d.semiarcs) | set(d.loops)
+        self.records = [("x+" if c.sign > 0 else "x-", c.slots()) for c in d.crossings]
+        self.records += [("v<" if v.kind == "merge" else "v>", v.slots()) for v in d.vertices]
+        self.index = {
+            (s, kind, j): i for i, (kind, slots) in enumerate(self.records) for j, s in enumerate(slots)
+        }
+
+    def consumer(self, s: str):
+        """(record, slot) where semi-arc s ends, or None."""
+        for kind, j in _IN_SLOTS:
+            i = self.index.get((s, kind, j))
+            if i is not None:
+                return i, j
         return None
 
-    def _set_slot(self, loc, value: str) -> None:
-        kind, i, slot = loc
-        if kind == "x":
-            c = self.crossings[i]
-            self.crossings[i] = Crossing(**{**c.__dict__, slot: value})
-        else:
-            v = self.vertices[i]
-            self.vertices[i] = Vertex(**{**v.__dict__, slot: value})
+    def match(self, pic: _Picture, ids):
+        """Bind the site to ids (None: bound by matching) and match the records
+        of the picture's source side; returns (bindings, matched records) or None."""
+        side = pic.src
+        env = {v: s for v, s in zip(side.site, ids) if s is not None}
+        used: list[int] = []
+        for kind, names in side.plan:
+            j = next(j for j, v in enumerate(names) if v in env)
+            i = self.index.get((env[names[j]], kind, j))
+            if i is None or i in used:
+                return None
+            for v, s in zip(names, self.records[i][1]):
+                if env.setdefault(v, s) != s:
+                    return None
+            used.append(i)
+        site = [env.get(v) for v in side.site]
+        if None in site or len(set(site)) < len(site):
+            return None
+        if any(env[v] not in self.ids for v in side.loose):
+            return None
+        # a strand may close on itself, but must not run on into another one
+        for entry, exit_ in pic.strands:
+            if exit_ in env and any(env[exit_] == env[e] for e, _ in pic.strands if e != entry):
+                return None
+        return env, used
 
-    def reroute_end(self, old: str, new: str) -> None:
-        """The record consuming `old` now consumes `new` (no-op if boundary)."""
-        loc = self.end_consumer(old)
-        if loc is not None:
-            self._set_slot(loc, new)
+    def find(self, move: str, direction: str, ids, variant: str):
+        """The picture matching at the site, with its bindings, or None."""
+        hits = []
+        for pic in _TABLE[move, direction]:
+            if variant and pic.variant != variant:
+                continue
+            found = self.match(pic, ids)
+            if found is None:
+                continue
+            if variant or (move[:2], direction) not in _ASK_VARIANT:
+                return (pic, *found)
+            hits.append((pic, *found))
+        if len(hits) > 1:
+            raise SiteMismatchError(
+                f"both vertex kinds match at {','.join(ids)}; set the variant to merge/split"
+            )
+        return hits[0] if hits else None
 
-    def splice(self, head: str, tail: str) -> str:
-        """Join the strand head -> ... -> tail into one semi-arc after the
-        interior records are gone; returns the surviving id, head.  A strand
-        that closes up (head == tail) becomes the loop head."""
-        if head == tail:
-            self.loops.append(head)
-            return head
-        self.reroute_end(tail, head)
-        return head
-
-    def remove_crossing(self, c: Crossing) -> None:
-        self.crossings.remove(c)
-
-    def remove_vertex(self, v: Vertex) -> None:
-        self.vertices.remove(v)
-
-    def build(self, _removed=()) -> Diagram:
-        d = Diagram(self.crossings, self.vertices, self.loops)
-        d.validate(allow_open=True)
-        return d
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise SiteMismatchError(msg)
-
-
-def _sign_of(move: str) -> int:
-    return 1 if move.endswith("a") else -1
-
-
-# -- R1 ---------------------------------------------------------------------
-
-
-def _r1_apply(d: Diagram, site: MoveSite) -> MoveResult:
-    (s,) = site.ids
-    sign = _sign_of(site.move)
-    variant = site.variant or "under"
-    _require(variant in ("under", "over"), f"unknown R1 variant {site.variant!r}")
-    ed = _Editor(d, site.move.lower())
-    if s in ed.loops:
-        # the loop keeps its id as the kink's outer semi-arc
-        ed.loops.remove(s)
-        f1 = ed.fresh()
-        if variant == "under":
-            ed.crossings.append(Crossing(sign, f1, s, s, f1))
-        else:
-            ed.crossings.append(Crossing(sign, s, f1, f1, s))
-        return MoveResult(
-            ed.build([]),
-            MoveSite(site.move, "undo", (f1,), variant),
-            (f1,),
-            (),
-        )
-    _require(s in d.semiarcs, f"no semi-arc or loop {s!r}")
-    f1, f2 = ed.fresh(), ed.fresh()
-    ed.reroute_end(s, f2)
-    if variant == "under":
-        # s runs under first: under: s -> f1; over: f1 -> f2
-        ed.crossings.append(Crossing(sign, f1, f2, s, f1))
-    else:
-        ed.crossings.append(Crossing(sign, s, f1, f1, f2))
-    return MoveResult(
-        ed.build([]),
-        MoveSite(site.move, "undo", (f1,), variant),
-        (f1, f2),
-        (),
-    )
-
-
-def _r1_undo(d: Diagram, site: MoveSite) -> MoveResult:
-    (mid,) = site.ids
-    sign = _sign_of(site.move)
-    hit = None
-    for c in d.crossings:
-        if c.sign != sign:
-            continue
-        if c.under_out == mid and c.over_in == mid:
-            hit, variant = c, "under"
-            head, tail = c.under_in, c.over_out
-            break
-        if c.over_out == mid and c.under_in == mid:
-            hit, variant = c, "over"
-            head, tail = c.over_in, c.under_out
-            break
-    _require(hit is not None, f"no {site.move} kink with middle {mid!r}")
-    ed = _Editor(d, site.move.lower())
-    ed.remove_crossing(hit)
-    joined = ed.splice(head, tail)
-    return MoveResult(
-        ed.build([mid]),
-        MoveSite(site.move, "apply", (joined,), variant),
-        tuple(ed.fresh_ids),
-        (mid, tail) if head != tail else (mid,),
-    )
-
-
-# -- R2 ---------------------------------------------------------------------
-
-
-def _r2_apply(d: Diagram, site: MoveSite) -> MoveResult:
-    s, u = site.ids
-    _require(s != u, "R2 needs two distinct semi-arcs")
-    _require(s in d.semiarcs and u in d.semiarcs, f"unknown semi-arcs {site.ids}")
-    variant = site.variant or "+-"
-    _require(variant in ("+-", "-+"), f"unknown R2 variant {site.variant!r}")
-    sign1 = 1 if variant == "+-" else -1
-    ed = _Editor(d, site.move.lower())
-    if site.move == "R2a":
-        f1, f2, f3, f4 = (ed.fresh() for _ in range(4))
-        ed.reroute_end(s, f3)
-        ed.reroute_end(u, f4)
-        ed.crossings.append(Crossing(sign1, s, f1, u, f2))
-        ed.crossings.append(Crossing(-sign1, f1, f3, f2, f4))
-        mid = f1
-    else:
-        m1, m2, so, uo = (ed.fresh() for _ in range(4))
-        ed.reroute_end(s, so)
-        ed.reroute_end(u, uo)
-        ed.crossings.append(Crossing(sign1, s, m1, m2, uo))
-        ed.crossings.append(Crossing(-sign1, m1, so, u, m2))
-        mid = m1
-    return MoveResult(
-        ed.build([]),
-        MoveSite(site.move, "undo", (mid,), variant),
-        tuple(ed.fresh_ids),
-        (),
-    )
-
-
-def _r2_undo(d: Diagram, site: MoveSite) -> MoveResult:
-    (mid,) = site.ids
-    x1 = next((c for c in d.crossings if c.over_out == mid), None)
-    x2 = next((c for c in d.crossings if c.over_in == mid), None)
-    _require(x1 is not None and x2 is not None, f"no over strand through {mid!r}")
-    _require(x1.sign == -x2.sign, "R2 pair must have opposite signs")
-    ed = _Editor(d, site.move.lower())
-    if site.move == "R2a":
-        _require(
-            x1.under_out == x2.under_in,
-            "R2a pattern needs the under strand to run x1 -> x2",
-        )
-        s, u = x1.over_in, x1.under_in
-        ed.remove_crossing(x1)
-        ed.remove_crossing(x2)
-        over_id = ed.splice(x1.over_in, x2.over_out)
-        under_id = ed.splice(x1.under_in, x2.under_out)
-    else:
-        _require(
-            x2.under_out == x1.under_in,
-            "R2b pattern needs the under strand to run x2 -> x1",
-        )
-        s, u = x1.over_in, x2.under_in
-        ed.remove_crossing(x1)
-        ed.remove_crossing(x2)
-        over_id = ed.splice(x1.over_in, x2.over_out)
-        under_id = ed.splice(x2.under_in, x1.under_out)
-    variant = "+-" if x1.sign > 0 else "-+"
-    return MoveResult(
-        ed.build([]),
-        MoveSite(site.move, "apply", (over_id, under_id), variant),
-        tuple(ed.fresh_ids),
-        (mid,),
-    )
-
-
-# -- R3 ---------------------------------------------------------------------
-
-
-def _find_crossing(d, over_in=None, under_in=None, sign=1):
-    for c in d.crossings:
-        if c.sign != sign:
-            continue
-        if over_in is not None and c.over_in != over_in:
-            continue
-        if under_in is not None and c.under_in != under_in:
-            continue
-        return c
-    return None
-
-
-def _r3_apply(d: Diagram, site: MoveSite) -> MoveResult:
-    a, b, c = site.ids
-    x1 = _find_crossing(d, over_in=a, under_in=b)
-    _require(x1 is not None, f"no positive crossing (over {a}, under {b})")
-    x2 = _find_crossing(d, over_in=x1.over_out, under_in=c)
-    _require(x2 is not None, f"no positive crossing (over {x1.over_out}, under {c})")
-    x3 = _find_crossing(d, over_in=x1.under_out, under_in=x2.under_out)
-    _require(x3 is not None, "no third crossing completing the braid pattern")
-    dd, ff, hh, ii = x1.over_out, x2.over_out, x3.over_out, x3.under_out
-    ed = _Editor(d, "r3")
-    for x in (x1, x2, x3):
-        ed.remove_crossing(x)
-    d2, e2, f2 = ed.fresh(), ed.fresh(), ed.fresh()
-    ed.crossings.append(Crossing(1, b, d2, c, e2))
-    ed.crossings.append(Crossing(1, a, f2, e2, ii))
-    ed.crossings.append(Crossing(1, f2, ff, d2, hh))
-    return MoveResult(
-        ed.build([]),
-        MoveSite("R3", "undo", (a, b, c)),
-        tuple(ed.fresh_ids),
-        (dd, x1.under_out, x2.under_out),
-    )
-
-
-def _r3_undo(d: Diagram, site: MoveSite) -> MoveResult:
-    a, b, c = site.ids
-    x1 = _find_crossing(d, over_in=b, under_in=c)
-    _require(x1 is not None, f"no positive crossing (over {b}, under {c})")
-    x2 = _find_crossing(d, over_in=a, under_in=x1.under_out)
-    _require(x2 is not None, "no second crossing in the braid pattern")
-    x3 = _find_crossing(d, over_in=x2.over_out, under_in=x1.over_out)
-    _require(x3 is not None, "no third crossing in the braid pattern")
-    ii, ff, hh = x2.under_out, x3.over_out, x3.under_out
-    ed = _Editor(d, "r3")
-    for x in (x1, x2, x3):
-        ed.remove_crossing(x)
-    dd, ee, gg = ed.fresh(), ed.fresh(), ed.fresh()
-    ed.crossings.append(Crossing(1, a, dd, b, ee))
-    ed.crossings.append(Crossing(1, dd, ff, c, gg))
-    ed.crossings.append(Crossing(1, ee, hh, gg, ii))
-    return MoveResult(
-        ed.build([]),
-        MoveSite("R3", "apply", (a, b, c)),
-        tuple(ed.fresh_ids),
-        (x1.over_out, x1.under_out, x2.over_out),
-    )
-
-
-# -- R4 ---------------------------------------------------------------------
-
-
-def _vertex_producing(d, s):
-    for v in d.vertices:
-        if v.kind == "merge" and v.e3 == s:
-            return v
-    return None
-
-
-def _vertex_consuming_e3(d, s):
-    for v in d.vertices:
-        if v.kind == "split" and v.e3 == s:
-            return v
-    return None
-
-
-def _r4_leg_order(sign: int, under_version: bool) -> tuple[str, str]:
-    """Which leg (by vertex slot) the strand crosses first, then second."""
-    if under_version:
-        return ("e2", "e1") if sign > 0 else ("e1", "e2")
-    return ("e1", "e2") if sign > 0 else ("e2", "e1")
-
-
-def _r4_apply(d: Diagram, site: MoveSite) -> MoveResult:
-    e, s = site.ids
-    under_version = site.move == "R4a"
-    if under_version:
-        x = next((c for c in d.crossings if c.over_in == e and c.under_in == s), None)
-    else:
-        x = next((c for c in d.crossings if c.under_in == e and c.over_in == s), None)
-    _require(x is not None, f"no crossing with edge {e!r} and strand {s!r}")
-    sign = x.sign
-    e_out = x.over_out if under_version else x.under_out
-    s_out = x.under_out if under_version else x.over_out
-    merge_v = _vertex_producing(d, e)
-    split_v = _vertex_consuming_e3(d, e_out)
-    _require(
-        merge_v is not None or split_v is not None,
-        f"edge {e!r} is not adjacent to a vertex on the required side",
-    )
-    ed = _Editor(d, site.move.lower())
-    ed.remove_crossing(x)
-    first_slot, second_slot = _r4_leg_order(sign, under_version)
-    pv, qv, sm = ed.fresh(), ed.fresh(), ed.fresh()
-    legs_v = {"e1": pv, "e2": qv}
-    if merge_v is not None:
-        ed.remove_vertex(merge_v)
-        legs_in = {"e1": merge_v.e1, "e2": merge_v.e2}
-        if under_version:
-            ed.crossings.append(Crossing(sign, legs_in[first_slot], legs_v[first_slot], s, sm))
-            ed.crossings.append(Crossing(sign, legs_in[second_slot], legs_v[second_slot], sm, s_out))
-        else:
-            ed.crossings.append(Crossing(sign, s, sm, legs_in[first_slot], legs_v[first_slot]))
-            ed.crossings.append(Crossing(sign, sm, s_out, legs_in[second_slot], legs_v[second_slot]))
-        ed.vertices.append(Vertex("merge", pv, qv, e_out))
-        removed = (e,)
-        kind = "merge"
-    else:
-        ed.remove_vertex(split_v)
-        legs_out = {"e1": split_v.e1, "e2": split_v.e2}
-        if under_version:
-            ed.crossings.append(Crossing(sign, legs_v[first_slot], legs_out[first_slot], s, sm))
-            ed.crossings.append(Crossing(sign, legs_v[second_slot], legs_out[second_slot], sm, s_out))
-        else:
-            ed.crossings.append(Crossing(sign, s, sm, legs_v[first_slot], legs_out[first_slot]))
-            ed.crossings.append(Crossing(sign, sm, s_out, legs_v[second_slot], legs_out[second_slot]))
-        ed.vertices.append(Vertex("split", pv, qv, e))
-        removed = (e_out,)
-        kind = "split"
-    return MoveResult(
-        ed.build([]),
-        MoveSite(site.move, "undo", (sm,), kind),
-        tuple(ed.fresh_ids),
-        removed,
-    )
-
-
-def _r4_undo(d: Diagram, site: MoveSite) -> MoveResult:
-    (sm,) = site.ids
-    under_version = site.move == "R4a"
-    if under_version:
-        x1 = next((c for c in d.crossings if c.under_out == sm), None)
-        x2 = next((c for c in d.crossings if c.under_in == sm), None)
-    else:
-        x1 = next((c for c in d.crossings if c.over_out == sm), None)
-        x2 = next((c for c in d.crossings if c.over_in == sm), None)
-    _require(x1 is not None and x2 is not None, f"no strand middle {sm!r}")
-    _require(x1.sign == x2.sign, "R4 pattern needs equal signs")
-    sign = x1.sign
-    s_in = x1.under_in if under_version else x1.over_in
-    s_out = x2.under_out if under_version else x2.over_out
-    leg1_v = x1.over_out if under_version else x1.under_out
-    leg2_v = x2.over_out if under_version else x2.under_out
-    leg1_in = x1.over_in if under_version else x1.under_in
-    leg2_in = x2.over_in if under_version else x2.under_in
-    first_slot, second_slot = _r4_leg_order(sign, under_version)
-    want = site.variant or None
-    merge_v = next(
-        (
-            v
-            for v in d.vertices
-            if v.kind == "merge"
-            and getattr(v, first_slot) == leg1_v
-            and getattr(v, second_slot) == leg2_v
-        ),
-        None,
-    )
-    split_v = next(
-        (
-            v
-            for v in d.vertices
-            if v.kind == "split"
-            and getattr(v, first_slot) == leg1_in
-            and getattr(v, second_slot) == leg2_in
-        ),
-        None,
-    )
-    if want == "merge":
-        split_v = None
-    elif want == "split":
-        merge_v = None
-    elif merge_v is not None and split_v is not None:
-        raise SiteMismatchError(
-            f"both vertex kinds match at {sm!r}; set the variant to merge/split"
-        )
-    _require(
-        merge_v is not None or split_v is not None,
-        "strand middle is not across a vertex's legs",
-    )
-    ed = _Editor(d, site.move.lower())
-    ed.remove_crossing(x1)
-    ed.remove_crossing(x2)
-    r0 = ed.fresh()
-    if merge_v is not None:
-        ed.remove_vertex(merge_v)
-        slots = {first_slot: leg1_in, second_slot: leg2_in}
-        ed.vertices.append(Vertex("merge", slots["e1"], slots["e2"], r0))
-        if under_version:
-            ed.crossings.append(Crossing(sign, r0, merge_v.e3, s_in, s_out))
-        else:
-            ed.crossings.append(Crossing(sign, s_in, s_out, r0, merge_v.e3))
-        edge_in = r0
-        removed = (leg1_v, leg2_v, sm)
-    else:
-        ed.remove_vertex(split_v)
-        slots = {first_slot: leg1_v, second_slot: leg2_v}
-        ed.vertices.append(Vertex("split", slots["e1"], slots["e2"], r0))
-        if under_version:
-            ed.crossings.append(Crossing(sign, split_v.e3, r0, s_in, s_out))
-        else:
-            ed.crossings.append(Crossing(sign, s_in, s_out, split_v.e3, r0))
-        edge_in = split_v.e3
-        removed = (leg1_in, leg2_in, sm)
-    return MoveResult(
-        ed.build([]),
-        MoveSite(site.move, "apply", (edge_in, s_in)),
-        tuple(ed.fresh_ids),
-        removed,
-    )
-
-
-# -- R5 ---------------------------------------------------------------------
-
-
-def _vertex_by_e3(d: Diagram, e3: str, kind: str | None):
-    hits = [v for v in d.vertices if v.e3 == e3 and (kind is None or v.kind == kind)]
-    if len(hits) > 1:
-        raise SiteMismatchError(
-            f"two vertices share third edge {e3!r}; set the variant to merge/split"
-        )
-    return hits[0] if hits else None
-
-
-def _r5_apply(d: Diagram, site: MoveSite) -> MoveResult:
-    (e3,) = site.ids
-    sign = _sign_of(site.move)
-    v = _vertex_by_e3(d, e3, site.variant or None)
-    _require(v is not None, f"no vertex with third edge {e3!r}")
-    ed = _Editor(d, site.move.lower())
-    ed.remove_vertex(v)
-    pv, qv = ed.fresh(), ed.fresh()
-    if v.kind == "merge":
-        # positive twist: e1 passes over e2 before the vertex; slots swap
-        if sign > 0:
-            ed.crossings.append(Crossing(sign, v.e1, pv, v.e2, qv))
-        else:
-            ed.crossings.append(Crossing(sign, v.e2, qv, v.e1, pv))
-        ed.vertices.append(Vertex("merge", qv, pv, e3))
-    else:
-        if sign > 0:
-            ed.crossings.append(Crossing(sign, qv, v.e2, pv, v.e1))
-        else:
-            ed.crossings.append(Crossing(sign, pv, v.e1, qv, v.e2))
-        ed.vertices.append(Vertex("split", qv, pv, e3))
-    return MoveResult(
-        ed.build([]),
-        MoveSite(site.move, "undo", (e3,), v.kind),
-        tuple(ed.fresh_ids),
-        (),
-    )
-
-
-def _r5_undo(d: Diagram, site: MoveSite) -> MoveResult:
-    (e3,) = site.ids
-    sign = _sign_of(site.move)
-    v = _vertex_by_e3(d, e3, site.variant or None)
-    _require(v is not None, f"no vertex with third edge {e3!r}")
-    ed = _Editor(d, site.move.lower())
-    if v.kind == "merge":
-        x = next(
-            (
-                c
-                for c in d.crossings
-                if c.sign == sign
-                and ((sign > 0 and c.over_out == v.e2 and c.under_out == v.e1)
-                     or (sign < 0 and c.over_out == v.e1 and c.under_out == v.e2))
-            ),
-            None,
-        )
-        _require(x is not None, f"vertex at {e3!r} is not {site.move}-twisted")
-        ed.remove_vertex(v)
-        ed.remove_crossing(x)
-        p_in = x.over_in if sign > 0 else x.under_in
-        q_in = x.under_in if sign > 0 else x.over_in
-        ed.vertices.append(Vertex("merge", p_in, q_in, e3))
-        removed = (v.e1, v.e2)
-    else:
-        x = next(
-            (
-                c
-                for c in d.crossings
-                if c.sign == sign
-                and ((sign > 0 and c.over_in == v.e1 and c.under_in == v.e2)
-                     or (sign < 0 and c.over_in == v.e2 and c.under_in == v.e1))
-            ),
-            None,
-        )
-        _require(x is not None, f"vertex at {e3!r} is not {site.move}-twisted")
-        ed.remove_vertex(v)
-        ed.remove_crossing(x)
-        p_out = x.under_out if sign > 0 else x.over_out
-        q_out = x.over_out if sign > 0 else x.under_out
-        ed.vertices.append(Vertex("split", p_out, q_out, e3))
-        removed = (v.e1, v.e2)
-    return MoveResult(
-        ed.build([]),
-        MoveSite(site.move, "apply", (e3,), v.kind),
-        tuple(ed.fresh_ids),
-        removed,
-    )
-
-
-# -- R6 (IH move) -------------------------------------------------------------
-
-
-def _r6_apply(d: Diagram, site: MoveSite) -> MoveResult:
-    (m,) = site.ids
-    ed = _Editor(d, "r6")
-    # merge-merge: (a b) c -> a (b c)
-    v2 = next((v for v in d.vertices if v.kind == "merge" and v.e1 == m), None)
-    v1 = next((v for v in d.vertices if v.kind == "merge" and v.e3 == m), None)
-    if v1 is not None and v2 is not None and v1 is not v2:
-        a, b, c, out = v1.e1, v1.e2, v2.e2, v2.e3
-        ed.remove_vertex(v1)
-        ed.remove_vertex(v2)
-        m2 = ed.fresh()
-        ed.vertices.append(Vertex("merge", b, c, m2))
-        ed.vertices.append(Vertex("merge", a, m2, out))
-        return MoveResult(
-            ed.build([]), MoveSite("R6", "undo", (m2,)), tuple(ed.fresh_ids), (m,)
-        )
-    # split-split: with middle produced at e2 of the upper split
-    v1 = next((v for v in d.vertices if v.kind == "split" and v.e2 == m), None)
-    v2 = next((v for v in d.vertices if v.kind == "split" and v.e3 == m), None)
-    if v1 is not None and v2 is not None and v1 is not v2:
-        a, inp, b, c = v1.e1, v1.e3, v2.e1, v2.e2
-        ed.remove_vertex(v1)
-        ed.remove_vertex(v2)
-        m2 = ed.fresh()
-        ed.vertices.append(Vertex("split", m2, c, inp))
-        ed.vertices.append(Vertex("split", a, b, m2))
-        return MoveResult(
-            ed.build([]), MoveSite("R6", "undo", (m2,)), tuple(ed.fresh_ids), (m,)
-        )
-    # mixed: merge into split -> split then merge
-    v1 = next((v for v in d.vertices if v.kind == "merge" and v.e3 == m), None)
-    v2 = next((v for v in d.vertices if v.kind == "split" and v.e3 == m), None)
-    if v1 is not None and v2 is not None:
-        a, b, c, dd = v1.e1, v1.e2, v2.e1, v2.e2
-        ed.remove_vertex(v1)
-        ed.remove_vertex(v2)
-        m2 = ed.fresh()
-        ed.vertices.append(Vertex("split", c, m2, a))
-        ed.vertices.append(Vertex("merge", m2, b, dd))
-        return MoveResult(
-            ed.build([]), MoveSite("R6", "undo", (m2,)), tuple(ed.fresh_ids), (m,)
-        )
-    raise SiteMismatchError(f"no reassociable vertex pair across {m!r}")
-
-
-def _r6_undo(d: Diagram, site: MoveSite) -> MoveResult:
-    (m,) = site.ids
-    ed = _Editor(d, "r6")
-    # undo merge-merge: a (b c) -> (a b) c
-    v2 = next((v for v in d.vertices if v.kind == "merge" and v.e2 == m), None)
-    v1 = next((v for v in d.vertices if v.kind == "merge" and v.e3 == m), None)
-    if v1 is not None and v2 is not None and v1 is not v2:
-        b, c, a, out = v1.e1, v1.e2, v2.e1, v2.e3
-        ed.remove_vertex(v1)
-        ed.remove_vertex(v2)
-        m2 = ed.fresh()
-        ed.vertices.append(Vertex("merge", a, b, m2))
-        ed.vertices.append(Vertex("merge", m2, c, out))
-        return MoveResult(
-            ed.build([]), MoveSite("R6", "apply", (m2,)), tuple(ed.fresh_ids), (m,)
-        )
-    # undo split-split
-    v1 = next((v for v in d.vertices if v.kind == "split" and v.e1 == m), None)
-    v2 = next((v for v in d.vertices if v.kind == "split" and v.e3 == m), None)
-    if v1 is not None and v2 is not None and v1 is not v2:
-        c, inp, a, b = v1.e2, v1.e3, v2.e1, v2.e2
-        ed.remove_vertex(v1)
-        ed.remove_vertex(v2)
-        m2 = ed.fresh()
-        ed.vertices.append(Vertex("split", a, m2, inp))
-        ed.vertices.append(Vertex("split", b, c, m2))
-        return MoveResult(
-            ed.build([]), MoveSite("R6", "apply", (m2,)), tuple(ed.fresh_ids), (m,)
-        )
-    # undo mixed: split(c, m, a) + merge(m, b, d) -> merge(a, b, m') + split(c, d, m')
-    v1 = next((v for v in d.vertices if v.kind == "split" and v.e2 == m), None)
-    v2 = next((v for v in d.vertices if v.kind == "merge" and v.e1 == m), None)
-    if v1 is not None and v2 is not None:
-        c, a, b, dd = v1.e1, v1.e3, v2.e2, v2.e3
-        ed.remove_vertex(v1)
-        ed.remove_vertex(v2)
-        m2 = ed.fresh()
-        ed.vertices.append(Vertex("merge", a, b, m2))
-        ed.vertices.append(Vertex("split", c, dd, m2))
-        return MoveResult(
-            ed.build([]), MoveSite("R6", "apply", (m2,)), tuple(ed.fresh_ids), (m,)
-        )
-    raise SiteMismatchError(f"no reassociated vertex pair across {m!r}")
-
-
-# -- dispatch -----------------------------------------------------------------
+    def build(self, site: MoveSite, pic: _Picture, env: dict, used: list[int]) -> MoveResult:
+        """Replace the matched records by the picture's other side."""
+        d, dst = self.d, pic.dst
+        out = {v: env[v] for v in dst.names if not v.isdigit()}
+        loops = set(d.loops)
+        for entry, exit_ in pic.strands:
+            if exit_ in dst.names and env[entry] in loops:
+                loops.discard(env[entry])
+                out[exit_] = env[entry]
+        prefix = site.move.lower()
+        pat = re.compile(re.escape(prefix) + r"#(\d+)$")
+        top = max((int(m.group(1)) for m in map(pat.match, self.ids) if m), default=0)
+        fresh = []
+        for v in dst.inner:
+            if v not in out:
+                top += 1
+                out[v] = f"{prefix}#{top}"
+                fresh.append(out[v])
+        edits: dict[int, list[str]] = {}
+        for entry, exit_ in pic.strands:
+            if exit_ in dst.names:  # cut: the strand's old consumer takes the exit
+                s, new = env[entry], out[exit_]
+            else:  # join: the exit's consumer takes the entry
+                s, new = env[exit_], env[entry]
+                if s == new:
+                    loops.add(s)
+            where = self.consumer(s)
+            if s != new and where is not None:
+                edits.setdefault(where[0], list(self.records[where[0]][1]))[where[1]] = new
+        nx = len(d.crossings)
+        crossings = [Crossing(c.sign, *edits[i]) if i in edits else c
+                     for i, c in enumerate(d.crossings) if i not in used]
+        vertices = [Vertex(v.kind, *edits[i]) if i in edits else v
+                    for i, v in enumerate(d.vertices, nx) if i not in used]
+        for kind, names in dst.records:
+            ids = [out[v] for v in names]
+            if kind[0] == "x":
+                crossings.append(Crossing(1 if kind == "x+" else -1, *ids))
+            else:
+                vertices.append(Vertex("merge" if kind == "v<" else "split", *ids))
+        d2 = Diagram(crossings, vertices, loops)
+        d2.validate(allow_open=True)
+        other = "undo" if site.direction == "apply" else "apply"
+        inverse = MoveSite(site.move, other, tuple(out[v] for v in dst.site), pic.variant)
+        return MoveResult(d2, inverse, tuple(fresh))
 
 
 def apply_move(d: Diagram, site: MoveSite) -> MoveResult:
     """Rewrite the diagram at the given move site; raises SiteMismatchError."""
-    if site.move not in _MOVES:
-        raise SiteMismatchError(f"unknown move {site.move!r}")
-    key = (site.move[:2], site.direction)
-    handlers = {
-        ("R1", "apply"): _r1_apply,
-        ("R1", "undo"): _r1_undo,
-        ("R2", "apply"): _r2_apply,
-        ("R2", "undo"): _r2_undo,
-        ("R3", "apply"): _r3_apply,
-        ("R3", "undo"): _r3_undo,
-        ("R4", "apply"): _r4_apply,
-        ("R4", "undo"): _r4_undo,
-        ("R5", "apply"): _r5_apply,
-        ("R5", "undo"): _r5_undo,
-        ("R6", "apply"): _r6_apply,
-        ("R6", "undo"): _r6_undo,
-    }
-    if key not in handlers:
-        raise SiteMismatchError(f"bad direction {site.direction!r}")
-    return handlers[key](d, site)
+    pics = _TABLE.get((site.move, site.direction))
+    if pics is None:
+        raise SiteMismatchError(f"unknown move {site.move!r} or direction {site.direction!r}")
+    if len(site.ids) != len(pics[0].src.site):
+        raise SiteMismatchError(
+            f"{site.move} {site.direction} takes {len(pics[0].src.site)} site id(s), "
+            f"got {len(site.ids)}"
+        )
+    view = _Records(d)
+    hit = view.find(site.move, site.direction, site.ids, site.variant)
+    if hit is None:
+        variant = f" {site.variant}" if site.variant else ""
+        raise SiteMismatchError(
+            f"no {site.move} {site.direction}{variant} picture at {','.join(site.ids)}"
+        )
+    return view.build(site, *hit)
 
 
 def find_sites(d: Diagram, move: str, direction: str) -> list[MoveSite]:
     """Enumerate every site where the move applies, in deterministic order."""
-    candidates: list[MoveSite] = []
-    ids = sorted(set(d.semiarcs) | set(d.loops))
+    if (move, direction) not in _TABLE:
+        return []
+    candidates: list[tuple[tuple, str]] = []  # (ids, variant); None marks an id the match binds
+    semiarcs = sorted(d.semiarcs)
     if move in ("R1a", "R1b"):
         if direction == "apply":
-            for s in ids:
-                for variant in ("under", "over"):
-                    candidates.append(MoveSite(move, "apply", (s,), variant))
+            ids = sorted(set(d.semiarcs) | set(d.loops))
+            candidates = [((s,), v) for s in ids for v in ("under", "over")]
         else:
-            for s in sorted(d.semiarcs):
-                candidates.append(MoveSite(move, "undo", (s,)))
+            candidates = [((s,), "") for s in semiarcs]
     elif move in ("R2a", "R2b"):
         if direction == "apply":
-            for s in sorted(d.semiarcs):
-                for u in sorted(d.semiarcs):
-                    if s != u:
-                        for variant in ("+-", "-+"):
-                            candidates.append(MoveSite(move, "apply", (s, u), variant))
+            candidates = [((s, u), v) for s in semiarcs for u in semiarcs if s != u
+                          for v in ("+-", "-+")]
         else:
-            for s in sorted(d.semiarcs):
-                candidates.append(MoveSite(move, "undo", (s,)))
+            candidates = [((s,), "") for s in semiarcs]
     elif move == "R3":
-        for x1 in d.crossings:
-            if x1.sign != 1:
-                continue
-            if direction == "apply":
-                candidates.append(
-                    MoveSite(move, direction, (x1.over_in, x1.under_in, "?"))
-                )
-            else:
-                candidates.append(
-                    MoveSite(move, direction, ("?", x1.over_in, x1.under_in))
-                )
+        ins = [(c.over_in, c.under_in) for c in d.crossings if c.sign == 1]
+        if direction == "apply":
+            candidates = [((a, b, None), "") for a, b in ins]
+        else:
+            candidates = [((None, b, c), "") for b, c in ins]
     elif move in ("R4a", "R4b"):
         if direction == "apply":
-            for c in d.crossings:
-                e, s = (c.over_in, c.under_in) if move == "R4a" else (c.under_in, c.over_in)
-                candidates.append(MoveSite(move, "apply", (e, s)))
+            ins = [(c.over_in, c.under_in) for c in d.crossings]
+            candidates = [((o, u) if move == "R4a" else (u, o), "") for o, u in ins]
         else:
-            for s in sorted(d.semiarcs):
-                for kind in ("merge", "split"):
-                    candidates.append(MoveSite(move, "undo", (s,), kind))
+            candidates = [((s,), v) for s in semiarcs for v in ("merge", "split")]
     elif move in ("R5a", "R5b"):
-        for v in d.vertices:
-            candidates.append(MoveSite(move, direction, (v.e3,), v.kind))
+        candidates = [((v.e3,), v.kind) for v in d.vertices]
     elif move == "R6":
-        for s in sorted(d.semiarcs):
-            candidates.append(MoveSite(move, direction, (s,)))
+        candidates = [((s,), "") for s in semiarcs]
+    if not candidates:
+        return []
+    view = _Records(d)
     sites = []
-    for cand in candidates:
-        if cand.move == "R3":
-            sites.extend(_r3_sites(d, cand, direction))
-            continue
+    for ids, variant in candidates:
         try:
-            apply_move(d, cand)
-        except (SiteMismatchError, DiagramError):
+            hit = view.find(move, direction, ids, variant)
+        except SiteMismatchError:
             continue
-        sites.append(cand)
+        if hit is not None:
+            pic, env, _ = hit
+            sites.append(MoveSite(move, direction, tuple(env[v] for v in pic.src.site), variant))
     return sites
-
-
-def _r3_sites(d: Diagram, cand: MoveSite, direction: str) -> list[MoveSite]:
-    out = []
-    scan = cand.ids.index("?")
-    for c in sorted(d.semiarcs):
-        ids = list(cand.ids)
-        ids[scan] = c
-        site = MoveSite("R3", direction, tuple(ids))
-        try:
-            apply_move(d, site)
-        except (SiteMismatchError, DiagramError):
-            continue
-        out.append(site)
-    return out
 
 
 # -- coloring transport ---------------------------------------------------------

@@ -393,6 +393,37 @@ def test_move_bad_site(capsys):
     assert code == 1
 
 
+def _move(capsys, diagram, *argv):
+    code = main(["move", diagram, *argv])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("move, site", [("R1a", "s1,s2"), ("R2a", "s1")])
+def test_move_with_the_wrong_number_of_site_ids_is_a_site_mismatch(capsys, move, site):
+    code, captured = _move(capsys, corpus_path("diagrams", "trefoil.txt"),
+                           "--move", move, "--site", site)
+    assert code == 1
+    assert captured.err.startswith("site mismatch:")
+
+
+def test_move_r3_on_two_crossings_read_as_three_is_a_site_mismatch(capsys, tmp_path):
+    # the braid pattern's first and third crossing would be the same record
+    path = tmp_path / "kinked.txt"
+    path.write_text("x+ s2 s1 r1a#2 s2\nx+ s1 r1a#1 r1a#1 r1a#2\n")
+    code, captured = _move(capsys, str(path), "--move", "R3", "--site", "s2,r1a#2,r1a#1")
+    assert code == 1
+    assert captured.err.startswith("site mismatch:")
+
+
+def test_move_r5_asks_for_the_variant_when_both_vertex_kinds_match(capsys):
+    clasp = corpus_path("diagrams", "clasp.txt")
+    code, captured = _move(capsys, clasp, "--move", "R5a", "--site", "s7")
+    assert code == 1
+    assert captured.err.startswith("site mismatch:") and "set the variant" in captured.err
+    code, captured = _move(capsys, clasp, "--move", "R5a", "--site", "s7", "--variant", "merge")
+    assert code == 0 and captured.err == ""
+
+
 def test_machine_color_list_is_pinned(capsys):
     # the exact listing order, with crossing and vertex rules both in play
     code, out = run(

@@ -1,11 +1,17 @@
+import hashlib
+import os
+
 import pytest
 
 from hlcolor.coloring import Coloring, _network, _Search, enumerate_colorings, enumerate_flows
 from hlcolor.diagram import (
+    build_braid,
     diagrams_isomorphic,
     disjoint_union,
     handcuff_clasp,
     loop_diagram,
+    parse_diagram,
+    serialize_diagram,
     theta_curve,
     trefoil,
 )
@@ -20,6 +26,26 @@ from hlcolor.moves import (
 )
 
 ALL_MOVES = ["R1a", "R1b", "R2a", "R2b", "R3", "R4a", "R4b", "R5a", "R5b", "R6"]
+SITES_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "moves-corpus-sites.txt")
+
+
+def site_digest(d, move, direction):
+    """(site count, sha256) over every site of find_sites and its rewrite:
+    the site, the rewritten diagram, the fresh ids and the inverse site's ids."""
+    sites = find_sites(d, move, direction)
+    h = hashlib.sha256()
+    for site in sites:
+        res = apply_move(d, site)
+        h.update(repr((site.move, site.direction, site.ids, site.variant,
+                       serialize_diagram(res.diagram), res.fresh, res.inverse.ids)).encode())
+    return len(sites), h.hexdigest()
+
+
+def site_digest_lines(diagrams):
+    return [f"{name} {move} {direction} {' '.join(map(str, site_digest(d, move, direction)))}"
+            for name, d in sorted(diagrams.items())
+            for move in ALL_MOVES
+            for direction in ("apply", "undo")]
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +132,58 @@ def test_site_mismatch_errors():
         apply_move(tr, MoveSite("R1a", "undo", (tr.semiarcs[0],)))
     with pytest.raises(SiteMismatchError):
         apply_move(tr, MoveSite("R9", "apply", (tr.semiarcs[0],)))
+
+
+@pytest.mark.parametrize("site", [MoveSite("R1a", "apply", ("s1", "s2")),
+                                  MoveSite("R2a", "apply", ("s1",))])
+def test_wrong_number_of_site_ids_is_a_site_mismatch(site):
+    with pytest.raises(SiteMismatchError, match="site id"):
+        apply_move(trefoil(), site)
+
+
+def test_r3_needs_three_distinct_crossings():
+    # after the kink, the braid pattern read from s2, r1a#2 meets its first
+    # crossing again where it looks for the third
+    d = apply_move(build_braid(2, [("x", 0, 1)]), MoveSite("R1a", "apply", ("s1",), "over")).diagram
+    assert serialize_diagram(d).endswith("x+ s2 s1 r1a#2 s2\nx+ s1 r1a#1 r1a#1 r1a#2\n")
+    assert find_sites(d, "R3", "apply") == find_sites(d, "R3", "undo") == []
+    with pytest.raises(SiteMismatchError):
+        apply_move(d, MoveSite("R3", "apply", ("s2", "r1a#2", "r1a#1")))
+
+
+def test_sites_and_rewrites_match_the_pinned_digests(corpus_diagrams):
+    with open(SITES_GOLDEN, encoding="utf-8") as fh:
+        pinned = [line for line in fh.read().splitlines() if not line.startswith("#")]
+    assert site_digest_lines(corpus_diagrams) == pinned
+
+
+@pytest.mark.parametrize("move, ids, variant", [
+    ("R1a", ("s1",), "under"), ("R1b", ("s1",), "under"),
+    ("R2a", ("s1", "s2"), "+-"), ("R2b", ("s1", "s2"), "+-"),
+])
+def test_r1_and_r2_apply_default_to_the_first_picture(move, ids, variant):
+    tr = trefoil()
+    res = apply_move(tr, MoveSite(move, "apply", ids))
+    assert res.diagram == apply_move(tr, MoveSite(move, "apply", ids, variant)).diagram
+    assert res.inverse.variant == variant
+
+
+def test_r4_apply_without_a_variant_takes_the_merge_vertex(corpus_diagrams):
+    d = corpus_diagrams["stem-clasp-slid-over"]
+    res = apply_move(d, MoveSite("R4a", "apply", ("s3", "s6")))
+    split = apply_move(d, MoveSite("R4a", "apply", ("s3", "s6"), "split"))
+    assert res.inverse.variant == "merge" and split.inverse.variant == "split"
+    assert res.diagram == apply_move(d, MoveSite("R4a", "apply", ("s3", "s6"), "merge")).diagram
+    assert not diagrams_isomorphic(res.diagram, split.diagram)
+
+
+def test_r5_asks_for_the_variant_when_both_vertex_kinds_match(corpus_diagrams):
+    d = corpus_diagrams["clasp"]
+    with pytest.raises(SiteMismatchError, match="set the variant"):
+        apply_move(d, MoveSite("R5a", "apply", ("s7",)))
+    res = apply_move(d, MoveSite("R5a", "apply", ("s7",), "merge"))
+    assert res.inverse == MoveSite("R5a", "undo", ("s7",), "merge")
+    assert diagrams_isomorphic(apply_move(res.diagram, res.inverse).diagram, d)
 
 
 def test_fresh_ids_are_deterministic():
@@ -214,14 +292,41 @@ def test_transport_across_kinked_unknot_r1a_undo(x6, corpus_diagrams):
 
 
 def test_transport_across_r2_undo_leaving_a_free_loop(x6):
-    from hlcolor.diagram import build_braid
-
     d = build_braid(2, [("x", 0, 1), ("x", 0, -1)])
     sites = find_sites(d, "R2a", "undo") + find_sites(d, "R2b", "undo")
     assert sites
     for site in sites:
-        assert apply_move(d, site).diagram.loops
+        res = apply_move(d, site)
+        assert res.diagram.loops
+        # the inverse slides the freed loop back over the other strand
+        assert diagrams_isomorphic(apply_move(res.diagram, res.inverse).diagram, d), site
         _assert_transport_round_trips(d, x6, site)
+
+
+@pytest.mark.parametrize("name, slide, undo", [
+    ("stem-clasp-slid-over", MoveSite("R4a", "apply", ("s3", "s6")),
+     MoveSite("R4b", "undo", ("r4b#3",), "split")),
+    ("stem-clasp-slid-under", MoveSite("R4b", "apply", ("s4", "s5")),
+     MoveSite("R4a", "undo", ("r4a#3",), "split")),
+])
+def test_r4_undo_at_a_split_vertex_inverts(corpus_diagrams, name, slide, undo):
+    """The inverse of an R4 undo names the vertex kind, so R4 apply does not
+    fall back on the merge vertex that the crossing also meets."""
+    d = apply_move(corpus_diagrams[name], slide).diagram
+    res = apply_move(d, undo)
+    assert res.inverse.variant == "split"
+    assert diagrams_isomorphic(apply_move(res.diagram, res.inverse).diagram, d)
+
+
+def test_r2_undo_of_a_strand_that_runs_on_into_the_other_is_no_site():
+    # one component: a over a -> m -> e, the kink e -> b, then b under a; the
+    # over strand's exit e is the under strand's entry, so undoing would leave
+    # one strand, which no R2 apply site can name
+    d = parse_diagram("x- a m b a\nx+ m e e b\n")
+    for move in ("R2a", "R2b"):
+        assert find_sites(d, move, "undo") == []
+        with pytest.raises(SiteMismatchError):
+            apply_move(d, MoveSite(move, "undo", ("m",)))
 
 
 # -- the transport contract ------------------------------------------------------
