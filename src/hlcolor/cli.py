@@ -9,6 +9,7 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -438,9 +439,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call; each parse makes a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

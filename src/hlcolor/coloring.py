@@ -26,6 +26,7 @@ it is pinned by those tests rather than by figure inspection (see README).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, product
 
 import numpy as np
@@ -35,6 +36,8 @@ from hlcolor.gfamily import GFamilyB, GFamilyQ, associated_mcb, associated_mcq
 from hlcolor.groups import FiniteGroup
 from hlcolor.mcqb import MCB, MCQ
 from hlcolor.oracle import semiarc_rules_hold
+from hlcolor.plan import KEYS as _KEYS
+from hlcolor.plan import count as _plan_count
 from hlcolor.rings import SizeBoundExceededError
 
 
@@ -70,7 +73,7 @@ class ColoringSetReport:
     colorings: list[Coloring] | None = None
     module_info: tuple[int, list] | None = None  # (dimension, basis vectors)
     per_flow: dict[Flow, int] | None = None
-    nodes: int | None = None  # values tried by the search, a deterministic cost
+    nodes: int | None = None  # values tried (rows an expansion keeps on the plan path)
 
 
 class FlowInvalidError(ValueError):
@@ -120,28 +123,91 @@ def _pair_masks(p: np.ndarray, q: np.ndarray, v: np.ndarray, n: int) -> list:
 
 
 class _RuleTable:
-    """A rule table tbl[a, b] == c, -1 where undefined, with its support masks.
+    """A rule table tbl[a, b] == c, -1 where undefined, with what each engine
+    derives from it, built when that engine first asks.
 
-    ab[a][b] is the c the table gives.  With c and b known, a lies in the mask
-    cb[c][b]; with a and c known, b lies in ac[a][c].  With only slot s known
-    to hold v, each other slot i lies in masks[v] for (i, masks) in given[s];
-    projections that are full filter nothing and are left out.
+    For the bitset search, built by masks(): ab[a][b] is the c the table gives.  With c and b
+    known, a lies in the mask cb[c][b]; with a and c known, b lies in
+    ac[a][c].  With only slot s known to hold v, each other slot i lies in
+    masks[v] for (i, masks) in given[s]; projections that are full filter
+    nothing and are left out.
+
+    For the lookup plan: lookups[i] gives slot i from the other two slots,
+    indexed by them in the order _KEYS[i], -1 where no entry has them; it is
+    None where some pair of them allows several values.  support(s, i)[u, w]
+    says some entry holds u in slot s and w in slot i, and candidates lists
+    the values one slot takes beside known ones.
     """
 
     def __init__(self, tbl: np.ndarray):
-        n = len(tbl)
+        self.n = n = len(tbl)
+        self.tbl = tbl
         a, b = np.nonzero(tbl >= 0)
-        c = tbl[a, b]
-        self.ab = tbl.tolist()
-        self.cb = _pair_masks(c, b, a, n)
-        self.ac = _pair_masks(a, c, b, n)
-        slots = (a, b, c)
+        self.slots = (a, b, tbl[a, b])
+        self.density = len(a) / (n * n)  # share of slot pairs with an entry
+        self._support: dict = {}
+        self._share: dict = {}
+        self._candidates: dict = {}
+        # plain attributes, not properties: the search reads them per equation
+        self.ab: list | None = None
+        self.cb: list = []
+        self.ac: list = []
         self.given: tuple[list, list, list] = ([], [], [])
+
+    def masks(self) -> None:
+        """Build ab, cb, ac and given, once."""
+        if self.ab is not None:
+            return
+        a, b, c = self.slots
+        self.cb = _pair_masks(c, b, a, self.n)
+        self.ac = _pair_masks(a, c, b, self.n)
         for s, i in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
-            seen = np.zeros((n, n), dtype=bool)
-            seen[slots[s], slots[i]] = True
+            seen = self.support(s, i)
             if not seen.all():
                 self.given[s].append((i, _bitmasks(seen)))
+        self.ab = self.tbl.tolist()
+
+    def support(self, s: int, i: int) -> np.ndarray:
+        seen = self._support.get((s, i))
+        if seen is None:
+            seen = self._support[s, i] = np.zeros((self.n, self.n), dtype=bool)
+            seen[self.slots[s], self.slots[i]] = True
+        return seen
+
+    def share(self, s: int, i: int) -> float:
+        """The share of value pairs that support(s, i) allows."""
+        share = self._share.get((s, i))
+        if share is None:
+            share = self._share[s, i] = float(self.support(s, i).mean())
+        return share
+
+    @cached_property
+    def lookups(self) -> tuple:
+        n = self.n
+        out = []
+        for i, (k, m) in _KEYS.items():
+            key = self.slots[k] * n + self.slots[m]
+            table = np.full(n * n, -1, dtype=self.tbl.dtype)
+            table[key] = self.slots[i]
+            out.append(table.reshape(n, n) if np.count_nonzero(table >= 0) == len(key) else None)
+        return tuple(out)
+
+    def candidates(self, keys: tuple[int, ...], i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(start, values): beside the value u of slot keys[0] (and w of slot
+        keys[1]), slot i takes values[start[k]:start[k + 1]], k = u (u * n + w)."""
+        found = self._candidates.get((keys, i))
+        if found is None:
+            n = self.n
+            if len(keys) == 1:
+                key, values = np.nonzero(self.support(keys[0], i))
+            else:
+                key = self.slots[keys[0]] * n + self.slots[keys[1]]
+                order = np.lexsort((self.slots[i], key))
+                key, values = key[order], self.slots[i][order]
+            start = np.zeros(n ** len(keys) + 1, dtype=np.intp)
+            np.cumsum(np.bincount(key, minlength=n ** len(keys)), out=start[1:])
+            found = self._candidates[keys, i] = (start, values)
+        return found
 
 
 def _rule_tables(x: MCB | MCQ | FiniteGroup) -> dict[str, _RuleTable]:
@@ -252,7 +318,9 @@ class _Network:
 
     Variable i is the i-th name in sorted order; eqs holds every equation as
     (a, b, c, table) on variable indices, var_eqs[i] the equations that mention
-    variable i, and full the domain with every value possible.
+    variable i, full the domain with every value possible, and plans the
+    lookup plans of hlcolor.plan compiled for it, by the set of known
+    variables.  The search's masks on its rule tables are built by masks().
     """
 
     def __init__(self, all_vars, domain_size: int, constraints):
@@ -264,6 +332,14 @@ class _Network:
             for v in set(eq[:3]):
                 self.var_eqs[v].append(eq)
         self.full = (1 << domain_size) - 1
+        self.plans: dict = {}
+        self.masked = False
+
+    def masks(self) -> None:
+        if not self.masked:
+            for eq in self.eqs:
+                eq[3].masks()
+            self.masked = True
 
 
 def _network(d: Diagram, x: MCB | MCQ | FiniteGroup) -> _Network:
@@ -300,10 +376,13 @@ class _Search:
     multiply.  The search branches on a variable of smallest domain, the first
     in sorted order on a tie, and tries its values in ascending order.
     ``nodes`` counts the values tried, over all components; past ``budget``
-    the search raises SizeBoundExceededError.
+    the search raises SizeBoundExceededError.  ``widest`` is the largest
+    domain given, before fixed values and propagation; it picks the counting
+    path.
     """
 
     def __init__(self, net: _Network, fixed=None, domains=None, budget=None):
+        self.net = net
         self.names = net.names
         self.var_eqs = net.var_eqs
         index, full = net.index, net.full
@@ -312,6 +391,7 @@ class _Search:
             dom[index[v]] = sum(1 << val for val in set(vals)) & full
         for v, val in (fixed or {}).items():
             dom[index[v]] &= 1 << val
+        self.widest = max(map(int.bit_count, dom), default=0) if domains else full.bit_length()
         self.budget = budget
         self.nodes = 0
         self.dom = dom if all(dom) and self._settle(dom, net.eqs) else None
@@ -324,6 +404,9 @@ class _Search:
         only the known variables that share an equation with an unknown one
         need to be queued, since narrowing starts from known slots alone.
         """
+        if not any(not d & (d - 1) for d in dom):
+            return True  # nothing is known, so nothing narrows
+        self.net.masks()
         queue = set()
         for a, b, c, t in eqs:
             da, db, dc = dom[a], dom[b], dom[c]
@@ -397,6 +480,7 @@ class _Search:
             yield from self._solutions(child, comp)
 
     def count(self) -> int:
+        self.net.masks()
         total = 0 if self.dom is None else 1
         for comp in self.components:
             total *= self._count(self.dom, comp)
@@ -409,6 +493,7 @@ class _Search:
         in sorted variable order."""
         if self.dom is None:
             return
+        self.net.masks()
         parts = []
         for comp in self.components:
             parts.append(list(self._solutions(self.dom, comp)))
@@ -436,6 +521,7 @@ class _Search:
         """
         if self.dom is None:
             return None
+        self.net.masks()
         dom = self.dom[:]
         for comp in self.components:
             found = list(islice(self._solutions(self.dom, comp), 2))
@@ -446,13 +532,24 @@ class _Search:
         return {name: d.bit_length() - 1 for name, d in zip(self.names, dom)}
 
 
+# Counts whose widest domain is smaller take the search.  Timed over the 12
+# corpus diagrams, parsed afresh as the CLI does, the search is faster at 6 and
+# 10 elements, the two paths are mixed at 12 and 14, and the plan is faster
+# from 18 on (2-core VM, Python 3.11, numpy 2.4).
+_PLAN_MIN_DOMAIN = 16
+
+
 def _report(
     d: Diagram, x, want_list: bool, fixed=None, domains=None, budget=None
 ) -> ColoringSetReport:
-    search = _Search(_network(d, x), fixed, domains, budget)
+    net = _network(d, x)
+    search = _Search(net, fixed, domains, budget)
     if want_list:
         out = [Coloring(x, assign) for assign in search.assignments()]
         return ColoringSetReport(count=len(out), colorings=out, nodes=search.nodes)
+    if not fixed and search.dom is not None and search.widest >= _PLAN_MIN_DOMAIN:
+        count, nodes = _plan_count(net, search, budget)
+        return ColoringSetReport(count=count, nodes=nodes)
     return ColoringSetReport(count=search.count(), nodes=search.nodes)
 
 

@@ -244,12 +244,15 @@ class _Records:
                 top += 1
                 out[v] = f"{prefix}#{top}"
                 fresh.append(out[v])
+        # semi-arcs on no record stay declared, and so does a strand joined onto no record
+        free = set(d.semiarcs) - {s for s, _, _ in self.index}
         edits: dict[int, list[str]] = {}
         for entry, exit_ in pic.strands:
             if exit_ in dst.names:  # cut: the strand's old consumer takes the exit
                 s, new = env[entry], out[exit_]
             else:  # join: the exit's consumer takes the entry
                 s, new = env[exit_], env[entry]
+                free.add(new)
                 if s == new:
                     loops.add(s)
             where = self.consumer(s)
@@ -266,7 +269,7 @@ class _Records:
                 crossings.append(Crossing(1 if kind == "x+" else -1, *ids))
             else:
                 vertices.append(Vertex("merge" if kind == "v<" else "split", *ids))
-        d2 = Diagram(crossings, vertices, loops)
+        d2 = Diagram(crossings, vertices, loops, free - loops)
         d2.validate(allow_open=True)
         other = "undo" if site.direction == "apply" else "apply"
         inverse = MoveSite(site.move, other, tuple(out[v] for v in dst.site), pic.variant)

@@ -179,6 +179,34 @@ def test_color_budget_exit(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("structure", ["gf9-z8-family", "assoc-z5-z4-mcb"])
+def test_color_count_budget_exit_on_the_plan_path(capsys, structure):
+    code, _ = run(
+        capsys, "color",
+        corpus_path("structures", f"{structure}.txt"),
+        corpus_path("diagrams", "fig8.txt"),
+        "--count", "--budget", "5",
+    )
+    assert code == 3
+
+
+def test_the_parser_is_built_once_and_parses_each_call_afresh(capsys, monkeypatch):
+    from hlcolor import cli
+
+    calls = [
+        ["--format", "machine", "color", corpus_path("structures", "gf9-z8-family.txt"),
+         corpus_path("diagrams", "trefoil.txt"), "--count"],
+        ["verify", corpus_path("structures", "assoc-z3-z2-mcb.txt"),
+         corpus_path("diagrams", "theta.txt")],
+        ["flows", corpus_path("diagrams", "theta.txt"), "--zn", "2"],
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert reused == [run(capsys, *argv) for argv in calls]
+    assert reused[0][1].startswith("count=") and "count: 4" in reused[2][1]
+
+
 @pytest.mark.parametrize("command", ["color", "verify"])
 def test_negative_budget_is_a_usage_error(capsys, command):
     code, _ = run(

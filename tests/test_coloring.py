@@ -28,10 +28,14 @@ from hlcolor.diagram import (
     disjoint_union,
     handcuff_clasp,
     loop_diagram,
+    parse_diagram,
+    serialize_diagram,
     theta_curve,
     trefoil,
 )
 from hlcolor.gfamily import (
+    GFamilyB,
+    GFamilyQ,
     associated_mcb,
     associated_mcq,
     gfamily_alexander_q,
@@ -211,8 +215,9 @@ def test_budget_counts_nodes_over_all_components(mcq6):
 
 
 def test_gf9_mcb_node_counts_stay_under_50000(corpus_structures, corpus_diagrams):
-    # forward checking keeps the 72-element MCB within reach of its functor
-    # image; without it fig8 took 751,752 nodes and stem-clasp 3,032,712
+    # counts on the 72-element MCB take the lookup plan, whose nodes are the
+    # rows each expansion keeps; the search without forward checking took
+    # 751,752 nodes on fig8 and 3,032,712 on stem-clasp
     x = associated_mcb(corpus_structures["gf9-z8-family"])
     for name in ("fig8", "stem-clasp", "stem-clasp-slid-under", "union-trefoil-theta"):
         assert enumerate_colorings_mcb(corpus_diagrams[name], x).nodes <= 50_000, name
@@ -461,3 +466,156 @@ def test_network_is_built_once_per_diagram_and_structure(mcb6, corpus_structures
     assert enumerate_colorings_mcb(d, other).count == brute_force_colorings(d, other) == 12
     assert enumerate_colorings_mcb(d, mcb6).count == 6
     assert len(built) == 3 and built[2][0] is d and built[2][1] is other
+
+
+# -- the two counting paths ------------------------------------------------------
+
+
+def _count_on(path, monkeypatch, d, x, **kw):
+    """enumerate_colorings with every count sent down one path."""
+    from hlcolor import coloring
+
+    monkeypatch.setattr(coloring, "_PLAN_MIN_DOMAIN", 1 if path == "plan" else 10**9)
+    return enumerate_colorings(d, x, **kw)
+
+
+def _corpus_targets(corpus_structures):
+    """Each corpus MCB and MCQ, each family's associated MCB or MCQ, and each
+    MCB's functor image Q(X)."""
+    out = {}
+    for name, obj in corpus_structures.items():
+        if isinstance(obj, GFamilyB):
+            obj = associated_mcb(obj)
+        elif isinstance(obj, GFamilyQ):
+            obj = associated_mcq(obj)
+        if isinstance(obj, MCB):
+            out[name] = obj
+            out[f"Q({name})"] = q_functor_mcb(obj)
+        elif isinstance(obj, MCQ):
+            out[name] = obj
+    return out
+
+
+def test_plan_and_search_agree_on_every_corpus_pair(corpus_structures, corpus_diagrams,
+                                                     monkeypatch):
+    targets = _corpus_targets(corpus_structures)
+    assert {"gf9-z8-family", "Q(gr16-z3-family)", "dihedral-z2-family", "s3-conj-mcq"} <= set(
+        targets)
+    oracle = 0
+    for name, x in targets.items():
+        for dname, d in corpus_diagrams.items():
+            plan = _count_on("plan", monkeypatch, d, x).count
+            assert plan == _count_on("search", monkeypatch, d, x).count, (name, dname)
+            try:
+                assert plan == brute_force_colorings(d, x, bound=5_000), (name, dname)
+                oracle += 1
+            except SizeBoundExceededError:
+                pass
+    assert oracle >= 80  # of the 228 pairs
+
+
+def test_plan_and_search_agree_inside_a_flow(corpus_structures, corpus_diagrams, monkeypatch):
+    from hlcolor import coloring
+
+    for name, fam in corpus_structures.items():
+        if not isinstance(fam, (GFamilyB, GFamilyQ)):
+            continue
+        for dname, d in corpus_diagrams.items():
+            flow = enumerate_flows(d, fam.group)[-1]
+            counts = []
+            for threshold in (1, 10**9):
+                monkeypatch.setattr(coloring, "_PLAN_MIN_DOMAIN", threshold)
+                counts.append(colorings_by_flow(d, fam, flow).count)
+            assert counts[0] == counts[1], (name, dname)
+
+
+def test_the_plan_counts_components_on_their_own(corpus_structures, monkeypatch):
+    from hlcolor import coloring
+
+    x = associated_mcb(corpus_structures["gf9-z8-family"])
+    du = disjoint_union(trefoil(), theta_curve())
+    rep = _count_on("plan", monkeypatch, du, x)
+    assert rep.count == (
+        _count_on("plan", monkeypatch, trefoil(), x).count
+        * _count_on("plan", monkeypatch, theta_curve(), x).count
+    ) == _count_on("search", monkeypatch, du, x).count
+    (compiled,) = coloring._network(du, x).plans.values()
+    assert len(compiled.parts) == 2
+
+
+def test_plan_budget_counts_surviving_rows(corpus_structures, corpus_diagrams):
+    x = associated_mcb(corpus_structures["gf9-z8-family"])
+    d = corpus_diagrams["fig8"]
+    rep = enumerate_colorings_mcb(d, x)
+    assert enumerate_colorings_mcb(d, x, budget=rep.nodes).count == rep.count == 360
+    with pytest.raises(SizeBoundExceededError):
+        enumerate_colorings_mcb(d, x, budget=rep.nodes - 1)
+
+
+def test_plan_runs_in_slices_with_the_same_count_and_nodes(corpus_structures, corpus_diagrams,
+                                                            monkeypatch):
+    from hlcolor import plan
+
+    x = associated_mcb(corpus_structures["gf9-z8-family"])
+    d = corpus_diagrams["union-trefoil-theta"]
+    whole = enumerate_colorings_mcb(d, x)
+    monkeypatch.setattr(plan, "_BLOCK_ROWS", 50)
+    sliced = enumerate_colorings_mcb(d, x)
+    assert (sliced.count, sliced.nodes) == (whole.count, whole.nodes) == (124_416, whole.nodes)
+
+
+def test_counts_take_the_plan_only_for_large_domains(corpus_structures, corpus_diagrams,
+                                                     monkeypatch):
+    """The plan counts when the widest domain reaches _PLAN_MIN_DOMAIN; listings,
+    small structures and the per-flow domains of a 9-element family keep the search."""
+    from hlcolor import coloring, plan
+
+    planned = []
+    count = plan.count
+    monkeypatch.setattr(coloring, "_plan_count", lambda *args: planned.append(1) or count(*args))
+    fam = corpus_structures["gf9-z8-family"]
+    x = associated_mcb(fam)
+    d = corpus_diagrams["trefoil"]
+    enumerate_colorings_mcb(d, x)
+    assert planned == [1]
+    enumerate_colorings_mcb(d, x, want_list=True)
+    enumerate_colorings_mcb(d, associated_mcb(corpus_structures["z3-z2-family"]))
+    colorings_by_flow(d, fam, enumerate_flows(d, fam.group)[0])
+    assert planned == [1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_plan_counts_do_not_depend_on_the_variable_order(seed, corpus_structures, corpus_diagrams,
+                                                          monkeypatch):
+    """Random expansion orders give the search's counts: a lookup that finds
+    no entry drops its row before a check of the same step reads it."""
+    from hlcolor import plan
+
+    rng = random.Random(seed)
+    monkeypatch.setattr(plan, "_next_var", lambda builder, open_: rng.choice(open_))
+    for name in ("gf9-z8-family", "z5-z4-family"):
+        x = associated_mcb(corpus_structures[name])
+        for qx in (x, q_functor_mcb(x)):
+            for dname, d in corpus_diagrams.items():
+                if dname.startswith("stem-clasp"):
+                    continue  # a poor order takes seconds on the 8-crossing diagrams
+                d = parse_diagram(serialize_diagram(d))  # no plan compiled yet
+                assert (_count_on("plan", monkeypatch, d, qx).count
+                        == _count_on("search", monkeypatch, d, qx).count), (name, dname, seed)
+
+
+def test_a_plan_count_builds_no_search_masks(corpus_diagrams, monkeypatch):
+    from hlcolor import coloring
+    from hlcolor.structio import parse_structure_file
+    from tests.conftest import corpus_path
+
+    built = []
+    pair_masks = coloring._pair_masks
+    monkeypatch.setattr(coloring, "_pair_masks", lambda *a: built.append(1) or pair_masks(*a))
+    # a structure object of its own, whose tables no other test has searched
+    x = associated_mcb(parse_structure_file(corpus_path("structures", "gf9-z8-family.txt")))
+    d = parse_diagram(serialize_diagram(corpus_diagrams["fig8"]))
+    assert enumerate_colorings_mcb(d, x).count == 360 and built == []
+    assert enumerate_colorings_mcb(d, x, want_list=True).count == 360 and built
+    # a one-element group knows every variable before any search
+    assert len(enumerate_flows(theta_curve(), cyclic_group(1))) == 1

@@ -6,6 +6,7 @@ import pytest
 from hlcolor.coloring import Coloring, _network, _Search, enumerate_colorings, enumerate_flows
 from hlcolor.diagram import (
     build_braid,
+    build_braid_open,
     diagrams_isomorphic,
     disjoint_union,
     handcuff_clasp,
@@ -369,3 +370,21 @@ def test_transport_round_trips_whether_or_not_propagation_settles_it(x6, move, s
             open_ += bool(_Search(_network(d2, x6), fixed).components)
         _assert_transport_round_trips(d, x6, site)
     assert (open_ == 0) == settled
+
+
+def test_a_move_keeps_the_unused_semiarcs_of_an_open_diagram(x6):
+    d = build_braid_open(3, [("x", 0, 1)])[0]
+    assert "t2" in d.semiarcs  # the third strand is on no record
+    res = apply_move(d, MoveSite("R1a", "apply", ("s1",)))
+    assert "t2" in res.diagram.semiarcs
+    assert diagrams_isomorphic(apply_move(res.diagram, res.inverse).diagram, d)
+    for col in enumerate_colorings(d, x6, want_list=True).colorings:
+        moved = transport_coloring(d, res.diagram, col, x6)
+        assert moved.assignment["t2"] == col.assignment["t2"]
+    # every other site too, the free strand's own kinks included
+    for move in ALL_MOVES:
+        for direction in ("apply", "undo"):
+            for site in find_sites(d, move, direction):
+                res = apply_move(d, site)
+                back = apply_move(res.diagram, res.inverse).diagram
+                assert diagrams_isomorphic(back, d), site
