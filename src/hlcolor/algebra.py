@@ -25,10 +25,18 @@ class AxiomReport:
 
 
 def _as_table(table, name: str) -> np.ndarray:
-    arr = np.asarray(table, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    arr = _as_tables(table, name)
+    if arr.ndim != 2:
         raise ValueError(f"{name} table must be square, got shape {arr.shape}")
-    n = arr.shape[0]
+    return arr
+
+
+def _as_tables(tables, name: str) -> np.ndarray:
+    """tables as an array of square, non-empty tables (the last two axes) over [0, n)."""
+    arr = np.asarray(tables, dtype=np.int64)
+    if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
+        raise ValueError(f"{name} table must be square, got shape {arr.shape}")
+    n = arr.shape[-1]
     if n == 0:
         raise ValueError(f"{name} carrier must be non-empty")
     if arr.min() < 0 or arr.max() >= n:
@@ -45,13 +53,51 @@ def _first_where(mask: np.ndarray) -> tuple | None:
     return tuple(int(v) for v in idx[0])
 
 
+def _law(name: str, bad: np.ndarray, where=None) -> list[tuple[str, tuple]]:
+    """[(name, witness)] for a law that fails where ``bad`` holds, or []: the witness
+    is the lexicographically first failing index, or where(index)."""
+    w = _first_where(bad)
+    return [] if w is None else [(name, w if where is None else tuple(int(v) for v in where(w)))]
+
+
+def _cube(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, y, z broadcasting over every triple of [0, n)."""
+    return np.ix_(np.arange(n), np.arange(n), np.arange(n))
+
+
+def _first_repeat(values: np.ndarray) -> np.ndarray:
+    """first[i] = the least j with values[j] == values[i]; i repeats where first[i] < i."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def _bijective_columns(t: np.ndarray, name: str) -> list[tuple[str, tuple]]:
+    """The first column of t that is not a permutation of [0, n)."""
+    return _law(name, (np.sort(t, axis=0) != np.arange(t.shape[0])[:, None]).any(axis=0))
+
+
+def _self_distributivity(t: np.ndarray) -> list[tuple[str, tuple]]:
+    """(x t y) t z = (x t z) t (y t z)."""
+    x, y, z = _cube(t.shape[0])
+    return _law("self-distributivity", t[t[x, y], z] != t[t[x, z], t[y, z]])
+
+
+def _exchange_laws(u: np.ndarray, o: np.ndarray) -> list[tuple[str, tuple]]:
+    """The three exchange laws of a biquandle (under u, over o)."""
+    x, y, z = _cube(u.shape[0])
+    return [
+        *_law("exchange-uu", u[u[x, y], u[z, y]] != u[u[x, z], o[y, z]]),
+        *_law("exchange-uo", o[u[x, y], u[z, y]] != u[o[x, z], o[y, z]]),
+        *_law("exchange-oo", o[o[x, y], o[z, y]] != o[o[x, z], u[y, z]]),
+    ]
+
+
 def _column_inverse(table: np.ndarray, name: str) -> np.ndarray:
     """inv[a][b] = the x with table[x][b] = a; requires permutation columns."""
+    bad = _bijective_columns(table, name)
+    if bad:
+        raise ValueError(f"{name} column {bad[0][1][0]} is not a permutation; no inverse table")
     n = table.shape[0]
-    perm = (np.sort(table, axis=0) == np.arange(n)[:, None]).all(axis=0)
-    if not perm.all():
-        b = int(np.argmin(perm))
-        raise ValueError(f"{name} column {b} is not a permutation; no inverse table")
     inv = np.empty((n, n), dtype=np.int64)
     inv[table, np.arange(n)] = np.arange(n)[:, None]
     return inv
@@ -131,78 +177,32 @@ class Biquandle:
 
 def quandle_check(q: Quandle) -> AxiomReport:
     """Exhaustive O(n^3) verification of the three quandle axioms."""
-    t = q.table
-    n = q.n
-    violations: list[tuple[str, tuple]] = []
-    idem = t[np.arange(n), np.arange(n)] != np.arange(n)
-    w = _first_where(idem)
-    if w is not None:
-        violations.append(("idempotence", w))
-    for b in range(n):
-        if len(np.unique(t[:, b])) != n:
-            col = t[:, b]
-            seen: dict[int, int] = {}
-            for a in range(n):
-                v = int(col[a])
-                if v in seen:
-                    violations.append(("right-bijectivity", (seen[v], a, b)))
-                    break
-                seen[v] = a
-            break
-    x = np.arange(n)[:, None, None]
-    y = np.arange(n)[None, :, None]
-    z = np.arange(n)[None, None, :]
-    lhs = t[t[x, y], z]
-    rhs = t[t[x, z], t[y, z]]
-    w = _first_where(lhs != rhs)
-    if w is not None:
-        violations.append(("self-distributivity", w))
+    t, n = q.table, q.n
+    rng = np.arange(n)
+    # first[b, a]: the first row of column b that holds t[a, b]
+    first = _first_repeat((t.T + n * rng[:, None]).ravel()).reshape(n, n) - n * rng[:, None]
+    violations = [
+        *_law("idempotence", t[rng, rng] != rng),
+        *_law("right-bijectivity", first != rng, lambda w: (first[w], w[1], w[0])),
+        *_self_distributivity(t),
+    ]
     return AxiomReport(not violations, violations)
 
 
 def biquandle_check(b: Biquandle) -> AxiomReport:
     """Diagonal law, three bijectivity conditions, and three exchange laws."""
-    u, o = b.under, b.over
-    n = b.n
-    violations: list[tuple[str, tuple]] = []
+    u, o, n = b.under, b.over, b.n
     rng = np.arange(n)
-    w = _first_where(u[rng, rng] != o[rng, rng])
-    if w is not None:
-        violations.append(("diagonal", w))
-    for name, tbl in (("under-bijectivity", u), ("over-bijectivity", o)):
-        for col in range(n):
-            if len(np.unique(tbl[:, col])) != n:
-                violations.append((name, (col,)))
-                break
-    # pair map S(x, y) = (y over x, x under y)
-    xs = np.repeat(rng, n)
-    ys = np.tile(rng, n)
-    pairs = o[ys, xs] * n + u[xs, ys]
-    if len(np.unique(pairs)) != n * n:
-        seen: dict[int, tuple] = {}
-        for x in range(n):
-            done = False
-            for y in range(n):
-                key = int(o[y, x]) * n + int(u[x, y])
-                if key in seen:
-                    violations.append(("pair-map-bijectivity", seen[key] + (x, y)))
-                    done = True
-                    break
-                seen[key] = (x, y)
-            if done:
-                break
-    x = rng[:, None, None]
-    y = rng[None, :, None]
-    z = rng[None, None, :]
-    laws = [
-        ("exchange-uu", u[u[x, y], u[z, y]], u[u[x, z], o[y, z]]),
-        ("exchange-uo", o[u[x, y], u[z, y]], u[o[x, z], o[y, z]]),
-        ("exchange-oo", o[o[x, y], o[z, y]], o[o[x, z], u[y, z]]),
+    # the pair map S(x, y) = (y over x, x under y), keyed at x * n + y
+    first = _first_repeat((o.T * n + u).ravel())
+    violations = [
+        *_law("diagonal", u[rng, rng] != o[rng, rng]),
+        *_bijective_columns(u, "under-bijectivity"),
+        *_bijective_columns(o, "over-bijectivity"),
+        *_law("pair-map-bijectivity", first != np.arange(n * n),
+              lambda w: divmod(first[w], n) + divmod(w[0], n)),
+        *_exchange_laws(u, o),
     ]
-    for name, lhs, rhs in laws:
-        w = _first_where(lhs != rhs)
-        if w is not None:
-            violations.append((name, w))
     return AxiomReport(not violations, violations)
 
 

@@ -72,7 +72,7 @@ def _emit(args, key, value):
 def _load_structure(path: str):
     try:
         return parse_structure_file(path)
-    except (StructParseError, FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE) from None
 
@@ -81,7 +81,7 @@ def _load_diagram(path: str, allow_open=False):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_diagram(fh.read(), allow_open=allow_open)
-    except (DiagramError, FileNotFoundError) as exc:
+    except DiagramError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE) from None
 
@@ -225,12 +225,8 @@ def cmd_color(args) -> int:
         if family:
             flow = None
             if args.flow:
-                try:
-                    with open(args.flow, encoding="utf-8") as fh:
-                        flow = parse_flow(fh.read(), base_dir=os.path.dirname(args.flow) or ".")
-                except OSError as exc:
-                    print(f"parse error: {exc}", file=sys.stderr)
-                    return EXIT_PARSE
+                with open(args.flow, encoding="utf-8") as fh:
+                    flow = parse_flow(fh.read(), base_dir=os.path.dirname(args.flow) or ".")
             if args.per_flow:
                 table = per_flow_counts(d, obj, budget=args.budget)
                 _emit(args, "count", sum(table.values()))
@@ -342,12 +338,8 @@ def cmd_move(args) -> int:
             x = associated_mcq(x)
         elif isinstance(x, GFamilyB):
             x = associated_mcb(x)
-        try:
-            with open(args.transport, encoding="utf-8") as fh:
-                assignment = parse_coloring_assignment(fh.read())
-        except OSError as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        with open(args.transport, encoding="utf-8") as fh:
+            assignment = parse_coloring_assignment(fh.read())
         problem = _coloring_problem(d, x, assignment)
         if problem is not None:
             print(f"invalid coloring: {problem}", file=sys.stderr)
@@ -446,6 +438,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    args = None
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
@@ -459,6 +452,12 @@ def main(argv=None) -> int:
         # so that the flush at interpreter exit does not fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
+    except OSError as exc:
+        # -o and --transport-out name the only files a command writes; it reads all others
+        outputs = {getattr(args, "out", None), getattr(args, "transport_out", None)} - {None}
+        kind = "write error" if exc.filename in outputs else "parse error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

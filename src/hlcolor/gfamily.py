@@ -14,7 +14,9 @@ from hlcolor.algebra import (
     AxiomReport,
     Biquandle,
     Quandle,
-    _first_where,
+    _as_tables,
+    _cube,
+    _law,
     type_of,
 )
 from hlcolor.groups import FiniteGroup, cyclic_group
@@ -35,8 +37,8 @@ class GFamilyQ:
 
     def __init__(self, group: FiniteGroup, ops, labels: list | None = None, alexander=None):
         self.group = group
-        self.ops = np.asarray(ops, dtype=np.int64)
-        if self.ops.shape[0] != group.n or self.ops.shape[1] != self.ops.shape[2]:
+        self.ops = _as_tables(ops, "family op")
+        if self.ops.ndim != 3 or len(self.ops) != group.n:
             raise ValueError("family ops must have shape (|G|, n, n)")
         self.n = self.ops.shape[1]
         self.labels = labels
@@ -52,11 +54,11 @@ class GFamilyB:
 
     def __init__(self, group: FiniteGroup, under_ops, over_ops, labels: list | None = None, alexander=None):
         self.group = group
-        self.under_ops = np.asarray(under_ops, dtype=np.int64)
-        self.over_ops = np.asarray(over_ops, dtype=np.int64)
+        self.under_ops = _as_tables(under_ops, "family under")
+        self.over_ops = _as_tables(over_ops, "family over")
         if self.under_ops.shape != self.over_ops.shape:
             raise ValueError("under/over family shapes differ")
-        if self.under_ops.shape[0] != group.n or self.under_ops.shape[1] != self.under_ops.shape[2]:
+        if self.under_ops.ndim != 3 or len(self.under_ops) != group.n:
             raise ValueError("family ops must have shape (|G|, n, n)")
         self.n = self.under_ops.shape[1]
         self.labels = labels
@@ -67,109 +69,54 @@ class GFamilyB:
 # -- axiom checks -----------------------------------------------------------
 
 
+def _first_pair(group: FiniteGroup, laws) -> list[tuple[str, tuple]]:
+    """The first of the laws(g, h) to fail at the first failing (g, h), witnessed at (g, h) + w."""
+    pairs = ((g, h) for g in range(group.n) for h in range(group.n))
+    found = (_law(name, bad, lambda w: (g, h) + w) for g, h in pairs for name, bad in laws(g, h))
+    return next(filter(None, found), [])
+
+
 def gfq_check(f: GFamilyQ) -> AxiomReport:
     """Exhaustive verification over (x, y, z, g, h); O(n^3 |G|^2)."""
-    violations: list[tuple[str, tuple]] = []
-    g_ = f.group
-    ops = f.ops
-    n = f.n
+    g_, ops, n = f.group, f.ops, f.n
     rng = np.arange(n)
-    for g in range(g_.n):
-        w = _first_where(ops[g][rng, rng] != rng)
-        if w is not None:
-            violations.append(("gf-idempotence", (g, w[0])))
-            break
-    e = g_.identity
-    w = _first_where(ops[e] != rng[:, None])
-    if w is not None:
-        violations.append(("gf-unit", w))
-    done = False
-    for g in range(g_.n):
-        for h in range(g_.n):
-            gh = g_.mul(g, h)
-            # x *^{gh} y = (x *^g y) *^h y
-            rhs = ops[h][ops[g], np.broadcast_to(rng[None, :], (n, n))]
-            w = _first_where(ops[gh] != rhs)
-            if w is not None:
-                violations.append(("gf-product", (g, h) + w))
-                done = True
-                break
-        if done:
-            break
-    xs = rng[:, None, None]
-    ys = rng[None, :, None]
-    zs = rng[None, None, :]
-    done = False
-    for g in range(g_.n):
-        for h in range(g_.n):
-            c = g_.conj(g, h)
-            lhs = ops[h][ops[g][xs, ys], np.broadcast_to(zs, (n, n, n))]
-            rhs = ops[c][ops[h][xs, zs], ops[h][ys, zs]]
-            w = _first_where(lhs != rhs)
-            if w is not None:
-                violations.append(("gf-exchange", (g, h) + w))
-                done = True
-                break
-        if done:
-            break
+    x, y, z = _cube(n)
+    violations = [
+        *_law("gf-idempotence", ops[:, rng, rng] != rng),
+        *_law("gf-unit", ops[g_.identity] != rng[:, None]),
+        # x *^{gh} y = (x *^g y) *^h y
+        *_first_pair(g_, lambda g, h: [("gf-product", ops[g_.mul(g, h)] != ops[h][ops[g], rng])]),
+        *_first_pair(g_, lambda g, h: [("gf-exchange", ops[h][ops[g][x, y], z]
+                                        != ops[g_.conj(g, h)][ops[h][x, z], ops[h][y, z]])]),
+    ]
     return AxiomReport(not violations, violations)
 
 
 def gfb_check(f: GFamilyB) -> AxiomReport:
     """Exhaustive verification of the G-family-of-biquandles axioms."""
-    violations: list[tuple[str, tuple]] = []
-    g_ = f.group
-    u, o = f.under_ops, f.over_ops
-    n = f.n
+    g_, u, o, n = f.group, f.under_ops, f.over_ops, f.n
     rng = np.arange(n)
-    for g in range(g_.n):
-        w = _first_where(u[g][rng, rng] != o[g][rng, rng])
-        if w is not None:
-            violations.append(("gfb-diagonal", (g, w[0])))
-            break
-    e = g_.identity
-    for name, tbl in (("gfb-unit-under", u), ("gfb-unit-over", o)):
-        w = _first_where(tbl[e] != rng[:, None])
-        if w is not None:
-            violations.append((name, w))
-    cols = np.broadcast_to(rng[None, :], (n, n))
-    for name, tbl in (("gfb-product-under", u), ("gfb-product-over", o)):
-        done = False
-        for g in range(g_.n):
-            diag = tbl[g][rng, rng]
-            for h in range(g_.n):
-                gh = g_.mul(g, h)
-                rhs = tbl[h][tbl[g], np.broadcast_to(diag[None, :], (n, n))]
-                w = _first_where(tbl[gh] != rhs)
-                if w is not None:
-                    violations.append((name, (g, h) + w))
-                    done = True
-                    break
-            if done:
-                break
-    xs = rng[:, None, None]
-    ys = rng[None, :, None]
-    zs = rng[None, None, :]
-    done = False
-    for g in range(g_.n):
-        for h in range(g_.n):
-            c = g_.conj(g, h)
-            zoy = o[g][np.broadcast_to(zs, (n, n, n)), np.broadcast_to(ys, (n, n, n))]
-            laws = [
-                ("gfb-exchange-uu", u[h][u[g][xs, ys], zoy], u[c][u[h][xs, zs], u[h][ys, zs]]),
-                ("gfb-exchange-ou", u[h][o[g][xs, ys], zoy], o[c][u[h][xs, zs], u[h][ys, zs]]),
-                ("gfb-exchange-oo", o[h][o[g][xs, ys], zoy], o[c][o[h][xs, zs], u[h][ys, zs]]),
-            ]
-            for name, lhs, rhs in laws:
-                w = _first_where(lhs != rhs)
-                if w is not None:
-                    violations.append((name, (g, h) + w))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
+    x, y, z = _cube(n)
+
+    def product(name, t):  # x t^{gh} y = (x t^g y) t^h (y t^g y)
+        return _first_pair(g_, lambda g, h: [(name, t[g_.mul(g, h)] != t[h][t[g], t[g][rng, rng]])])
+
+    def exchange(g, h):
+        c, zoy = g_.conj(g, h), o[g][z, y]
+        return [
+            ("gfb-exchange-uu", u[h][u[g][x, y], zoy] != u[c][u[h][x, z], u[h][y, z]]),
+            ("gfb-exchange-ou", u[h][o[g][x, y], zoy] != o[c][u[h][x, z], u[h][y, z]]),
+            ("gfb-exchange-oo", o[h][o[g][x, y], zoy] != o[c][o[h][x, z], u[h][y, z]]),
+        ]
+
+    violations = [
+        *_law("gfb-diagonal", u[:, rng, rng] != o[:, rng, rng]),
+        *_law("gfb-unit-under", u[g_.identity] != rng[:, None]),
+        *_law("gfb-unit-over", o[g_.identity] != rng[:, None]),
+        *product("gfb-product-under", u),
+        *product("gfb-product-over", o),
+        *_first_pair(g_, exchange),
+    ]
     return AxiomReport(not violations, violations)
 
 
@@ -183,6 +130,8 @@ def _unit_powers(ring: FiniteRing, n: int, u: Element) -> np.ndarray:
 
 def gfamily_alexander_q(ring: FiniteRing, n: int, u: Element) -> GFamilyQ:
     """Z_n-family on the ring carrier: x *^i y = u^i x + (1 - u^i) y."""
+    if n < 1:
+        raise ValueError(f"family order n must be at least 1, got {n}")
     if not ring.is_unit(u):
         raise NonUnitError("Alexander family unit u is not invertible")
     if ring.pow(u, n) != ring.one:
@@ -197,6 +146,8 @@ def gfamily_alexander_q(ring: FiniteRing, n: int, u: Element) -> GFamilyQ:
 
 def gfamily_alexander_b(ring: FiniteRing, n: int, t: Element, s: Element) -> GFamilyB:
     """Z_n-family: x under^i y = t^i x + (s^i - t^i) y, x over^i y = s^i x."""
+    if n < 1:
+        raise ValueError(f"family order n must be at least 1, got {n}")
     for name, val in (("t", t), ("s", s)):
         if not ring.is_unit(val):
             raise NonUnitError(f"Alexander family unit {name} is not invertible")

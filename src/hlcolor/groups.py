@@ -6,19 +6,15 @@ from itertools import permutations
 
 import numpy as np
 
-from hlcolor.algebra import AxiomReport, _first_where
+from hlcolor.algebra import AxiomReport, _as_table, _bijective_columns, _cube, _law
 
 
 class FiniteGroup:
     """A finite group given by its Cayley table cayley[a][b] = a·b."""
 
     def __init__(self, cayley, labels: list | None = None):
-        self.cayley = np.asarray(cayley, dtype=np.int64)
-        if self.cayley.ndim != 2 or self.cayley.shape[0] != self.cayley.shape[1]:
-            raise ValueError("Cayley table must be square")
+        self.cayley = _as_table(cayley, "Cayley")
         self.n = self.cayley.shape[0]
-        if self.n and (self.cayley.min() < 0 or self.cayley.max() >= self.n):
-            raise ValueError("Cayley table entries out of range")
         self.labels = labels
         self.identity = self._find_identity()
         self.inverse = self._build_inverses()
@@ -60,25 +56,19 @@ class FiniteGroup:
         return hash(self.cayley.tobytes())
 
 
+def _associativity(p: np.ndarray, a, b, c) -> np.ndarray:
+    """(ab)c != a(bc) over the broadcast index arrays a, b, c."""
+    return p[p[a, b], c] != p[a, p[b, c]]
+
+
 def group_check(g: FiniteGroup) -> AxiomReport:
     """Exhaustive associativity plus latin-square verification."""
-    violations: list[tuple[str, tuple]] = []
     c = g.cayley
-    n = g.n
-    for a in range(n):
-        if len(np.unique(c[a])) != n:
-            violations.append(("row-bijectivity", (a,)))
-            break
-    for b in range(n):
-        if len(np.unique(c[:, b])) != n:
-            violations.append(("column-bijectivity", (b,)))
-            break
-    x = np.arange(n)[:, None, None]
-    y = np.arange(n)[None, :, None]
-    z = np.arange(n)[None, None, :]
-    w = _first_where(c[c[x, y], z] != c[x, c[y, z]])
-    if w is not None:
-        violations.append(("associativity", w))
+    violations = [
+        *_bijective_columns(c.T, "row-bijectivity"),
+        *_bijective_columns(c, "column-bijectivity"),
+        *_law("associativity", _associativity(c, *_cube(g.n))),
+    ]
     return AxiomReport(not violations, violations)
 
 

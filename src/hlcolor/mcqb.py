@@ -10,8 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from hlcolor.algebra import AxiomReport, _as_table, _column_inverse, _first_where
-from hlcolor.groups import FiniteGroup
+from hlcolor.algebra import (
+    AxiomReport,
+    _as_table,
+    _bijective_columns,
+    _column_inverse,
+    _exchange_laws,
+    _first_where,
+    _law,
+    _self_distributivity,
+)
+from hlcolor.groups import FiniteGroup, _associativity
 
 
 class _PartitionedCarrier:
@@ -22,6 +31,8 @@ class _PartitionedCarrier:
         if self.prod.shape != (self.n, self.n):
             raise ValueError("product table shape mismatch")
         self.labels = labels
+        if self.n and self.block_of.min() < 0:
+            raise ValueError("block labels must be non-negative")
         nblocks = int(self.block_of.max()) + 1 if self.n else 0
         self.blocks: list[list[int]] = [[] for _ in range(nblocks)]
         for i, lam in enumerate(self.block_of):
@@ -66,30 +77,6 @@ class _PartitionedCarrier:
                     raise ValueError(f"element {a} has no inverse in its block")
                 inv[a] = hit
         return inv
-
-    def same_block(self, a: int, b: int) -> bool:
-        return self.block_of[a] == self.block_of[b]
-
-    def _block_group_violations(self) -> list[tuple[str, tuple]]:
-        violations = []
-        for members in self.blocks:
-            mset = set(members)
-            for a in members:
-                for b in members:
-                    if int(self.prod[a, b]) not in mset:
-                        violations.append(("block-closure", (a, b)))
-                        break
-                else:
-                    continue
-                break
-        for members in self.blocks:
-            for a in members:
-                for b in members:
-                    for c in members:
-                        if self.prod[self.prod[a, b], c] != self.prod[a, self.prod[b, c]]:
-                            violations.append(("block-associativity", (a, b, c)))
-                            return violations
-        return violations
 
 
 class MCQ(_PartitionedCarrier):
@@ -140,30 +127,31 @@ class MCB(_PartitionedCarrier):
 # -- axiom checks -----------------------------------------------------------
 
 
-def _column_permutation_violations(table: np.ndarray, name: str) -> list[tuple[str, tuple]]:
-    n = table.shape[0]
-    for col in range(n):
-        if len(np.unique(table[:, col])) != n:
-            return [(name, (col,))]
-    return []
-
-
-def _block_to_block_violations(x, table: np.ndarray, name: str) -> list[tuple[str, tuple]]:
-    """Acting by any fixed y must send each block into a single block."""
-    for y in range(x.n):
-        img_blocks = x.block_of[table[:, y]]
-        for members in x.blocks:
-            bs = {int(img_blocks[a]) for a in members}
-            if len(bs) > 1:
-                return [(name, (members[0], y))]
-    return []
-
-
 def _block_pairs(x) -> tuple[np.ndarray, np.ndarray]:
     """a, b over every ordered pair inside one block: block by block, row-major."""
-    pairs = [(a, b) for members in x.blocks for a in members for b in members]
-    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    return a, b
+    a, b = np.nonzero(x.block_of[:, None] == x.block_of[None, :])
+    k = np.argsort(x.block_of[a], kind="stable")
+    return a[k], b[k]
+
+
+def _per_block(x, pairs, name: str, bad: np.ndarray) -> list[tuple[str, tuple]]:
+    """The first (a, b) of each block where a law on the block pairs fails."""
+    a, b = pairs
+    k = np.flatnonzero(bad)
+    _, first = np.unique(x.block_of[a[k]], return_index=True)
+    return [(name, (int(a[i]), int(b[i]))) for i in k[first]]
+
+
+def _block_group_laws(x, pairs) -> list[tuple[str, tuple]]:
+    """block-closure at the first failing pair of each block, then block-associativity
+    at the first failing triple."""
+    a, b = pairs
+    assoc = (_law("block-associativity", _associativity(x.prod, *np.ix_(m, m, m)),
+                  lambda w: np.take(m, w)) for m in x.blocks)
+    return [
+        *_per_block(x, pairs, "block-closure", x.block_of[x.prod[a, b]] != x.block_of[a]),
+        *next(filter(None, assoc), []),
+    ]
 
 
 def _hom_violations(x, pairs, table: np.ndarray, name: str) -> list[tuple[str, tuple]]:
@@ -172,100 +160,65 @@ def _hom_violations(x, pairs, table: np.ndarray, name: str) -> list[tuple[str, t
     a, b = pairs
     ay, by = table[a], table[b]
     bad = (x.block_of[ay] != x.block_of[by]) | (table[x.prod[a, b]] != x.prod[ay, by])
-    w = _first_where(bad)
-    return [] if w is None else [(name, (int(a[w[0]]), int(b[w[0]]), w[1]))]
+    return _law(name, bad, lambda w: (a[w[0]], b[w[0]], w[1]))
+
+
+def _product_law(x, pairs, table: np.ndarray, c: np.ndarray, name: str) -> list[tuple[str, tuple]]:
+    """z t (ab) = (z t a) t c: the first (z, a, b), in block, a, b, z order, where it fails."""
+    a, b = pairs
+    bad = table[:, x.prod[a, b]] != table[table[:, a], c]
+    return _law(name, bad.T, lambda w: (w[1], a[w[0]], b[w[0]]))
+
+
+def _block_to_block(x, table: np.ndarray, name: str) -> list[tuple[str, tuple]]:
+    """Acting by each y sends each block into one block: the first failing (first member, y)."""
+    img = x.block_of[table]
+    spread = np.array([(img[m] != img[m[0]]).any(axis=0) for m in x.blocks])
+    return _law(name, spread.T, lambda w: (x.blocks[w[1]][0], w[0]))
 
 
 def mcq_check(x: MCQ) -> AxiomReport:
     """Exhaustive verification of every MCQ axiom; witnesses name the axiom."""
-    violations = x._block_group_violations()
     s, p = x.star, x.prod
-    n = x.n
-    for lam, members in enumerate(x.blocks):
-        for a in members:
-            for b in members:
-                if s[a, b] != p[p[x.ginv[b], a], b]:
-                    violations.append(("conjugation", (a, b)))
-                    break
-            else:
-                continue
-            break
-    for xx in range(n):
-        for lam, e in enumerate(x.identities):
-            if s[xx, e] != xx:
-                violations.append(("star-unit", (xx, e)))
-                break
-        else:
-            continue
-        break
-    done = False
-    for lam, members in enumerate(x.blocks):
-        for a in members:
-            for b in members:
-                ab = p[a, b]
-                if not np.array_equal(s[:, ab], s[s[:, a], b]):
-                    w = _first_where(s[:, ab] != s[s[:, a], b])
-                    violations.append(("star-product", (w[0], a, b)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    xs = np.arange(n)[:, None, None]
-    ys = np.arange(n)[None, :, None]
-    zs = np.arange(n)[None, None, :]
-    w = _first_where(s[s[xs, ys], zs] != s[s[xs, zs], s[ys, zs]])
-    if w is not None:
-        violations.append(("self-distributivity", w))
-    violations += _hom_violations(x, _block_pairs(x), s, "block-homomorphy")
-    violations += _column_permutation_violations(s, "star-bijectivity")
-    violations += _block_to_block_violations(x, s, "block-to-block")
+    pairs = a, b = _block_pairs(x)
+    ids = np.array(x.identities)
+    violations = [
+        *_block_group_laws(x, pairs),
+        *_per_block(x, pairs, "conjugation", s[a, b] != p[p[x.ginv[b], a], b]),
+        # first in (z, block) order
+        *_law("star-unit", s[:, ids] != np.arange(x.n)[:, None], lambda w: (w[0], ids[w[1]])),
+        *_product_law(x, pairs, s, b, "star-product"),
+        *_self_distributivity(s),
+        *_hom_violations(x, pairs, s, "block-homomorphy"),
+        *_bijective_columns(s, "star-bijectivity"),
+        *_block_to_block(x, s, "block-to-block"),
+    ]
     return AxiomReport(not violations, violations)
 
 
 def mcb_check(x: MCB) -> AxiomReport:
     """Exhaustive verification of every MCB axiom; witnesses name the axiom."""
-    violations = x._block_group_violations()
     u, o, p = x.under, x.over, x.prod
-    n = x.n
-    xs = np.arange(n)[:, None, None]
-    ys = np.arange(n)[None, :, None]
-    zs = np.arange(n)[None, None, :]
-    laws = [
-        ("exchange-uu", u[u[xs, ys], u[zs, ys]], u[u[xs, zs], o[ys, zs]]),
-        ("exchange-uo", o[u[xs, ys], u[zs, ys]], u[o[xs, zs], o[ys, zs]]),
-        ("exchange-oo", o[o[xs, ys], o[zs, ys]], o[o[xs, zs], u[ys, zs]]),
-    ]
-    for name, lhs, rhs in laws:
-        w = _first_where(lhs != rhs)
-        if w is not None:
-            violations.append((name, w))
-    # under/over by a fixed y restrict to group homomorphisms between blocks
-    pairs = _block_pairs(x)
-    a, b = pairs
-    for opname, tbl in (("hom-under", u), ("hom-over", o)):
-        violations += _hom_violations(x, pairs, tbl, opname)
-    # x op ab = (x op a) op (b over a), first in (block, a, b, x) order;  x op e = x
-    for opname, tbl in (("prod-under", u), ("prod-over", o)):
-        w = _first_where((tbl[:, p[a, b]] != tbl[tbl[:, a], o[b, a]]).T)
-        if w is not None:
-            violations.append((opname, (w[1], int(a[w[0]]), int(b[w[0]]))))
-    for opname, tbl in (("unit-under", u), ("unit-over", o)):
-        for e in x.identities:
-            w = _first_where(tbl[:, e] != np.arange(n))
-            if w is not None:
-                violations.append((opname, (w[0], e)))
-                break
-    # a^{-1}b over a = b a^{-1} under a
+    pairs = a, b = _block_pairs(x)
+    ids = np.array(x.identities)
     ai = x.ginv[a]
-    w = _first_where(o[p[ai, b], a] != u[p[b, ai], a])
-    if w is not None:
-        violations.append(("conj-compat", (int(a[w[0]]), int(b[w[0]]))))
-    violations += _column_permutation_violations(u, "under-bijectivity")
-    violations += _column_permutation_violations(o, "over-bijectivity")
-    violations += _block_to_block_violations(x, u, "block-to-block-under")
-    violations += _block_to_block_violations(x, o, "block-to-block-over")
+    violations = [
+        *_block_group_laws(x, pairs),
+        *_exchange_laws(u, o),
+        *_hom_violations(x, pairs, u, "hom-under"),
+        *_hom_violations(x, pairs, o, "hom-over"),
+        *_product_law(x, pairs, u, o[b, a], "prod-under"),
+        *_product_law(x, pairs, o, o[b, a], "prod-over"),
+        # z op e = z, first in (block, z) order
+        *_law("unit-under", u[:, ids].T != np.arange(x.n), lambda w: (w[1], ids[w[0]])),
+        *_law("unit-over", o[:, ids].T != np.arange(x.n), lambda w: (w[1], ids[w[0]])),
+        # a^{-1}b over a = b a^{-1} under a
+        *_law("conj-compat", o[p[ai, b], a] != u[p[b, ai], a], lambda w: (a[w[0]], b[w[0]])),
+        *_bijective_columns(u, "under-bijectivity"),
+        *_bijective_columns(o, "over-bijectivity"),
+        *_block_to_block(x, u, "block-to-block-under"),
+        *_block_to_block(x, o, "block-to-block-over"),
+    ]
     return AxiomReport(not violations, violations)
 
 
@@ -274,9 +227,7 @@ def mcb_check(x: MCB) -> AxiomReport:
 
 def conjugation_mcq(g: FiniteGroup) -> MCQ:
     """The single-block MCQ on a group: x * y = y^{-1} x y, product = group law."""
-    n = g.n
-    star = [[g.conj(a, b) for b in range(n)] for a in range(n)]
-    return MCQ([0] * n, g.cayley.copy(), star, labels=g.labels)
+    return MCQ([0] * g.n, g.cayley.copy(), g.conj_table(), labels=g.labels)
 
 
 def q_functor_mcb(x: MCB) -> MCQ:
@@ -296,24 +247,14 @@ def quandle_lift_mcb(x: MCQ) -> MCB:
 
 def hom_check(phi, x, y) -> bool:
     """True iff phi preserves the operations and all in-block products."""
-    phi = list(phi)
-    if len(phi) != x.n:
+    phi = np.asarray(list(phi), dtype=np.int64)
+    if len(phi) != x.n or isinstance(x, MCQ) != isinstance(y, MCQ):
         return False
-    if isinstance(x, MCQ) != isinstance(y, MCQ):
-        return False
-    for a in range(x.n):
-        for b in range(x.n):
-            if x.same_block(a, b):
-                if not y.same_block(phi[a], phi[b]):
-                    return False
-                if phi[int(x.prod[a, b])] != y.prod[phi[a], phi[b]]:
-                    return False
-            if isinstance(x, MCQ):
-                if phi[int(x.star[a, b])] != y.star[phi[a], phi[b]]:
-                    return False
-            else:
-                if phi[int(x.under[a, b])] != y.under[phi[a], phi[b]]:
-                    return False
-                if phi[int(x.over[a, b])] != y.over[phi[a], phi[b]]:
-                    return False
-    return True
+    fa, fb = phi[:, None], phi[None, :]
+    inside = x.block_of[:, None] == x.block_of[None, :]
+    ops = ("star",) if isinstance(x, MCQ) else ("under", "over")
+    return bool(
+        (y.block_of[fa] == y.block_of[fb])[inside].all()
+        and (phi[x.prod] == y.prod[fa, fb])[inside].all()
+        and all(np.array_equal(phi[getattr(x, op)], getattr(y, op)[fa, fb]) for op in ops)
+    )

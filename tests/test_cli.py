@@ -486,3 +486,43 @@ def _trefoil_gf9_flow(capsys, tmp_path, body: str, *extra):
 def test_invalid_flow_exits_1_on_both_paths(capsys, tmp_path, body, extra):
     code, out = _trefoil_gf9_flow(capsys, tmp_path, body, *extra)
     assert code == 1 and "count" not in out
+
+
+GFAMILY_Q_ENTRY = "gfamily-q n=3 gn=1\nop 0:\n0 2 1\n2 1 0\n1 0 {}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{file}"],
+    ["color", "{file}", corpus_path("diagrams", "trefoil.txt")],
+], ids=["check", "color"])
+@pytest.mark.parametrize("text", [
+    GFAMILY_Q_ENTRY.format(3),
+    GFAMILY_Q_ENTRY.format(-1),
+    "gfamily-q n=0 gn=1\nop 0:\n",
+    "gfamily-alexander-q ring=ring m=7 n=0 u=2\n",
+    "gfamily-alexander-b ring=ring m=7 n=0 t=2 s=3\n",
+    "mcq n=1\npartition: -1\nprod:\n0\nstar:\n0\n",
+    "mcb n=1\npartition: -1\nprod:\n0\nunder:\n0\nover:\n0\n",
+], ids=["gfq-entry-n", "gfq-entry-neg", "gfq-empty", "alex-q-order-0", "alex-b-order-0",
+        "mcq-neg-block", "mcb-neg-block"])
+def test_malformed_structure_is_a_parse_error(capsys, tmp_path, argv, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code = main([a.format(file=path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("parse error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["check", "{dir}"], "parse error:"),
+    (["flows", corpus_path("diagrams", "theta.txt"), "--group", "{dir}"], "parse error:"),
+    (["functor", corpus_path("structures", "assoc-z3-z2-mcb.txt"), "-o", "{dir}"], "write error:"),
+    (["move", corpus_path("diagrams", "trefoil.txt"), "--move", "R1a", "--site", "s1",
+      "-o", "{dir}"], "write error:"),
+], ids=["check", "flows-group", "functor-out", "move-out"])
+def test_a_directory_for_a_file_exits_2_without_a_traceback(capsys, tmp_path, argv, prefix):
+    code = main([a.format(dir=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(prefix) and err.count("\n") == 1, err
