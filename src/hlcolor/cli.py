@@ -17,10 +17,11 @@ from hlcolor.algebra import Biquandle, Quandle, biquandle_check, quandle_check
 from hlcolor.coloring import (
     Coloring,
     FlowInvalidError,
+    coloring_rows,
     coloring_vars,
-    colorings_by_flow,
     enumerate_colorings,
     enumerate_flows,
+    flow_domains,
     linear_colorings,
     per_flow_counts,
     verify_correspondence,
@@ -221,6 +222,7 @@ def cmd_color(args) -> int:
     if args.per_flow and (args.dim or args.flow):
         print("--per-flow cannot be combined with --flow or --dim", file=sys.stderr)
         return EXIT_PARSE
+    domains = None
     try:
         if family:
             flow = None
@@ -251,26 +253,30 @@ def cmd_color(args) -> int:
                                 )
                                 _emit(args, f"basis {i}", body)
                     return EXIT_OK
-                rep = colorings_by_flow(d, obj, flow, want_list=args.list, budget=args.budget)
+                x, domains = flow_domains(d, obj, flow)
             else:
                 x = associated_mcq(obj) if isinstance(obj, GFamilyQ) else associated_mcb(obj)
-                rep = enumerate_colorings(d, x, want_list=args.list, budget=args.budget)
         elif isinstance(obj, (MCQ, MCB)):
-            rep = enumerate_colorings(d, obj, want_list=args.list, budget=args.budget)
+            x = obj
         else:
             print("color expects an MCQ/MCB or G-family structure", file=sys.stderr)
             return EXIT_FAIL
+        # a listing prints from the sorted rows, without a Coloring per row
+        if args.list:
+            names, rows = coloring_rows(d, x, domains=domains, budget=args.budget)
+            count = len(rows)
+        else:
+            count = enumerate_colorings(d, x, domains=domains, budget=args.budget).count
     except SizeBoundExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except FlowInvalidError as exc:
         print(f"invalid flow: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    _emit(args, "count", rep.count)
-    if args.list and rep.colorings is not None:
-        for i, col in enumerate(rep.colorings):
-            body = " ".join(f"{k}:{v}" for k, v in sorted(col.assignment.items()))
-            _emit(args, f"coloring {i}", body)
+    _emit(args, "count", count)
+    if args.list:
+        for i, row in enumerate(rows):
+            _emit(args, f"coloring {i}", " ".join(f"{k}:{v}" for k, v in zip(names, row.tolist())))
     return EXIT_OK
 
 
@@ -338,6 +344,9 @@ def cmd_move(args) -> int:
             x = associated_mcq(x)
         elif isinstance(x, GFamilyB):
             x = associated_mcb(x)
+        elif not isinstance(x, (MCQ, MCB)):
+            print("--transport expects an MCQ/MCB or G-family structure", file=sys.stderr)
+            return EXIT_FAIL
         with open(args.transport, encoding="utf-8") as fh:
             assignment = parse_coloring_assignment(fh.read())
         problem = _coloring_problem(d, x, assignment)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, product
+from itertools import islice
 
 import numpy as np
 
@@ -134,7 +134,8 @@ class _RuleTable:
 
     For the lookup plan: lookups[i] gives slot i from the other two slots,
     indexed by them in the order _KEYS[i], -1 where no entry has them; it is
-    None where some pair of them allows several values.  support(s, i)[u, w]
+    None where some pair of them allows several values.  The coloring
+    transport reads them as lookup_lists.  support(s, i)[u, w]
     says some entry holds u in slot s and w in slot i, and candidates lists
     the values one slot takes beside known ones.
     """
@@ -191,6 +192,11 @@ class _RuleTable:
             table[key] = self.slots[i]
             out.append(table.reshape(n, n) if np.count_nonzero(table >= 0) == len(key) else None)
         return tuple(out)
+
+    @cached_property
+    def lookup_lists(self) -> tuple:
+        """lookups as nested lists, for reads of one value at a time."""
+        return tuple(None if t is None else t.tolist() for t in self.lookups)
 
     def candidates(self, keys: tuple[int, ...], i: int) -> tuple[np.ndarray, np.ndarray]:
         """(start, values): beside the value u of slot keys[0] (and w of slot
@@ -271,20 +277,22 @@ def _arc_constraints(d: Diagram, arcs: dict[str, str], crossing, vertex) -> list
 
 
 def _propagate(dom: list[int], queue: list[int], var_eqs: list) -> bool:
-    """Forward checking from the queued variables; False on an empty domain.
+    """Forward checking (Mackworth, AI 8, 1977) from the queued variables;
+    False on an empty domain.
 
     A variable is known when its domain is a single bit.  In every equation of
     a queued variable, two known slots narrow the third to the values the table
     allows, and one known slot narrows the other two to its partners.  A domain
     that shrinks to one bit is queued in turn, so on success every equation
-    whose slots are all known holds.
+    whose slots are all known holds.  The equations are _Network.masks()'s
+    flat records, unpacked in place.
     """
     while queue:
-        for a, b, c, t in var_eqs[queue.pop()]:
+        for a, b, c, ab, cb, ac, ga, gb, gc in var_eqs[queue.pop()]:
             da, db, dc = dom[a], dom[b], dom[c]
             ka, kb, kc = not da & (da - 1), not db & (db - 1), not dc & (dc - 1)
             if ka and kb:
-                want = t.ab[da.bit_length() - 1][db.bit_length() - 1]
+                want = ab[da.bit_length() - 1][db.bit_length() - 1]
                 if want < 0 or not dc >> want & 1:
                     return False
                 if not kc:
@@ -292,24 +300,36 @@ def _propagate(dom: list[int], queue: list[int], var_eqs: list) -> bool:
                     queue.append(c)
                 continue
             if kb and kc:
-                narrow = ((a, t.cb[dc.bit_length() - 1][db.bit_length() - 1]),)
+                var, mask = a, cb[dc.bit_length() - 1][db.bit_length() - 1]
             elif ka and kc:
-                narrow = ((b, t.ac[da.bit_length() - 1][dc.bit_length() - 1]),)
-            elif ka or kb or kc:
-                s = 0 if ka else 1 if kb else 2
-                v = (da, db, dc)[s].bit_length() - 1
-                narrow = [((a, b, c)[i], masks[v]) for i, masks in t.given[s]]
+                var, mask = b, ac[da.bit_length() - 1][dc.bit_length() - 1]
             else:
+                if ka:
+                    v, given = da.bit_length() - 1, ga
+                elif kb:
+                    v, given = db.bit_length() - 1, gb
+                elif kc:
+                    v, given = dc.bit_length() - 1, gc
+                else:
+                    continue
+                for var, masks in given:
+                    d = dom[var]
+                    new = d & masks[v]
+                    if new != d:
+                        if not new:
+                            return False
+                        dom[var] = new
+                        if not new & (new - 1):
+                            queue.append(var)
                 continue
-            for var, mask in narrow:
-                d = dom[var]
-                new = d & mask
-                if new != d:
-                    if not new:
-                        return False
-                    dom[var] = new
-                    if not new & (new - 1):
-                        queue.append(var)
+            d = dom[var]
+            new = d & mask
+            if new != d:
+                if not new:
+                    return False
+                dom[var] = new
+                if not new & (new - 1):
+                    queue.append(var)
     return True
 
 
@@ -317,29 +337,41 @@ class _Network:
     """The integer-indexed constraint network of one (diagram, structure) pair.
 
     Variable i is the i-th name in sorted order; eqs holds every equation as
-    (a, b, c, table) on variable indices, var_eqs[i] the equations that mention
-    variable i, full the domain with every value possible, and plans the
-    lookup plans of hlcolor.plan compiled for it, by the set of known
-    variables.  The search's masks on its rule tables are built by masks().
+    (a, b, c, table) on variable indices, full the domain with every value
+    possible, plans the lookup plans of hlcolor.plan compiled for it, by the
+    set of known variables, and transports the schedules of
+    moves.transport_coloring, by the names of the source coloring.  The
+    search's equation records are built by masks().
     """
 
     def __init__(self, all_vars, domain_size: int, constraints):
         self.names = sorted(all_vars)
         self.index = {v: i for i, v in enumerate(self.names)}
         self.eqs = [(self.index[a], self.index[b], self.index[c], t) for a, b, c, t in constraints]
-        self.var_eqs: list[list] = [[] for _ in self.names]
-        for eq in self.eqs:
-            for v in set(eq[:3]):
-                self.var_eqs[v].append(eq)
         self.full = (1 << domain_size) - 1
         self.plans: dict = {}
-        self.masked = False
+        self.transports: dict = {}
+        self.records: list | None = None
+        self.var_eqs: list[list] = []
 
     def masks(self) -> None:
-        if not self.masked:
-            for eq in self.eqs:
-                eq[3].masks()
-            self.masked = True
+        """Turn each equation into one flat record, once: (a, b, c, ab, cb, ac,
+        ga, gb, gc) with the rule table's lists (see _RuleTable) and, for each
+        slot, the (variable, masks) pairs that narrow when only that slot is
+        known.  var_eqs[i] lists the records of the equations that mention
+        variable i, sharing them."""
+        if self.records is not None:
+            return
+        self.records = []
+        self.var_eqs = [[] for _ in self.names]
+        for a, b, c, t in self.eqs:
+            t.masks()
+            slots = (a, b, c)
+            given = [[(slots[i], masks) for i, masks in t.given[s]] for s in range(3)]
+            record = (a, b, c, t.ab, t.cb, t.ac, *given)
+            self.records.append(record)
+            for v in set(slots):
+                self.var_eqs[v].append(record)
 
 
 def _network(d: Diagram, x: MCB | MCQ | FiniteGroup) -> _Network:
@@ -370,21 +402,22 @@ class _Search:
     """Forward-checking search over one constraint network (see _Network).
 
     A domain is an int whose bit v says that value v is still possible.  After
-    the fixed values and domains are propagated, the unknown variables split
-    into the connected components of the equations that still hold two or
-    more of them; each component is searched on its own and the counts
-    multiply.  The search branches on a variable of smallest domain, the first
-    in sorted order on a tie, and tries its values in ascending order.
-    ``nodes`` counts the values tried, over all components; past ``budget``
-    the search raises SizeBoundExceededError.  ``widest`` is the largest
-    domain given, before fixed values and propagation; it picks the counting
-    path.
+    the fixed values and domains are propagated (_propagate), the unknown
+    variables split into the connected components of the equations that
+    still hold two or more of them; each component is searched on its own and
+    the counts multiply.  The search branches on a variable of smallest
+    domain, the first in sorted order on a tie, and tries its values in
+    ascending order; _count and _solutions recurse on the propagated children
+    directly.  ``nodes`` counts the values tried, over all components; past
+    ``budget`` the search raises SizeBoundExceededError.  ``widest`` is the
+    largest domain given, before fixed values and propagation; it picks the
+    counting path.  A transport (moves.transport_coloring) runs it only when
+    table lookups leave a variable open.
     """
 
     def __init__(self, net: _Network, fixed=None, domains=None, budget=None):
         self.net = net
         self.names = net.names
-        self.var_eqs = net.var_eqs
         index, full = net.index, net.full
         dom = [full] * len(self.names)
         for v, vals in (domains or {}).items():
@@ -394,10 +427,21 @@ class _Search:
         self.widest = max(map(int.bit_count, dom), default=0) if domains else full.bit_length()
         self.budget = budget
         self.nodes = 0
-        self.dom = dom if all(dom) and self._settle(dom, net.eqs) else None
-        self.components = [] if self.dom is None else self._components()
+        self.dom = dom if all(dom) and self._settle(dom) else None
+        self.components = [] if self.dom is None else self._components(net.eqs)
 
-    def _settle(self, dom: list[int], eqs: list) -> bool:
+    @classmethod
+    def settled(cls, net: _Network, dom: list[int], eqs: list) -> _Search:
+        """The search on domains that are already settled and propagated, as
+        __init__ leaves them; eqs must hold every equation with an open
+        variable."""
+        self = cls.__new__(cls)
+        self.net, self.names, self.dom = net, net.names, dom
+        self.widest, self.budget, self.nodes = net.full.bit_length(), None, 0
+        self.components = self._components(eqs)
+        return self
+
+    def _settle(self, dom: list[int]) -> bool:
         """Propagate the initial domains; False on a conflict.
 
         Equations whose three slots are known are checked here, once each;
@@ -408,17 +452,17 @@ class _Search:
             return True  # nothing is known, so nothing narrows
         self.net.masks()
         queue = set()
-        for a, b, c, t in eqs:
+        for a, b, c, ab, *_ in self.net.records:
             da, db, dc = dom[a], dom[b], dom[c]
             ka, kb, kc = not da & (da - 1), not db & (db - 1), not dc & (dc - 1)
             if ka and kb and kc:
-                if t.ab[da.bit_length() - 1][db.bit_length() - 1] != dc.bit_length() - 1:
+                if ab[da.bit_length() - 1][db.bit_length() - 1] != dc.bit_length() - 1:
                     return False
             elif ka or kb or kc:
                 queue.update(v for v, k in ((a, ka), (b, kb), (c, kc)) if k)
-        return _propagate(dom, sorted(queue), self.var_eqs)
+        return _propagate(dom, sorted(queue), self.net.var_eqs)
 
-    def _components(self) -> list[list[int]]:
+    def _components(self, eqs: list) -> list[list[int]]:
         dom = self.dom
         parent = {i: i for i, d in enumerate(dom) if d & (d - 1)}
         if not parent:
@@ -430,54 +474,50 @@ class _Search:
                 i = parent[i]
             return i
 
-        for eqs in self.var_eqs:
-            for eq in eqs:
-                open_ = [v for v in eq[:3] if v in parent]
-                for v in open_[1:]:
-                    parent[root(v)] = root(open_[0])
+        for eq in eqs:
+            open_ = [v for v in eq[:3] if v in parent]
+            for v in open_[1:]:
+                parent[root(v)] = root(open_[0])
         groups: dict[int, list[int]] = {}
         for i in parent:
             groups.setdefault(root(i), []).append(i)
         return sorted(groups.values())
 
-    def _branches(self, dom: list[int], comp: list[int]):
-        """The propagated children of dom on its branch variable, or None at a leaf."""
-        var, size = -1, 0
-        for v in comp:
-            d = dom[v]
-            if d & (d - 1) and (var < 0 or d.bit_count() < size):
-                var, size = v, d.bit_count()
-        if var < 0:
-            return None
-        return self._children(dom, var)
+    def _tried(self) -> None:
+        self.nodes += 1
+        if self.budget is not None and self.nodes > self.budget:
+            raise SizeBoundExceededError(f"enumeration exceeded branch budget {self.budget}")
 
-    def _children(self, dom: list[int], var: int):
-        d = dom[var]
+    def _count(self, dom: list[int], comp: list[int]) -> int:
+        var = _branch_var(dom, comp)
+        if var < 0:
+            return 1
+        total, d, var_eqs = 0, dom[var], self.net.var_eqs
         while d:
             bit = d & -d
             d ^= bit
-            self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
-                raise SizeBoundExceededError(f"enumeration exceeded branch budget {self.budget}")
+            self._tried()
             child = dom[:]
             child[var] = bit
-            if _propagate(child, [var], self.var_eqs):
-                yield child
-
-    def _count(self, dom: list[int], comp: list[int]) -> int:
-        children = self._branches(dom, comp)
-        if children is None:
-            return 1
-        return sum(self._count(child, comp) for child in children)
+            if _propagate(child, [var], var_eqs):
+                total += self._count(child, comp)
+        return total
 
     def _solutions(self, dom: list[int], comp: list[int]):
         """Yield the values of comp in each solution below dom, in search order."""
-        children = self._branches(dom, comp)
-        if children is None:
+        var = _branch_var(dom, comp)
+        if var < 0:
             yield [dom[v].bit_length() - 1 for v in comp]
             return
-        for child in children:
-            yield from self._solutions(child, comp)
+        d, var_eqs = dom[var], self.net.var_eqs
+        while d:
+            bit = d & -d
+            d ^= bit
+            self._tried()
+            child = dom[:]
+            child[var] = bit
+            if _propagate(child, [var], var_eqs):
+                yield from self._solutions(child, comp)
 
     def count(self) -> int:
         self.net.masks()
@@ -488,30 +528,25 @@ class _Search:
                 break
         return total
 
-    def assignments(self):
-        """Yield every solution as a dict, in lexicographic order of the values
-        in sorted variable order."""
+    def rows(self) -> np.ndarray:
+        """Every solution as a row of its values in sorted variable order, the
+        rows in lexicographic order, in the smallest unsigned dtype."""
+        dtype = np.min_scalar_type(self.net.full.bit_length() - 1)
         if self.dom is None:
-            return
+            return np.zeros((0, len(self.names)), dtype=dtype)
         self.net.masks()
-        parts = []
+        rows = np.array([[d.bit_length() - 1 for d in self.dom]], dtype=dtype)
         for comp in self.components:
-            parts.append(list(self._solutions(self.dom, comp)))
-            if not parts[-1]:
-                return
-        known = [i for i, d in enumerate(self.dom) if not d & (d - 1)]
-        head = [self.dom[i].bit_length() - 1 for i in known]
-        where = [0] * len(self.names)
-        for pos, v in enumerate(known + [v for comp in self.components for v in comp]):
-            where[v] = pos
-        # rows are lists, not tuples: freed tuples of up to 20 items stay on
-        # the interpreter's free lists and would hold memory after the call
-        rows = []
-        for combo in product(*parts):
-            flat = head + [val for part in combo for val in part]
-            rows.append([flat[p] for p in where])
-        rows.sort()
-        for row in rows:
+            found = np.array(list(self._solutions(self.dom, comp)), dtype=dtype)
+            # every row so far with every solution of comp
+            rows = np.repeat(rows, len(found), axis=0)
+            if len(found):
+                rows[:, comp] = np.tile(found, (len(rows) // len(found), 1))
+        return rows[np.lexsort(rows.T[::-1])] if rows.shape[1] else rows
+
+    def assignments(self):
+        """Yield every solution as a dict, in the order of rows()."""
+        for row in self.rows().tolist():
             yield dict(zip(self.names, row))
 
     def unique(self) -> dict[str, int] | None:
@@ -530,6 +565,17 @@ class _Search:
             for v, val in zip(comp, found[0]):
                 dom[v] = 1 << val
         return {name: d.bit_length() - 1 for name, d in zip(self.names, dom)}
+
+
+def _branch_var(dom: list[int], comp: list[int]) -> int:
+    """The open variable of comp with the smallest domain, the first on a tie;
+    -1 when every variable of comp is known."""
+    var, size = -1, 0
+    for v in comp:
+        d = dom[v]
+        if d & (d - 1) and (var < 0 or d.bit_count() < size):
+            var, size = v, d.bit_count()
+    return var
 
 
 # Counts whose widest domain is smaller take the search.  Timed over the 12
@@ -625,10 +671,9 @@ def _check_flow(
     return arcs, fd
 
 
-def colorings_by_flow(
-    d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow, want_list: bool = False, budget=None
-) -> ColoringSetReport:
-    """Colorings of the associated MCQ/MCB whose group projection equals the flow."""
+def flow_domains(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow) -> tuple[MCB | MCQ, dict]:
+    """The associated MCQ/MCB of f and the domains that keep each variable on
+    the flow's group element; raises FlowInvalidError unless flow is a G-flow."""
     arcs, fd = _check_flow(d, f.group, flow)
     on_arcs = isinstance(f, GFamilyQ)
     x = associated_mcq(f) if on_arcs else associated_mcb(f)
@@ -637,8 +682,23 @@ def colorings_by_flow(
         k: [i * ng + fd[k if on_arcs else arcs[k]] for i in range(f.n)]
         for k in _network(d, x).names
     }
-    enumerate_ = enumerate_colorings_mcq if on_arcs else enumerate_colorings_mcb
+    return x, domains
+
+
+def colorings_by_flow(
+    d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow, want_list: bool = False, budget=None
+) -> ColoringSetReport:
+    """Colorings of the associated MCQ/MCB whose group projection equals the flow."""
+    x, domains = flow_domains(d, f, flow)
+    enumerate_ = enumerate_colorings_mcq if isinstance(f, GFamilyQ) else enumerate_colorings_mcb
     return enumerate_(d, x, want_list=want_list, domains=domains, budget=budget)
+
+
+def coloring_rows(d: Diagram, x: MCB | MCQ, domains=None, budget=None) -> tuple[list[str], list]:
+    """The variables in sorted order and every coloring as its values in that
+    order, the rows in the order of a listing (want_list=True)."""
+    search = _Search(_network(d, x), domains=domains, budget=budget)
+    return search.names, search.rows()
 
 
 def per_flow_counts(d: Diagram, f: GFamilyQ | GFamilyB, budget=None) -> dict[Flow, int]:

@@ -52,8 +52,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
+from hlcolor.coloring import Coloring, _network, _propagate, _Search
 from hlcolor.diagram import Crossing, Diagram, Vertex, arcs_of
+from hlcolor.mcqb import MCQ
+from hlcolor.plan import KEYS
 
 
 class SiteMismatchError(ValueError):
@@ -348,33 +352,127 @@ def find_sites(d: Diagram, move: str, direction: str) -> list[MoveSite]:
 # -- coloring transport ---------------------------------------------------------
 
 
-def transport_coloring(d: Diagram, d2: Diagram, c, x) -> "Coloring":
+class _Transport:
+    """How colorings with one set of names move onto one network.
+
+    Built from (target name, source name) pairs: each kept semi-arc on an
+    MCB; on an MCQ each new arc with the old arc of every shared semi-arc.
+    Values sit at positions, one per variable in ``placed``.  ``read`` takes
+    the fed values, one source each, and the further sources in ``same``
+    must agree.  Each of ``lookups`` places one more variable from two placed
+    slots of an equation single-valued in its slot, so every value is forced;
+    ``checks`` tests every other equation whose slots are all placed.
+
+    ``open`` says some variable is placed by neither (a kink's new semi-arc
+    sits in two slots of one equation).  The search then starts from the
+    placed variables in ``queue``, which share an equation with an open one,
+    and needs only the equations in ``near``, which hold an open variable.
+    """
+
+    def __init__(self, net, pairs):
+        sources: dict[int, list[str]] = {}
+        for target, source in sorted(pairs):
+            sources.setdefault(net.index[target], []).append(source)
+        placed = sorted(sources)
+        at = {v: p for p, v in enumerate(placed)}
+        self.read = _getter([sources[v][0] for v in placed])
+        self.same = [(at[v], name) for v in placed for name in sources[v][1:]]
+        self.n = net.full.bit_length()
+        self.lookups, used = [], set()
+        grew = True
+        while grew:
+            grew = False
+            for e, (*slots, t) in enumerate(net.eqs):
+                unknown = [i for i in range(3) if slots[i] not in at]
+                if len(unknown) == 1 and t.lookup_lists[unknown[0]] is not None:
+                    i = unknown[0]
+                    k, m = KEYS[i]
+                    self.lookups.append((at[slots[k]], at[slots[m]], t.lookup_lists[i]))
+                    at[slots[i]] = len(placed)
+                    placed.append(slots[i])
+                    used.add(e)
+                    grew = True
+        self.checks = [(at[a], at[b], at[c], t.lookup_lists[2]) for e, (a, b, c, t) in enumerate(net.eqs)
+                       if e not in used and a in at and b in at and c in at]
+        self.placed = placed
+        self.names = [net.names[v] for v in placed]
+        self.open = len(placed) < len(net.names)
+        if self.open:
+            self.near = [eq for eq in net.eqs if not all(v in at for v in eq[:3])]
+            self.queue = sorted({v for eq in self.near for v in eq[:3] if v in at})
+        else:
+            self.order = _getter([at[v] for v in range(len(net.names))])
+
+    def settle(self, vals: list[int]) -> bool:
+        """Append the looked-up values to vals, which holds the fed ones;
+        False when a lookup finds no entry or a check fails."""
+        for k, m, table in self.lookups:
+            val = table[vals[k]][vals[m]]
+            if val < 0:
+                return False
+            vals.append(val)
+        for a, b, c, table in self.checks:
+            if table[vals[a]][vals[b]] != vals[c]:
+                return False
+        return True
+
+
+def _getter(keys: list):
+    """itemgetter(*keys), returning a tuple however many keys there are."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda items: tuple(items[k] for k in keys)
+
+
+def _arcs(d: Diagram) -> dict[str, str]:
+    """arcs_of(d), computed once and kept on d; an MCQ transport reads it
+    on both diagrams at every call."""
+    arcs = getattr(d, "_arcs", None)
+    if arcs is None:
+        arcs = d._arcs = arcs_of(d)
+    return arcs
+
+
+def transport_coloring(d: Diagram, d2: Diagram, c, x) -> Coloring:
     """The unique coloring of d2 agreeing with c away from the rewrite site.
 
     d2 must be the result of a move on d; failure to find exactly one
     extension indicates a wiring bug and raises RuntimeError.
-    """
-    from hlcolor.coloring import Coloring, _network, _Search
-    from hlcolor.mcqb import MCQ
 
+    The transport is a _Transport, compiled once per (network of d2, names
+    of c) and kept in the network's ``transports``.  Its key holds names (on
+    an MCQ, arc pairs), not ids, so a reused id cannot hit a stale entry.
+    Table lookups fix every new semi-arc except at kinks and bigons
+    (R1a/R1b/R2b apply), where the network's search (coloring._Search) fills
+    the open ones.
+    """
+    net = _network(d2, x)
     if isinstance(x, MCQ):
-        old_arcs = arcs_of(d)
-        new_arcs = arcs_of(d2)
-        common = set(old_arcs) & set(new_arcs)
-        fixed: dict[str, int] = {}
-        for s in common:
-            val = c.assignment[old_arcs[s]]
-            prev = fixed.get(new_arcs[s])
-            if prev is not None and prev != val:
-                raise RuntimeError("inconsistent arc transport; wiring bug")
-            fixed[new_arcs[s]] = val
+        old_arcs, new_arcs = _arcs(d), _arcs(d2)
+        key = frozenset((new_arcs[s], old_arcs[s]) for s in old_arcs.keys() & new_arcs.keys())
     else:
-        keep = set(d2.semiarcs) | set(d2.loops)
-        fixed = {s: v for s, v in c.assignment.items() if s in keep}
-    search = _Search(_network(d2, x), fixed)
-    assignment = search.unique()
-    if assignment is None:
-        raise RuntimeError(
-            f"transport expected a unique extension, found {search.count()}; wiring bug"
-        )
-    return Coloring(x, assignment)
+        key = frozenset(c.assignment)
+    plan = net.transports.get(key)
+    if plan is None:
+        pairs = key if isinstance(x, MCQ) else [(s, s) for s in key if s in net.index]
+        plan = net.transports[key] = _Transport(net, pairs)
+    source = c.assignment
+    fed = plan.read(source)
+    for p, name in plan.same:
+        if source[name] != fed[p]:
+            raise RuntimeError("inconsistent arc transport; wiring bug")
+    vals = list(fed)
+    if (not fed or 0 <= min(fed) and max(fed) < plan.n) and plan.settle(vals):
+        if not plan.open:
+            return Coloring(x, dict(zip(net.names, plan.order(vals))))
+        # the search, from where _Search(net, placed values) would start after settling
+        dom = [net.full] * len(net.names)
+        for v, val in zip(plan.placed, vals):
+            dom[v] = 1 << val
+        net.masks()
+        if _propagate(dom, plan.queue[:], net.var_eqs):
+            assignment = _Search.settled(net, dom, plan.near).unique()
+            if assignment is not None:
+                return Coloring(x, assignment)
+    found = _Search(net, dict(zip(plan.names, fed))).count()
+    raise RuntimeError(f"transport expected a unique extension, found {found}; wiring bug")

@@ -377,6 +377,22 @@ def test_move_transport_rejects_a_non_coloring(capsys, tmp_path, body):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("structure", ["dihedral3", "z8", "alex-z5-s2-t3"])
+def test_move_transport_rejects_a_structure_that_colors_no_diagram(capsys, tmp_path, structure):
+    """A quandle, group or biquandle file is no MCQ/MCB: exit 1, no traceback
+    (found by the move fuzz test)."""
+    col_file = tmp_path / "col.txt"
+    col_file.write_text("coloring\n" + "".join(f"assign s{i} 0\n" for i in range(1, 7)))
+    code = main([
+        "move", corpus_path("diagrams", "trefoil.txt"), "--move", "R1a", "--site", "s1",
+        "--transport", str(col_file), "--structure", corpus_path("structures", f"{structure}.txt"),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "--transport expects an MCQ/MCB or G-family structure\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("zn", ["-1", "0"])
 def test_flows_zn_must_be_positive(capsys, zn):
     code, _ = run(capsys, "flows", corpus_path("diagrams", "theta.txt"), "--zn", zn)

@@ -1,8 +1,11 @@
-"""Fuzz ``hlcolor check`` with generated structure files: whatever the file
-holds, the command exits 0, 1 or 2 and never raises.
+"""Fuzz the CLI: ``hlcolor check`` with generated structure files, and
+``hlcolor move`` with generated diagram files, move names, directions, site
+ids, variants and ``--transport`` coloring files.  Whatever the input, the
+command exits 0, 1, 2 or 3 and never raises.
 
 Ring moduli stay at most 12, quotient rings at most 16 elements and group
-orders at most 4, so no example builds a large structure.
+orders at most 4, so no example builds a large structure; diagrams are small
+corpus diagrams, possibly cut or extended, or a few random records.
 """
 
 import contextlib
@@ -13,6 +16,12 @@ import tempfile
 import pytest
 
 from hlcolor.cli import main
+from hlcolor.coloring import Coloring, coloring_vars, enumerate_colorings
+from hlcolor.diagram import parse_diagram
+from hlcolor.gfamily import GFamilyB, GFamilyQ, associated_mcb, associated_mcq
+from hlcolor.mcqb import MCB, MCQ
+from hlcolor.moves import find_sites
+from hlcolor.structio import parse_structure_file, serialize_coloring
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -114,3 +123,135 @@ def test_check_exits_0_1_or_2_on_any_structure_file(files):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["check", path])
     assert code in (0, 1, 2)
+
+
+# -- move: diagrams, move arguments and transport files ------------------------------
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+SMALL_DIAGRAMS = ("trefoil", "theta", "loop", "kinked-unknot", "clasp", "union-loop-loop")
+MOVE_NAMES = ("R1a", "R1b", "R2a", "R2b", "R3", "R4a", "R4b", "R5a", "R5b", "R6", "R7", "r1a", "")
+VARIANTS = ("", "under", "over", "+-", "-+", "merge", "split", "sideways")
+STRUCTURES = ("assoc-z3-z2-mcb", "s3-conj-mcq", "z3-z2-family", "dihedral3", "z8")
+IDS = ("s1", "s2", "s3", "s4", "s5", "s6", "l0", "a", "r1a#1", "")
+RECORDS = ("semiarc", "loop", "x+", "x-", "v<", "v>", "x0")
+
+
+def _corpus_text(name: str) -> str:
+    with open(os.path.join(CORPUS, "diagrams", f"{name}.txt"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@st.composite
+def diagram_texts(draw) -> str:
+    """A small corpus diagram with lines dropped or added, or a few random
+    records."""
+    lines = []
+    if draw(st.booleans()):
+        lines = _corpus_text(draw(st.sampled_from(SMALL_DIAGRAMS))).splitlines()
+        if draw(st.booleans()):
+            del lines[draw(st.integers(0, len(lines) - 1))]
+    for _ in range(draw(st.integers(0, 3))):
+        args = draw(st.lists(st.sampled_from(IDS[:-1]), max_size=5))
+        lines.append(" ".join([draw(st.sampled_from(RECORDS)), *args]))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["# note", "  ", "x+"])))
+    return "\n".join(lines) + "\n"
+
+
+def _structure(name: str):
+    """The corpus structure as ``move --structure`` reads it: a family stands
+    for its associated MCB or MCQ."""
+    x = parse_structure_file(os.path.join(CORPUS, "structures", f"{name}.txt"))
+    if isinstance(x, GFamilyB):
+        return associated_mcb(x)
+    return associated_mcq(x) if isinstance(x, GFamilyQ) else x
+
+
+@st.composite
+def coloring_texts(draw, d, x) -> str:
+    """A coloring of d by x (all zeros on the semi-arcs when x colors no
+    diagram), possibly with one line changed, or random lines."""
+    if not draw(st.booleans()):
+        if isinstance(x, (MCB, MCQ)):
+            colorings = enumerate_colorings(d, x, want_list=True).colorings
+        else:
+            colorings = [Coloring(x, dict.fromkeys(coloring_vars(d, False), 0))]
+        if colorings:
+            lines = serialize_coloring(draw(st.sampled_from(colorings))).splitlines()
+            if len(lines) > 1 and draw(st.booleans()):
+                i = draw(st.integers(1, len(lines) - 1))
+                lines[i] = draw(st.sampled_from(["", "assign s1 -1", "assign s1 99", "assign a 0",
+                                                 lines[i].rsplit(" ", 1)[0] + " 1"]))
+            return "\n".join(lines) + "\n"
+    lines = [draw(st.sampled_from(["coloring", "coloring", "colouring", ""]))]
+    for _ in range(draw(st.integers(0, 8))):
+        key = draw(st.sampled_from(IDS[:-1]))
+        value = draw(st.sampled_from(["0", "1", "2", "5", "-1", "99", "x"]))
+        lines.append(draw(st.sampled_from([f"assign {key} {value}", f"assign {key}"])))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def move_calls(draw) -> tuple[str, str | None, list[str]]:
+    """(diagram text, coloring text or None, the arguments after the diagram)
+    on a corpus diagram; the site is often one that find_sites reports, so
+    that the move and the transport run."""
+    text = _corpus_text(draw(st.sampled_from(SMALL_DIAGRAMS)))
+    d = parse_diagram(text)
+    ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=3))
+    variant = draw(st.sampled_from(VARIANTS))
+    sites = [site for move in MOVE_NAMES[:10] for direction in ("apply", "undo")
+             for site in find_sites(d, move, direction)]
+    if draw(st.integers(0, 3)) < 3:
+        site = draw(st.sampled_from(sites))
+        move, direction, ids = site.move, site.direction, list(site.ids)
+        variant = draw(st.sampled_from([site.variant, site.variant, ""]))
+    else:
+        move = draw(st.sampled_from(MOVE_NAMES))
+        direction = draw(st.sampled_from(["apply", "undo", "back"]))
+    # "=" keeps a variant such as "-+" from reading as an option
+    args = ["--move", move, "--direction", direction, f"--site={','.join(ids)}"]
+    if variant:
+        args.append(f"--variant={variant}")
+    coloring = None
+    if not draw(st.booleans()):
+        structure = draw(st.sampled_from(STRUCTURES))
+        coloring = draw(coloring_texts(d, _structure(structure)))
+        if draw(st.integers(0, 4)) < 4:
+            args += ["--structure", os.path.join(CORPUS, "structures", f"{structure}.txt")]
+    return text, coloring, args
+
+
+def _run_move(text: str, coloring: str | None, args: list[str]) -> tuple[int, str]:
+    """hlcolor move on the diagram text, with --transport when coloring is
+    given; (exit code, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "diagram.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = ["move", path, *args, "-o", os.path.join(tmp, "out.txt")]
+        if coloring is not None:
+            col = os.path.join(tmp, "coloring.txt")
+            with open(col, "w", encoding="utf-8") as fh:
+                fh.write(coloring)
+            argv += ["--transport", col, "--transport-out", os.path.join(tmp, "moved.txt")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.given(diagram_texts(), st.sampled_from(["s1", "l0", "a"]))
+def test_move_exits_0_to_3_on_any_diagram_file(text, site):
+    code, err = _run_move(text, None, ["--move", "R1a", f"--site={site}"])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+@hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+@hypothesis.given(move_calls())
+def test_move_exits_0_to_3_on_any_arguments_and_transport_file(call):
+    code, err = _run_move(*call)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

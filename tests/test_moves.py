@@ -388,3 +388,51 @@ def test_a_move_keeps_the_unused_semiarcs_of_an_open_diagram(x6):
                 res = apply_move(d, site)
                 back = apply_move(res.diagram, res.inverse).diagram
                 assert diagrams_isomorphic(back, d), site
+
+
+# -- the compiled transport against the search it replaces ---------------------------
+
+
+def _kept(d, d2, x) -> list[tuple[str, str]]:
+    """(variable of d2, variable of d) for every value a transport keeps."""
+    from hlcolor.diagram import arcs_of
+    from hlcolor.mcqb import MCQ
+
+    if isinstance(x, MCQ):
+        old_arcs, new_arcs = arcs_of(d), arcs_of(d2)
+        return sorted({(new_arcs[s], old_arcs[s]) for s in set(old_arcs) & set(new_arcs)})
+    return [(s, s) for s in sorted((set(d.semiarcs) | set(d.loops)) & (set(d2.semiarcs) | set(d2.loops)))]
+
+
+def test_compiled_transport_equals_the_search_on_every_corpus_site(x6, corpus_diagrams):
+    """Every corpus diagram, move, direction and site, for every x6 coloring
+    and every Q(x6) coloring: the transport equals the search's unique
+    extension of the kept values, and the way back round-trips.  Only a
+    transport that makes a kink or a bigon (R1a/R1b/R2b apply, and the way
+    back across their undo) leaves a variable to the search."""
+    qx6 = q_functor_mcb(x6)
+    searched, transports = set(), 0
+    for name, d in sorted(corpus_diagrams.items()):
+        cols = [(x, enumerate_colorings(d, x, want_list=True).colorings) for x in (x6, qx6)]
+        for move in ALL_MOVES:
+            for direction in ("apply", "undo"):
+                for site in find_sites(d, move, direction):
+                    d2 = apply_move(d, site).diagram
+                    for x, xcols in cols:
+                        net, kept = _network(d2, x), _kept(d, d2, x)
+                        for col in xcols:
+                            fixed = {new: col.assignment[old] for new, old in kept}
+                            moved = transport_coloring(d, d2, col, x)
+                            assert moved.assignment == _Search(net, fixed).unique(), (name, site)
+                            back = transport_coloring(d2, d, moved, x)
+                            assert back.assignment == col.assignment, (name, site)
+                            transports += 1
+                            if x is x6:
+                                for way, (src, dst) in (("forth", (col, d2)), ("back", (moved, d))):
+                                    plan = _network(dst, x).transports[frozenset(src.assignment)]
+                                    if plan.open:
+                                        searched.add((move, direction, way))
+    assert transports > 100_000
+    kinks = {("R1a", "apply", "forth"), ("R1b", "apply", "forth"), ("R2b", "apply", "forth")}
+    assert kinks <= searched
+    assert searched <= kinks | {(m, "undo", "back") for m in ("R1a", "R1b", "R2b")}

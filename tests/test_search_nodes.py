@@ -1,0 +1,99 @@
+"""The bitset search's counts and node counts on the corpus, pinned.
+
+``nodes`` counts the values the search tries, so it moves with any change to
+the branching order or to what propagation narrows.  The table covers every
+corpus (structure, diagram) pair that takes the search: each MCB and MCQ of
+under 16 elements among the corpus files, the associated MCBs and MCQs of the
+family files and the Q(X) of every such MCB, plus the G-flows of every corpus
+group and family group, and the per-flow counts of the small families.
+
+Regenerate with ``python tests/test_search_nodes.py > tests/data/search-nodes.txt``
+(with ``src`` on the path) only for a change that is meant to move them, and
+say why.
+"""
+
+import os
+
+from hlcolor.coloring import (
+    _network,
+    _Search,
+    colorings_by_flow,
+    enumerate_colorings,
+    enumerate_flows,
+)
+from hlcolor.gfamily import GFamilyB, GFamilyQ, associated_mcb, associated_mcq
+from hlcolor.groups import FiniteGroup
+from hlcolor.mcqb import MCB, MCQ, q_functor_mcb
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "search-nodes.txt")
+
+SEARCH_MAX = 15  # counts on more elements take the lookup plan
+PER_FLOW_MAX = 15  # per-flow domains of more elements take the lookup plan
+
+
+def _search_structures(structures):
+    out = []
+    for name, obj in sorted(structures.items()):
+        if isinstance(obj, (MCB, MCQ)):
+            out.append((name, obj))
+        elif isinstance(obj, GFamilyB):
+            out.append((f"assoc({name})", associated_mcb(obj)))
+        elif isinstance(obj, GFamilyQ):
+            out.append((f"assoc({name})", associated_mcq(obj)))
+    out += [(f"Q({name})", q_functor_mcb(x)) for name, x in out if isinstance(x, MCB)]
+    return [(name, x) for name, x in out if x.n <= SEARCH_MAX]
+
+
+def _groups(structures):
+    out = []
+    for name, obj in sorted(structures.items()):
+        if isinstance(obj, FiniteGroup):
+            out.append((name, obj))
+        elif isinstance(obj, (GFamilyB, GFamilyQ)):
+            out.append((f"{name}.group", obj.group))
+    return out
+
+
+def search_node_lines(structures, diagrams) -> list[str]:
+    lines = []
+    for sname, x in _search_structures(structures):
+        for dname, d in sorted(diagrams.items()):
+            rep = enumerate_colorings(d, x)
+            lines.append(f"color {sname} {dname} count={rep.count} nodes={rep.nodes}")
+    for gname, g in _groups(structures):
+        for dname, d in sorted(diagrams.items()):
+            search = _Search(_network(d, g))
+            found = sum(1 for _ in search.assignments())
+            lines.append(f"flows {gname} {dname} count={found} nodes={search.nodes}")
+    for fname, f in sorted(structures.items()):
+        if not isinstance(f, (GFamilyB, GFamilyQ)) or f.n > PER_FLOW_MAX:
+            continue
+        for dname, d in sorted(diagrams.items()):
+            reps = [colorings_by_flow(d, f, flow) for flow in enumerate_flows(d, f.group)]
+            lines.append(f"per-flow {fname} {dname} flows={len(reps)} "
+                         f"count={sum(r.count for r in reps)} nodes={sum(r.nodes for r in reps)}")
+    return lines
+
+
+def test_search_node_counts_are_unchanged(corpus_structures, corpus_diagrams):
+    with open(GOLDEN, encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    assert search_node_lines(corpus_structures, corpus_diagrams) == want
+
+
+if __name__ == "__main__":
+    import glob
+
+    from hlcolor.diagram import parse_diagram
+    from hlcolor.structio import parse_structure_file
+
+    corpus = os.path.join(os.path.dirname(__file__), "..", "corpus")
+    structures = {
+        os.path.splitext(os.path.basename(p))[0]: parse_structure_file(p)
+        for p in sorted(glob.glob(os.path.join(corpus, "structures", "*.txt")))
+    }
+    diagrams = {}
+    for p in sorted(glob.glob(os.path.join(corpus, "diagrams", "*.txt"))):
+        with open(p, encoding="utf-8") as fh:
+            diagrams[os.path.splitext(os.path.basename(p))[0]] = parse_diagram(fh.read())
+    print("\n".join(search_node_lines(structures, diagrams)))
