@@ -54,7 +54,7 @@ from hlcolor.rings import SizeBoundExceededError, format_element
 from hlcolor.structio import (
     StructParseError,
     parse_coloring_assignment,
-    parse_flow,
+    parse_flow_file,
     parse_structure_file,
     serialize_coloring,
     serialize_structure,
@@ -70,39 +70,44 @@ def _emit(args, key, value):
         print(f"{key}: {value}")
 
 
-def _load_structure(path: str):
+def _load(path: str, parse=parse_structure_file):
+    """parse(path), by default a structure file; a parse error exits 2."""
     try:
-        return parse_structure_file(path)
+        return parse(path)
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE) from None
 
 
-def _load_diagram(path: str, allow_open=False):
+def _load_diagram(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_diagram(fh.read(), allow_open=allow_open)
+            return parse_diagram(fh.read())
     except DiagramError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE) from None
 
 
-def _checker_for(obj):
-    if isinstance(obj, Quandle):
-        return quandle_check
-    if isinstance(obj, Biquandle):
-        return biquandle_check
-    if isinstance(obj, MCQ):
-        return mcq_check
-    if isinstance(obj, MCB):
-        return mcb_check
-    if isinstance(obj, GFamilyQ):
-        return gfq_check
-    if isinstance(obj, GFamilyB):
-        return gfb_check
-    if isinstance(obj, FiniteGroup):
-        return group_check
-    raise TypeError(f"no checker for {type(obj).__name__}")
+_CHECKERS = {Quandle: quandle_check, Biquandle: biquandle_check, MCQ: mcq_check, MCB: mcb_check,
+             GFamilyQ: gfq_check, GFamilyB: gfb_check, FiniteGroup: group_check}
+
+# A G-family colors a diagram through its associated MCQ or MCB.
+_ASSOCIATED = {GFamilyQ: associated_mcq, GFamilyB: associated_mcb}
+
+# functor, qg and each build target: (input class -> constructor, the message
+# for any other input, the message when the input fails its axioms or None to
+# skip the check).  zkm's constructors also take --k.
+_CONSTRUCTIONS = {
+    "functor": ({MCB: q_functor_mcb}, "functor expects an MCB file", "input fails mcb axioms"),
+    "qg": ({GFamilyB: qg_map}, "qg expects a G-family of biquandles",
+           "input fails G-family axioms"),
+    "assoc": (_ASSOCIATED, "assoc expects a G-family file", None),
+    "zkm": ({Quandle: zkm_family_from_quandle, Biquandle: zkm_family_from_biquandle},
+            "zkm expects a quandle or biquandle file", None),
+    "conj": ({FiniteGroup: conjugation_mcq}, "conj expects a group file", None),
+    "lift": ({MCQ: quandle_lift_mcb}, "lift expects an MCQ file", None),
+    "tables": (dict.fromkeys(_CHECKERS, lambda obj: obj), None, None),
+}
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -114,8 +119,8 @@ def _write_out(path: str | None, text: str) -> None:
 
 
 def cmd_check(args) -> int:
-    obj = _load_structure(args.structure)
-    report = _checker_for(obj)(obj)
+    obj = _load(args.structure)
+    report = _CHECKERS[type(obj)](obj)
     _emit(args, "kind", type(obj).__name__)
     _emit(args, "ok", str(report.ok).lower())
     for axiom, witness in report.violations:
@@ -123,66 +128,18 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def cmd_functor(args) -> int:
-    obj = _load_structure(args.structure)
-    if not isinstance(obj, MCB):
-        print("functor expects an MCB file", file=sys.stderr)
+def cmd_construct(args) -> int:
+    """functor, qg and build: load, check the input's kind (and axioms), write."""
+    makers, expects, fails = _CONSTRUCTIONS[args.what]
+    obj = _load(args.source)
+    make = makers.get(type(obj))
+    if make is None:
+        print(expects, file=sys.stderr)
         return EXIT_FAIL
-    if not mcb_check(obj).ok:
-        print("input fails mcb axioms", file=sys.stderr)
+    if fails and not _CHECKERS[type(obj)](obj).ok:
+        print(fails, file=sys.stderr)
         return EXIT_FAIL
-    _write_out(args.out, serialize_structure(q_functor_mcb(obj)))
-    return EXIT_OK
-
-
-def cmd_qg(args) -> int:
-    obj = _load_structure(args.structure)
-    if not isinstance(obj, GFamilyB):
-        print("qg expects a G-family of biquandles", file=sys.stderr)
-        return EXIT_FAIL
-    if not gfb_check(obj).ok:
-        print("input fails G-family axioms", file=sys.stderr)
-        return EXIT_FAIL
-    _write_out(args.out, serialize_structure(qg_map(obj)))
-    return EXIT_OK
-
-
-def cmd_build(args) -> int:
-    if args.what == "assoc":
-        fam = _load_structure(args.source)
-        if isinstance(fam, GFamilyQ):
-            out = associated_mcq(fam)
-        elif isinstance(fam, GFamilyB):
-            out = associated_mcb(fam)
-        else:
-            print("assoc expects a G-family file", file=sys.stderr)
-            return EXIT_FAIL
-    elif args.what == "zkm":
-        inner = _load_structure(args.source)
-        if isinstance(inner, Quandle):
-            out = zkm_family_from_quandle(inner, args.k)
-        elif isinstance(inner, Biquandle):
-            out = zkm_family_from_biquandle(inner, args.k)
-        else:
-            print("zkm expects a quandle or biquandle file", file=sys.stderr)
-            return EXIT_FAIL
-    elif args.what == "conj":
-        group = _load_structure(args.source)
-        if not isinstance(group, FiniteGroup):
-            print("conj expects a group file", file=sys.stderr)
-            return EXIT_FAIL
-        out = conjugation_mcq(group)
-    elif args.what == "lift":
-        mcq = _load_structure(args.source)
-        if not isinstance(mcq, MCQ):
-            print("lift expects an MCQ file", file=sys.stderr)
-            return EXIT_FAIL
-        out = quandle_lift_mcb(mcq)
-    elif args.what == "tables":
-        out = _load_structure(args.source)
-    else:
-        print(f"unknown build target {args.what!r}", file=sys.stderr)
-        return EXIT_FAIL
+    out = make(obj, args.k) if args.what == "zkm" else make(obj)
     _write_out(args.out, serialize_structure(out))
     return EXIT_OK
 
@@ -191,7 +148,7 @@ def _group_from_args(args):
     if args.zn is not None:
         return cyclic_group(args.zn)
     if args.group:
-        g = _load_structure(args.group)
+        g = _load(args.group)
         if not isinstance(g, FiniteGroup):
             print("--group file must contain a group", file=sys.stderr)
             raise SystemExit(EXIT_PARSE)
@@ -213,22 +170,22 @@ def cmd_flows(args) -> int:
 
 
 def cmd_color(args) -> int:
-    obj = _load_structure(args.structure)
+    obj = _load(args.structure)
     d = _load_diagram(args.diagram)
-    family = isinstance(obj, (GFamilyQ, GFamilyB))
+    family = type(obj) in _ASSOCIATED
     if not family and (args.dim or args.flow or args.per_flow):
         print("--dim, --flow and --per-flow need a G-family structure", file=sys.stderr)
         return EXIT_PARSE
     if args.per_flow and (args.dim or args.flow):
         print("--per-flow cannot be combined with --flow or --dim", file=sys.stderr)
         return EXIT_PARSE
+    if args.dim and getattr(obj, "alexander", None) is None:
+        print("--dim needs an Alexander family", file=sys.stderr)
+        return EXIT_PARSE
     domains = None
     try:
         if family:
-            flow = None
-            if args.flow:
-                with open(args.flow, encoding="utf-8") as fh:
-                    flow = parse_flow(fh.read(), base_dir=os.path.dirname(args.flow) or ".")
+            flow = _load(args.flow, parse_flow_file) if args.flow else None
             if args.per_flow:
                 table = per_flow_counts(d, obj, budget=args.budget)
                 _emit(args, "count", sum(table.values()))
@@ -255,7 +212,7 @@ def cmd_color(args) -> int:
                     return EXIT_OK
                 x, domains = flow_domains(d, obj, flow)
             else:
-                x = associated_mcq(obj) if isinstance(obj, GFamilyQ) else associated_mcb(obj)
+                x = _ASSOCIATED[type(obj)](obj)
         elif isinstance(obj, (MCQ, MCB)):
             x = obj
         else:
@@ -281,7 +238,7 @@ def cmd_color(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    obj = _load_structure(args.structure)
+    obj = _load(args.structure)
     d = _load_diagram(args.diagram)
     family = None
     if isinstance(obj, GFamilyB):
@@ -339,11 +296,9 @@ def cmd_move(args) -> int:
         if not args.structure:
             print("--transport needs --structure", file=sys.stderr)
             return EXIT_FAIL
-        x = _load_structure(args.structure)
-        if isinstance(x, GFamilyQ):
-            x = associated_mcq(x)
-        elif isinstance(x, GFamilyB):
-            x = associated_mcb(x)
+        x = _load(args.structure)
+        if type(x) in _ASSOCIATED:
+            x = _ASSOCIATED[type(x)](x)
         elif not isinstance(x, (MCQ, MCB)):
             print("--transport expects an MCQ/MCB or G-family structure", file=sys.stderr)
             return EXIT_FAIL
@@ -384,22 +339,19 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("structure")
     sc.set_defaults(func=cmd_check)
 
-    sf = sub.add_parser("functor", help="MCB -> MCQ by x*y = (x under y) over-inv y")
-    sf.add_argument("structure")
-    sf.add_argument("-o", "--out")
-    sf.set_defaults(func=cmd_functor)
-
-    sq = sub.add_parser("qg", help="G-family of biquandles -> G-family of quandles")
-    sq.add_argument("structure")
-    sq.add_argument("-o", "--out")
-    sq.set_defaults(func=cmd_qg)
+    for name, help_ in (("functor", "MCB -> MCQ by x*y = (x under y) over-inv y"),
+                        ("qg", "G-family of biquandles -> G-family of quandles")):
+        sf = sub.add_parser(name, help=help_)
+        sf.add_argument("source", metavar="structure")
+        sf.add_argument("-o", "--out")
+        sf.set_defaults(func=cmd_construct, what=name)
 
     sb = sub.add_parser("build", help="run a constructor and write the structure file")
     sb.add_argument("what", choices=("assoc", "zkm", "conj", "lift", "tables"))
     sb.add_argument("source")
     sb.add_argument("--k", type=int, default=1)
     sb.add_argument("-o", "--out")
-    sb.set_defaults(func=cmd_build)
+    sb.set_defaults(func=cmd_construct)
 
     sfl = sub.add_parser("flows", help="enumerate G-flows of a diagram")
     sfl.add_argument("diagram")
@@ -446,10 +398,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _attach_variants(argv: list[str]) -> list[str]:
+    """argv with each ``--variant V`` as ``--variant=V``: argparse would read
+    an R2 variant such as ``-+`` as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--variant" and not arg.startswith("--"):
+            out[-1] = f"--variant={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     args = None
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_attach_variants(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -209,8 +209,17 @@ def arcs_of(d: Diagram) -> dict[str, str]:
     """Map each semi-arc (and loop) to its arc representative.
 
     Two semi-arcs share an arc iff connected by over-strand passes; the
-    representative is the lexicographically least member.
+    representative is the lexicographically least member.  The map is
+    computed once per diagram and kept on it, so callers must not mutate
+    the result.
     """
+    arcs = getattr(d, "_arcs", None)
+    if arcs is None:
+        arcs = d._arcs = _arc_map(d)
+    return arcs
+
+
+def _arc_map(d: Diagram) -> dict[str, str]:
     parent: dict[str, str] = {s: s for s in d.semiarcs}
     parent.update({l: l for l in d.loops})
 

@@ -424,15 +424,6 @@ def _getter(keys: list):
     return lambda items: tuple(items[k] for k in keys)
 
 
-def _arcs(d: Diagram) -> dict[str, str]:
-    """arcs_of(d), computed once and kept on d; an MCQ transport reads it
-    on both diagrams at every call."""
-    arcs = getattr(d, "_arcs", None)
-    if arcs is None:
-        arcs = d._arcs = arcs_of(d)
-    return arcs
-
-
 def transport_coloring(d: Diagram, d2: Diagram, c, x) -> Coloring:
     """The unique coloring of d2 agreeing with c away from the rewrite site.
 
@@ -448,7 +439,7 @@ def transport_coloring(d: Diagram, d2: Diagram, c, x) -> Coloring:
     """
     net = _network(d2, x)
     if isinstance(x, MCQ):
-        old_arcs, new_arcs = _arcs(d), _arcs(d2)
+        old_arcs, new_arcs = arcs_of(d), arcs_of(d2)
         key = frozenset((new_arcs[s], old_arcs[s]) for s in old_arcs.keys() & new_arcs.keys())
     else:
         key = frozenset(c.assignment)

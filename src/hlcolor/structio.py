@@ -111,6 +111,24 @@ def _parse_ring_field(fields: dict[str, str], line: int) -> FiniteRing:
     return parse_ring_literal(fields["ring"])
 
 
+# The explicit-table kinds: header words -> (class, sections in constructor
+# order), each section a (label, attribute) pair.  A section is the
+# ``partition:`` line, the ``prod:`` table (``-`` where the product is
+# undefined), a table under its label ("" for none), or a label with ``{g}``:
+# one table per element g of the family's Z_gn, whose group the constructor
+# takes first.  The serializer reads the named attributes.
+_TABLE_KINDS = {
+    "quandle": (Quandle, [("", "table")]),
+    "biquandle": (Biquandle, [("under:", "under"), ("over:", "over")]),
+    "group table": (FiniteGroup, [("", "cayley")]),
+    "mcq": (MCQ, [("partition:", "block_of"), ("prod:", "prod"), ("star:", "star")]),
+    "mcb": (MCB, [("partition:", "block_of"), ("prod:", "prod"), ("under:", "under"),
+                  ("over:", "over")]),
+    "gfamily-q": (GFamilyQ, [("op {g}:", "ops")]),
+    "gfamily-b": (GFamilyB, [("under {g}:", "under_ops"), ("over {g}:", "over_ops")]),
+}
+
+
 def parse_structure(text: str, base_dir: str = ".") -> object:
     """Parse a structure file body into the corresponding object."""
     lines = _clean_lines(text)
@@ -118,28 +136,45 @@ def parse_structure(text: str, base_dir: str = ".") -> object:
         raise StructParseError("line 1: empty structure file")
     lineno, header = lines[0]
     tokens = header.split()
-    kind = tokens[0]
     fields = _fields([t for t in tokens[1:] if "=" in t], lineno)
-    pos = 1
+    table_kind = _TABLE_KINDS.get(" ".join(tokens[:2])) or _TABLE_KINDS.get(tokens[0])
     try:
-        return _parse_structure_body(lines, lineno, tokens, kind, fields, pos, base_dir)
+        if table_kind:
+            return _parse_tables(lines, lineno, fields, *table_kind)
+        return _parse_parameters(tokens, fields, lineno, base_dir)
     except KeyError as exc:
         raise StructParseError(f"line {lineno}: missing field {exc}") from None
 
 
-def _parse_structure_body(lines, lineno, tokens, kind, fields, pos, base_dir):
+def _parse_tables(lines, lineno, fields, cls, sections):
+    n = int(fields["n"])
+    family = "{g}" in sections[0][0]
+    args = [cyclic_group(int(fields["gn"]))] if family else []
+    pos = 1
+    for label, _ in sections:
+        if label == "partition:":
+            if pos >= len(lines) or not lines[pos][1].startswith("partition:"):
+                raise StructParseError(f"line {lineno}: expected 'partition:' line")
+            plineno, ptext = lines[pos]
+            part = [int(x) for x in ptext.split()[1:]]
+            if len(part) != n:
+                raise StructParseError(f"line {plineno}: partition needs {n} labels")
+            args.append(part)
+            pos += 1
+            continue
+        stack = []
+        for text in [label.format(g=g) for g in range(args[0].n)] if family else [label]:
+            if text:
+                pos = _expect_label(lines, pos, text)
+            rows, pos = _read_table(lines, pos, n, lineno, allow_dash=label == "prod:")
+            stack.append(rows)
+        args.append(stack if family else stack[0])
+    return cls(*args)
 
-    if kind == "quandle":
-        n = int(fields["n"])
-        rows, pos = _read_table(lines, pos, n, lineno)
-        return Quandle(rows)
-    if kind == "biquandle":
-        n = int(fields["n"])
-        pos = _expect_label(lines, pos, "under:")
-        under, pos = _read_table(lines, pos, n, lineno)
-        pos = _expect_label(lines, pos, "over:")
-        over, pos = _read_table(lines, pos, n, lineno)
-        return Biquandle(under, over)
+
+def _parse_parameters(tokens, fields, lineno, base_dir):
+    """The kinds whose header parameters name a constructor's arguments."""
+    kind = tokens[0]
     if kind == "alexander":
         ring = _parse_ring_field(fields, lineno)
         t = parse_element(ring, fields["t"])
@@ -147,35 +182,10 @@ def _parse_structure_body(lines, lineno, tokens, kind, fields, pos, base_dir):
             return alexander_biquandle(ring, parse_element(ring, fields["s"]), t)
         return alexander_quandle(ring, t)
     if kind == "group":
-        sub = tokens[1] if len(tokens) > 1 and "=" not in tokens[1] else None
-        fields = _fields([t for t in tokens[1:] if "=" in t], lineno)
         n = int(fields["n"])
-        if sub == "zn":
+        if tokens[1:2] == ["zn"]:
             return cyclic_group(n)
-        if sub == "table":
-            rows, pos = _read_table(lines, pos, n, lineno)
-            return FiniteGroup(rows)
         raise StructParseError(f"line {lineno}: group kind must be 'zn' or 'table'")
-    if kind in ("mcq", "mcb"):
-        n = int(fields["n"])
-        if pos >= len(lines) or not lines[pos][1].startswith("partition:"):
-            raise StructParseError(f"line {lineno}: expected 'partition:' line")
-        plineno, ptext = lines[pos]
-        part = [int(x) for x in ptext.split()[1:]]
-        if len(part) != n:
-            raise StructParseError(f"line {plineno}: partition needs {n} labels")
-        pos += 1
-        pos = _expect_label(lines, pos, "prod:")
-        prod, pos = _read_table(lines, pos, n, lineno, allow_dash=True)
-        if kind == "mcq":
-            pos = _expect_label(lines, pos, "star:")
-            star, pos = _read_table(lines, pos, n, lineno)
-            return MCQ(part, prod, star)
-        pos = _expect_label(lines, pos, "under:")
-        under, pos = _read_table(lines, pos, n, lineno)
-        pos = _expect_label(lines, pos, "over:")
-        over, pos = _read_table(lines, pos, n, lineno)
-        return MCB(part, prod, under, over)
     if kind == "gfamily-alexander-q":
         ring = _parse_ring_field(fields, lineno)
         return gfamily_alexander_q(ring, int(fields["n"]), parse_element(ring, fields["u"]))
@@ -194,27 +204,6 @@ def _parse_structure_body(lines, lineno, tokens, kind, fields, pos, base_dir):
         if isinstance(inner, Biquandle):
             return zkm_family_from_biquandle(inner, k)
         raise StructParseError(f"line {lineno}: zkm-family needs a quandle or biquandle file")
-    if kind in ("gfamily-q", "gfamily-b"):
-        n = int(fields["n"])
-        gn = int(fields["gn"])
-        group = cyclic_group(gn)
-        if kind == "gfamily-q":
-            ops = []
-            for g in range(gn):
-                pos = _expect_label(lines, pos, f"op {g}:")
-                rows, pos = _read_table(lines, pos, n, lineno)
-                ops.append(rows)
-            return GFamilyQ(group, ops)
-        under_ops, over_ops = [], []
-        for g in range(gn):
-            pos = _expect_label(lines, pos, f"under {g}:")
-            rows, pos = _read_table(lines, pos, n, lineno)
-            under_ops.append(rows)
-        for g in range(gn):
-            pos = _expect_label(lines, pos, f"over {g}:")
-            rows, pos = _read_table(lines, pos, n, lineno)
-            over_ops.append(rows)
-        return GFamilyB(group, under_ops, over_ops)
     raise StructParseError(f"line {lineno}: unknown structure kind {kind!r}")
 
 
@@ -224,52 +213,43 @@ def parse_structure_file(path: str) -> object:
 
 
 def _table_lines(table) -> list[str]:
-    return [" ".join(str(int(v)) for v in row) for row in np.asarray(table)]
-
-
-def _prod_lines(prod) -> list[str]:
-    out = []
-    for row in np.asarray(prod):
-        out.append(" ".join("-" if v < 0 else str(int(v)) for v in row))
-    return out
+    """The rows of a table; ``-`` marks an undefined (negative) product entry."""
+    return [" ".join("-" if v < 0 else str(v) for v in row) for row in np.asarray(table).tolist()]
 
 
 def serialize_structure(obj) -> str:
     """Serialize to the canonical explicit-table file form."""
-    if isinstance(obj, Quandle):
-        lines = [f"quandle n={obj.n}"] + _table_lines(obj.table)
-    elif isinstance(obj, Biquandle):
-        lines = [f"biquandle n={obj.n}", "under:"] + _table_lines(obj.under)
-        lines += ["over:"] + _table_lines(obj.over)
-    elif isinstance(obj, FiniteGroup):
-        lines = [f"group table n={obj.n}"] + _table_lines(obj.cayley)
-    elif isinstance(obj, MCQ):
-        lines = [f"mcq n={obj.n}"]
-        lines += ["partition: " + " ".join(str(int(b)) for b in obj.block_of)]
-        lines += ["prod:"] + _prod_lines(obj.prod)
-        lines += ["star:"] + _table_lines(obj.star)
-    elif isinstance(obj, MCB):
-        lines = [f"mcb n={obj.n}"]
-        lines += ["partition: " + " ".join(str(int(b)) for b in obj.block_of)]
-        lines += ["prod:"] + _prod_lines(obj.prod)
-        lines += ["under:"] + _table_lines(obj.under)
-        lines += ["over:"] + _table_lines(obj.over)
-    elif isinstance(obj, GFamilyQ):
-        lines = [f"gfamily-q n={obj.n} gn={obj.group.n}"]
-        for g in range(obj.group.n):
-            lines += [f"op {g}:"] + _table_lines(obj.ops[g])
-    elif isinstance(obj, GFamilyB):
-        lines = [f"gfamily-b n={obj.n} gn={obj.group.n}"]
-        for g in range(obj.group.n):
-            lines += [f"under {g}:"] + _table_lines(obj.under_ops[g])
-        for g in range(obj.group.n):
-            lines += [f"over {g}:"] + _table_lines(obj.over_ops[g])
+    for words, (cls, sections) in _TABLE_KINDS.items():
+        if isinstance(obj, cls):
+            break
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+    family = "{g}" in sections[0][0]
+    lines = [f"{words} n={obj.n}" + (f" gn={obj.group.n}" if family else "")]
+    for label, attr in sections:
+        value = getattr(obj, attr)
+        if label == "partition:":
+            lines.append("partition: " + " ".join(str(int(b)) for b in value))
+        elif family:
+            for g, table in enumerate(value):
+                lines += [label.format(g=g)] + _table_lines(table)
+        else:
+            lines += [label] * bool(label) + _table_lines(value)
     return "\n".join(lines) + "\n"
 
 
 # -- flows and colorings ------------------------------------------------------
+
+
+def _assignments(lines, what: str) -> dict[str, int]:
+    """The ``assign <what> <element>`` lines of a flow or coloring file."""
+    out: dict[str, int] = {}
+    for lno, line in lines:
+        parts = line.split()
+        if len(parts) != 3 or parts[0] != "assign":
+            raise StructParseError(f"line {lno}: expected 'assign <{what}> <element>'")
+        out[parts[1]] = _int(parts[2], lno, "element")
+    return out
 
 
 def parse_flow(text: str, base_dir: str = "."):
@@ -288,15 +268,16 @@ def parse_flow(text: str, base_dir: str = "."):
         group = cyclic_group(n)
     elif "group" in fields:
         group = parse_structure_file(os.path.join(base_dir, fields["group"]))
+        if not isinstance(group, FiniteGroup):
+            raise StructParseError(f"line {lineno}: the group= file must contain a group")
     else:
         raise StructParseError(f"line {lineno}: flow needs zn= or group=")
-    assignment = {}
-    for lno, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "assign":
-            raise StructParseError(f"line {lno}: expected 'assign <arc> <element>'")
-        assignment[parts[1]] = _int(parts[2], lno, "element")
-    return Flow.from_dict(group, assignment)
+    return Flow.from_dict(group, _assignments(lines[1:], "arc"))
+
+
+def parse_flow_file(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return parse_flow(fh.read(), base_dir=os.path.dirname(path) or ".")
 
 
 def serialize_flow(flow) -> str:
@@ -311,13 +292,7 @@ def parse_coloring_assignment(text: str) -> dict[str, int]:
     lines = _clean_lines(text)
     if not lines or lines[0][1].split()[0] != "coloring":
         raise StructParseError("line 1: expected coloring header")
-    out: dict[str, int] = {}
-    for lno, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "assign":
-            raise StructParseError(f"line {lno}: expected 'assign <id> <element>'")
-        out[parts[1]] = _int(parts[2], lno, "element")
-    return out
+    return _assignments(lines[1:], "id")
 
 
 def serialize_coloring(coloring) -> str:

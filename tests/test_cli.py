@@ -249,6 +249,28 @@ def test_malformed_flow_file_is_a_parse_error(capsys, tmp_path, text):
     assert code == 2
 
 
+@pytest.mark.parametrize("group", ["group zn n=0\n", "quandle n=2\n0 0\n1 1\n"])
+def test_flow_naming_a_file_that_is_no_group_is_a_parse_error(capsys, tmp_path, group):
+    # found by the flow fuzz: a group= file that fails to build ended in a traceback
+    (tmp_path / "group.txt").write_text(group)
+    flow_file = tmp_path / "flow.txt"
+    flow_file.write_text("flow group=group.txt\nassign s1 0\nassign s2 0\nassign s4 0\n")
+    code = main(["color", corpus_path("structures", "z3-z2-family.txt"),
+                 corpus_path("diagrams", "trefoil.txt"), "--flow", str(flow_file)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("parse error:")
+
+
+def test_dim_on_a_family_that_is_not_alexander_is_a_usage_error(capsys, tmp_path):
+    # found by the flow fuzz: the linear path's ValueError ended in a traceback
+    flow_file = tmp_path / "flow.txt"
+    flow_file.write_text("flow zn=2\nassign s1 0\nassign s2 0\nassign s4 0\n")
+    code = main(["color", corpus_path("structures", "dihedral-z2-family.txt"),
+                 corpus_path("diagrams", "trefoil.txt"), "--dim", "--flow", str(flow_file)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == "--dim needs an Alexander family\n"
+
+
 def test_list_into_a_closed_pipe_prints_no_traceback():
     # the listing (about 100 kB) outgrows the pipe buffer, so the writer
     # still has output left when the reader goes away after one line
@@ -466,6 +488,19 @@ def test_move_r5_asks_for_the_variant_when_both_vertex_kinds_match(capsys):
     assert captured.err.startswith("site mismatch:") and "set the variant" in captured.err
     code, captured = _move(capsys, clasp, "--move", "R5a", "--site", "s7", "--variant", "merge")
     assert code == 0 and captured.err == ""
+
+
+@pytest.mark.parametrize("variant", ["-+", "+-"])
+def test_move_takes_an_r2_variant_as_a_separate_argument(capsys, tmp_path, variant):
+    trefoil = corpus_path("diagrams", "trefoil.txt")
+    outputs = []
+    for spelling in (["--variant", variant], [f"--variant={variant}"]):
+        out = tmp_path / f"out{len(outputs)}.txt"
+        code, captured = _move(capsys, trefoil, "--move", "R2a", "--site", "s1,s2",
+                               *spelling, "-o", str(out))
+        assert code == 0 and captured.err == ""
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
 
 
 def test_machine_color_list_is_pinned(capsys):

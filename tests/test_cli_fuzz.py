@@ -1,7 +1,9 @@
-"""Fuzz the CLI: ``hlcolor check`` with generated structure files, and
-``hlcolor move`` with generated diagram files, move names, directions, site
-ids, variants and ``--transport`` coloring files.  Whatever the input, the
-command exits 0, 1, 2 or 3 and never raises.
+"""Fuzz the CLI: ``hlcolor check`` with generated structure files (whose
+parsed objects must also serialize stably), ``hlcolor move`` with generated
+diagram files, move names, directions, site ids, variants and
+``--transport`` coloring files, and ``hlcolor color --flow`` and ``hlcolor
+flows`` with generated flow files, group files and orders.  Whatever the
+input, the command exits 0, 1, 2 or 3 and never raises.
 
 Ring moduli stay at most 12, quotient rings at most 16 elements and group
 orders at most 4, so no example builds a large structure; diagrams are small
@@ -16,12 +18,20 @@ import tempfile
 import pytest
 
 from hlcolor.cli import main
-from hlcolor.coloring import Coloring, coloring_vars, enumerate_colorings
-from hlcolor.diagram import parse_diagram
+from hlcolor.coloring import Coloring, coloring_vars, enumerate_colorings, enumerate_flows
+from hlcolor.diagram import arcs_of, parse_diagram
 from hlcolor.gfamily import GFamilyB, GFamilyQ, associated_mcb, associated_mcq
-from hlcolor.mcqb import MCB, MCQ
+from hlcolor.groups import FiniteGroup, cyclic_group
+from hlcolor.mcqb import MCB, MCQ, conjugation_mcq, quandle_lift_mcb
 from hlcolor.moves import find_sites
-from hlcolor.structio import parse_structure_file, serialize_coloring
+from hlcolor.structio import (
+    _TABLE_KINDS,
+    parse_structure,
+    parse_structure_file,
+    serialize_coloring,
+    serialize_flow,
+    serialize_structure,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -125,6 +135,38 @@ def test_check_exits_0_1_or_2_on_any_structure_file(files):
     assert code in (0, 1, 2)
 
 
+# what hlcolor build's assoc, conj and lift targets make of any object of their kind
+DERIVED = {GFamilyQ: associated_mcq, GFamilyB: associated_mcb, FiniteGroup: conjugation_mcq,
+           MCQ: quandle_lift_mcb}
+
+
+def test_serialize_parse_serialize_is_byte_identical_on_every_table_kind():
+    """Each structure file of the check fuzz that parses, and what build
+    derives from it, serializes to a text that parses back to that text; the
+    texts cover every explicit-table kind."""
+    kinds = set()
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+    @hypothesis.given(structure_files())
+    def roundtrip(files):
+        text, inner = files
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "inner.txt"), "w", encoding="utf-8") as fh:
+                fh.write(inner)
+            try:
+                obj = parse_structure(text, base_dir=tmp)
+            except ValueError:
+                return
+        while obj is not None:
+            once = serialize_structure(obj)
+            assert serialize_structure(parse_structure(once)) == once
+            kinds.add(once.split(" n=", 1)[0])
+            obj = DERIVED[type(obj)](obj) if type(obj) in DERIVED else None
+
+    roundtrip()
+    assert kinds == set(_TABLE_KINDS)
+
+
 # -- move: diagrams, move arguments and transport files ------------------------------
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -209,10 +251,9 @@ def move_calls(draw) -> tuple[str, str | None, list[str]]:
     else:
         move = draw(st.sampled_from(MOVE_NAMES))
         direction = draw(st.sampled_from(["apply", "undo", "back"]))
-    # "=" keeps a variant such as "-+" from reading as an option
-    args = ["--move", move, "--direction", direction, f"--site={','.join(ids)}"]
+    args = ["--move", move, "--direction", direction, "--site", ",".join(ids)]
     if variant:
-        args.append(f"--variant={variant}")
+        args += ["--variant", variant]
     coloring = None
     if not draw(st.booleans()):
         structure = draw(st.sampled_from(STRUCTURES))
@@ -222,23 +263,28 @@ def move_calls(draw) -> tuple[str, str | None, list[str]]:
     return text, coloring, args
 
 
+def _run(argv: list[str], files: dict[str, str]) -> tuple[int, str]:
+    """hlcolor on argv, with "{tmp}" in it naming a temporary directory that
+    holds each files[name]; (exit code, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, body in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(body)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([a.replace("{tmp}", tmp) for a in argv])
+    return code, err.getvalue()
+
+
 def _run_move(text: str, coloring: str | None, args: list[str]) -> tuple[int, str]:
     """hlcolor move on the diagram text, with --transport when coloring is
     given; (exit code, stderr)."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "diagram.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        argv = ["move", path, *args, "-o", os.path.join(tmp, "out.txt")]
-        if coloring is not None:
-            col = os.path.join(tmp, "coloring.txt")
-            with open(col, "w", encoding="utf-8") as fh:
-                fh.write(coloring)
-            argv += ["--transport", col, "--transport-out", os.path.join(tmp, "moved.txt")]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
-    return code, err.getvalue()
+    argv = ["move", "{tmp}/diagram.txt", *args, "-o", "{tmp}/out.txt"]
+    files = {"diagram.txt": text}
+    if coloring is not None:
+        files["coloring.txt"] = coloring
+        argv += ["--transport", "{tmp}/coloring.txt", "--transport-out", "{tmp}/moved.txt"]
+    return _run(argv, files)
 
 
 @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
@@ -253,5 +299,82 @@ def test_move_exits_0_to_3_on_any_diagram_file(text, site):
 @hypothesis.given(move_calls())
 def test_move_exits_0_to_3_on_any_arguments_and_transport_file(call):
     code, err = _run_move(*call)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+# -- color --flow and flows: flow files, group files and orders ------------------------
+
+# corpus families and the orders of their groups
+FAMILIES = {"z3-z2-family": 2, "dihedral-z2-family": 2, "z5-z4-family": 4, "gr16-z3-family": 3}
+GROUP_FILES = ("group zn n=2", "group zn n=3", "group zn n=0", "group table n=2\n0 1\n1 0",
+               "group table n=2\n0 1", "group zn", "quandle n=1\n0", "")
+
+
+@st.composite
+def flow_texts(draw, d, order: int) -> str:
+    """A flow file for d: a flow of d, mostly in Z_order, with lines dropped,
+    added, changed or cut short, under a zn= or group= header or a broken one."""
+    n = draw(st.sampled_from([order, order, order, 1, 2, 3, 4]))
+    flows = enumerate_flows(d, cyclic_group(n))
+    if flows and draw(st.booleans()):
+        lines = serialize_flow(draw(st.sampled_from(flows))).splitlines()
+    else:
+        arcs = sorted(set(arcs_of(d).values()))
+        lines = [f"flow zn={n}"] + [f"assign {a} {draw(st.integers(0, n - 1))}" for a in arcs]
+    if not draw(st.integers(0, 2)):
+        lines[0] = draw(st.sampled_from([
+            f"flow zn={draw(st.integers(-1, 9))}", "flow group=group.txt", "flow group=none.txt",
+            "flow", "flow zn=x", "flow zn=2 group=group.txt", "flo zn=2", "", "flow n=2",
+        ]))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(1, len(lines)))
+        edit = draw(st.sampled_from(["drop", "add", "value", "cut"]))
+        if edit == "drop" and i < len(lines):
+            del lines[i]
+        elif edit == "add":
+            key = draw(st.sampled_from(IDS[:-1]))
+            lines.insert(i, f"assign {key} {draw(st.integers(-1, 9))}")
+        elif edit == "value" and i < len(lines):
+            value = draw(st.sampled_from(["-1", "4", "9", "x", "1.5", ""]))
+            lines[i] = lines[i].rsplit(" ", 1)[0] + " " + value
+        elif edit == "cut" and i < len(lines):
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def color_flow_calls(draw) -> tuple[str, str, list[str]]:
+    """(flow text, group file text, the arguments of color) on a corpus
+    family and diagram."""
+    name = draw(st.sampled_from(SMALL_DIAGRAMS))
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    flow = draw(flow_texts(parse_diagram(_corpus_text(name)), FAMILIES[family]))
+    args = [os.path.join(CORPUS, "structures", f"{family}.txt"),
+            os.path.join(CORPUS, "diagrams", f"{name}.txt")]
+    args += draw(st.sampled_from([[], ["--dim"], ["--list"], ["--dim", "--list"],
+                                  ["--budget", "3"], ["--per-flow"]]))
+    return flow, draw(st.sampled_from(GROUP_FILES)), args
+
+
+@hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+@hypothesis.given(color_flow_calls())
+def test_color_flow_exits_0_to_3_on_any_flow_file(call):
+    flow, group, args = call
+    code, err = _run(["color", *args, "--flow", "{tmp}/flow.txt"],
+                     {"flow.txt": flow, "group.txt": group + "\n"})
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.given(diagram_texts(), st.sampled_from(GROUP_FILES),
+                  st.lists(st.sampled_from([["--zn", "-1"], ["--zn", "0"], ["--zn", "3"],
+                                            ["--zn", "x"], ["--group", "{tmp}/group.txt"],
+                                            ["--group", "{tmp}/none.txt"], ["--list"]]),
+                           max_size=3))
+def test_flows_exits_0_to_3_on_any_order_or_group_file(text, group, options):
+    code, err = _run(["flows", "{tmp}/diagram.txt", *(a for o in options for a in o)],
+                     {"diagram.txt": text, "group.txt": group + "\n"})
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err

@@ -619,3 +619,27 @@ def test_a_plan_count_builds_no_search_masks(corpus_diagrams, monkeypatch):
     assert enumerate_colorings_mcb(d, x, want_list=True).count == 360 and built
     # a one-element group knows every variable before any search
     assert len(enumerate_flows(theta_curve(), cyclic_group(1))) == 1
+
+
+def test_arc_map_is_computed_once_per_diagram(corpus_structures, monkeypatch):
+    """Flows, per-flow counts, the linear path and MCQ transports on two
+    diagrams compute each diagram's arc map once."""
+    from hlcolor import diagram
+    from hlcolor.gfamily import associated_mcq, qg_map
+    from hlcolor.moves import apply_move, find_sites, transport_coloring
+
+    computed = []
+    arc_map = diagram._arc_map
+    monkeypatch.setattr(diagram, "_arc_map", lambda d: computed.append(d) or arc_map(d))
+    d = trefoil()
+    d2 = apply_move(d, find_sites(d, "R2a", "apply")[0]).diagram
+    bfam = corpus_structures["z3-z2-family"]
+    qfam = qg_map(bfam)
+    x = associated_mcq(qfam)
+    for dd in (d, d2):
+        for fam in (qfam, bfam):
+            for flow, n in per_flow_counts(dd, fam).items():
+                assert linear_colorings(dd, fam, flow).count == n
+    for col in enumerate_colorings_mcq(d, x, want_list=True).colorings:
+        transport_coloring(d, d2, col, x)
+    assert len(computed) == 2 and computed[0] is d and computed[1] is d2
