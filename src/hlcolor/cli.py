@@ -145,6 +145,9 @@ def cmd_construct(args) -> int:
 
 
 def _group_from_args(args):
+    if args.zn is not None and args.group:
+        print("--zn cannot be combined with --group", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
     if args.zn is not None:
         return cyclic_group(args.zn)
     if args.group:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from hlcolor.mcqb import MCB, MCQ
 from hlcolor.oracle import semiarc_rules_hold
 from hlcolor.plan import KEYS as _KEYS
 from hlcolor.plan import count as _plan_count
+from hlcolor.plan import depth_first as _depth_first
 from hlcolor.rings import SizeBoundExceededError
 
 
@@ -73,7 +73,7 @@ class ColoringSetReport:
     colorings: list[Coloring] | None = None
     module_info: tuple[int, list] | None = None  # (dimension, basis vectors)
     per_flow: dict[Flow, int] | None = None
-    nodes: int | None = None  # values tried (rows an expansion keeps on the plan path)
+    nodes: int | None = None  # values tried (rows an expansion keeps on the row plan)
 
 
 class FlowInvalidError(ValueError):
@@ -91,53 +91,16 @@ class NotBraidShapedError(ValueError):
 # flat lists of them.
 
 
-def _bitmasks(m: np.ndarray) -> list:
-    """Nested lists of ints whose bit j is m[..., j], for a boolean array m."""
-    words = -(-m.shape[-1] // 64)
-    padded = np.zeros(m.shape[:-1] + (64 * words,), dtype=bool)
-    padded[..., : m.shape[-1]] = m
-    word = np.packbits(padded, axis=-1, bitorder="little").view("<u8").astype(object)
-    masks = word[..., 0]
-    for k in range(1, words):
-        masks = masks | word[..., k] << 64 * k
-    return masks.tolist()
-
-
-def _pair_masks(p: np.ndarray, q: np.ndarray, v: np.ndarray, n: int) -> list:
-    """masks[p][q] with bit v set for every entry (p, q, v) of the index arrays.
-
-    Built a slab of p values at a time, so the dense support stays near 2^16
-    booleans rather than n^3.
-    """
-    order = np.argsort(p, kind="stable")
-    p, q, v = p[order], q[order], v[order]
-    step = max(1, 2**16 // (n * n))
-    masks: list = []
-    for first in range(0, n, step):
-        last = min(first + step, n)
-        lo, hi = np.searchsorted(p, (first, last))
-        support = np.zeros((last - first, n, n), dtype=bool)
-        support[p[lo:hi] - first, q[lo:hi], v[lo:hi]] = True
-        masks += _bitmasks(support)
-    return masks
-
-
 class _RuleTable:
-    """A rule table tbl[a, b] == c, -1 where undefined, with what each engine
-    derives from it, built when that engine first asks.
+    """A rule table tbl[a, b] == c, -1 where undefined, with what the plans
+    (hlcolor.plan) derive from it, built when a plan first asks.
 
-    For the bitset search, built by masks(): ab[a][b] is the c the table gives.  With c and b
-    known, a lies in the mask cb[c][b]; with a and c known, b lies in
-    ac[a][c].  With only slot s known to hold v, each other slot i lies in
-    masks[v] for (i, masks) in given[s]; projections that are full filter
-    nothing and are left out.
-
-    For the lookup plan: lookups[i] gives slot i from the other two slots,
-    indexed by them in the order _KEYS[i], -1 where no entry has them; it is
-    None where some pair of them allows several values.  The coloring
-    transport reads them as lookup_lists.  support(s, i)[u, w]
-    says some entry holds u in slot s and w in slot i, and candidates lists
-    the values one slot takes beside known ones.
+    lookups[i] gives slot i from the other two slots, indexed by them in the
+    order _KEYS[i], -1 where no entry has them; it is None where some pair of
+    them allows several values.  support(s, i)[u, w] says some entry holds u
+    in slot s and w in slot i, and candidates lists the values one slot takes
+    beside known ones.  The depth-first plan and the coloring transport read
+    lookups and candidates as nested lists (lookup_lists, candidate_lists).
     """
 
     def __init__(self, tbl: np.ndarray):
@@ -149,24 +112,7 @@ class _RuleTable:
         self._support: dict = {}
         self._share: dict = {}
         self._candidates: dict = {}
-        # plain attributes, not properties: the search reads them per equation
-        self.ab: list | None = None
-        self.cb: list = []
-        self.ac: list = []
-        self.given: tuple[list, list, list] = ([], [], [])
-
-    def masks(self) -> None:
-        """Build ab, cb, ac and given, once."""
-        if self.ab is not None:
-            return
-        a, b, c = self.slots
-        self.cb = _pair_masks(c, b, a, self.n)
-        self.ac = _pair_masks(a, c, b, self.n)
-        for s, i in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
-            seen = self.support(s, i)
-            if not seen.all():
-                self.given[s].append((i, _bitmasks(seen)))
-        self.ab = self.tbl.tolist()
+        self._candidate_lists: dict = {}
 
     def support(self, s: int, i: int) -> np.ndarray:
         seen = self._support.get((s, i))
@@ -213,6 +159,19 @@ class _RuleTable:
             start = np.zeros(n ** len(keys) + 1, dtype=np.intp)
             np.cumsum(np.bincount(key, minlength=n ** len(keys)), out=start[1:])
             found = self._candidates[keys, i] = (start, values)
+        return found
+
+    def candidate_lists(self, keys: tuple[int, ...], i: int) -> list:
+        """candidates as nested lists: beside u (and w), slot i takes the
+        values lists[u] (lists[u][w])."""
+        found = self._candidate_lists.get((keys, i))
+        if found is None:
+            start, values = self.candidates(keys, i)
+            start, values = start.tolist(), values.tolist()
+            found = [values[lo:hi] for lo, hi in zip(start, start[1:])]
+            if len(keys) == 2:
+                found = [found[u * self.n:(u + 1) * self.n] for u in range(self.n)]
+            self._candidate_lists[keys, i] = found
         return found
 
 
@@ -273,105 +232,35 @@ def _arc_constraints(d: Diagram, arcs: dict[str, str], crossing, vertex) -> list
     return eqs
 
 
-# -- the search engine ---------------------------------------------------------
-
-
-def _propagate(dom: list[int], queue: list[int], var_eqs: list) -> bool:
-    """Forward checking (Mackworth, AI 8, 1977) from the queued variables;
-    False on an empty domain.
-
-    A variable is known when its domain is a single bit.  In every equation of
-    a queued variable, two known slots narrow the third to the values the table
-    allows, and one known slot narrows the other two to its partners.  A domain
-    that shrinks to one bit is queued in turn, so on success every equation
-    whose slots are all known holds.  The equations are _Network.masks()'s
-    flat records, unpacked in place.
-    """
-    while queue:
-        for a, b, c, ab, cb, ac, ga, gb, gc in var_eqs[queue.pop()]:
-            da, db, dc = dom[a], dom[b], dom[c]
-            ka, kb, kc = not da & (da - 1), not db & (db - 1), not dc & (dc - 1)
-            if ka and kb:
-                want = ab[da.bit_length() - 1][db.bit_length() - 1]
-                if want < 0 or not dc >> want & 1:
-                    return False
-                if not kc:
-                    dom[c] = 1 << want
-                    queue.append(c)
-                continue
-            if kb and kc:
-                var, mask = a, cb[dc.bit_length() - 1][db.bit_length() - 1]
-            elif ka and kc:
-                var, mask = b, ac[da.bit_length() - 1][dc.bit_length() - 1]
-            else:
-                if ka:
-                    v, given = da.bit_length() - 1, ga
-                elif kb:
-                    v, given = db.bit_length() - 1, gb
-                elif kc:
-                    v, given = dc.bit_length() - 1, gc
-                else:
-                    continue
-                for var, masks in given:
-                    d = dom[var]
-                    new = d & masks[v]
-                    if new != d:
-                        if not new:
-                            return False
-                        dom[var] = new
-                        if not new & (new - 1):
-                            queue.append(var)
-                continue
-            d = dom[var]
-            new = d & mask
-            if new != d:
-                if not new:
-                    return False
-                dom[var] = new
-                if not new & (new - 1):
-                    queue.append(var)
-    return True
+# -- the constraint network --------------------------------------------------------
 
 
 class _Network:
     """The integer-indexed constraint network of one (diagram, structure) pair.
 
     Variable i is the i-th name in sorted order; eqs holds every equation as
-    (a, b, c, table) on variable indices, full the domain with every value
-    possible, plans the lookup plans of hlcolor.plan compiled for it, by the
-    set of known variables, and transports the schedules of
-    moves.transport_coloring, by the names of the source coloring.  The
-    search's equation records are built by masks().
+    (a, b, c, table) on variable indices, in the order of the diagram's
+    records, and n is the number of values.  var_eqs[i] lists the equations
+    that hold variable i, and rank[i] is its place in the order in which the
+    variables first appear in eqs.  plans holds the plans of hlcolor.plan
+    compiled for it: the row plan under None and the depth-first plan of each
+    set of fixed variables under that set.  transports holds the schedules of
+    moves.transport_coloring, by the names of the source coloring.
     """
 
     def __init__(self, all_vars, domain_size: int, constraints):
         self.names = sorted(all_vars)
         self.index = {v: i for i, v in enumerate(self.names)}
         self.eqs = [(self.index[a], self.index[b], self.index[c], t) for a, b, c, t in constraints]
-        self.full = (1 << domain_size) - 1
+        self.n = domain_size
+        self.var_eqs: list[list[int]] = [[] for _ in self.names]
+        for e, eq in enumerate(self.eqs):
+            for v in dict.fromkeys(eq[:3]):
+                self.var_eqs[v].append(e)
+        first = {v: i for i, v in enumerate(dict.fromkeys(v for eq in self.eqs for v in eq[:3]))}
+        self.rank = [first.get(v, len(first) + v) for v in range(len(self.names))]
         self.plans: dict = {}
         self.transports: dict = {}
-        self.records: list | None = None
-        self.var_eqs: list[list] = []
-
-    def masks(self) -> None:
-        """Turn each equation into one flat record, once: (a, b, c, ab, cb, ac,
-        ga, gb, gc) with the rule table's lists (see _RuleTable) and, for each
-        slot, the (variable, masks) pairs that narrow when only that slot is
-        known.  var_eqs[i] lists the records of the equations that mention
-        variable i, sharing them."""
-        if self.records is not None:
-            return
-        self.records = []
-        self.var_eqs = [[] for _ in self.names]
-        for a, b, c, t in self.eqs:
-            t.masks()
-            slots = (a, b, c)
-            given = [[(slots[i], masks) for i, masks in t.given[s]] for s in range(3)]
-            record = (a, b, c, t.ab, t.cb, t.ac, *given)
-            self.records.append(record)
-            for v in set(slots):
-                self.var_eqs[v].append(record)
 
 
 def _network(d: Diagram, x: MCB | MCQ | FiniteGroup) -> _Network:
@@ -398,190 +287,11 @@ def _network(d: Diagram, x: MCB | MCQ | FiniteGroup) -> _Network:
     return entry[1]
 
 
-class _Search:
-    """Forward-checking search over one constraint network (see _Network).
-
-    A domain is an int whose bit v says that value v is still possible.  After
-    the fixed values and domains are propagated (_propagate), the unknown
-    variables split into the connected components of the equations that
-    still hold two or more of them; each component is searched on its own and
-    the counts multiply.  The search branches on a variable of smallest
-    domain, the first in sorted order on a tie, and tries its values in
-    ascending order; _count and _solutions recurse on the propagated children
-    directly.  ``nodes`` counts the values tried, over all components; past
-    ``budget`` the search raises SizeBoundExceededError.  ``widest`` is the
-    largest domain given, before fixed values and propagation; it picks the
-    counting path.  A transport (moves.transport_coloring) runs it only when
-    table lookups leave a variable open.
-    """
-
-    def __init__(self, net: _Network, fixed=None, domains=None, budget=None):
-        self.net = net
-        self.names = net.names
-        index, full = net.index, net.full
-        dom = [full] * len(self.names)
-        for v, vals in (domains or {}).items():
-            dom[index[v]] = sum(1 << val for val in set(vals)) & full
-        for v, val in (fixed or {}).items():
-            dom[index[v]] &= 1 << val
-        self.widest = max(map(int.bit_count, dom), default=0) if domains else full.bit_length()
-        self.budget = budget
-        self.nodes = 0
-        self.dom = dom if all(dom) and self._settle(dom) else None
-        self.components = [] if self.dom is None else self._components(net.eqs)
-
-    @classmethod
-    def settled(cls, net: _Network, dom: list[int], eqs: list) -> _Search:
-        """The search on domains that are already settled and propagated, as
-        __init__ leaves them; eqs must hold every equation with an open
-        variable."""
-        self = cls.__new__(cls)
-        self.net, self.names, self.dom = net, net.names, dom
-        self.widest, self.budget, self.nodes = net.full.bit_length(), None, 0
-        self.components = self._components(eqs)
-        return self
-
-    def _settle(self, dom: list[int]) -> bool:
-        """Propagate the initial domains; False on a conflict.
-
-        Equations whose three slots are known are checked here, once each;
-        only the known variables that share an equation with an unknown one
-        need to be queued, since narrowing starts from known slots alone.
-        """
-        if not any(not d & (d - 1) for d in dom):
-            return True  # nothing is known, so nothing narrows
-        self.net.masks()
-        queue = set()
-        for a, b, c, ab, *_ in self.net.records:
-            da, db, dc = dom[a], dom[b], dom[c]
-            ka, kb, kc = not da & (da - 1), not db & (db - 1), not dc & (dc - 1)
-            if ka and kb and kc:
-                if ab[da.bit_length() - 1][db.bit_length() - 1] != dc.bit_length() - 1:
-                    return False
-            elif ka or kb or kc:
-                queue.update(v for v, k in ((a, ka), (b, kb), (c, kc)) if k)
-        return _propagate(dom, sorted(queue), self.net.var_eqs)
-
-    def _components(self, eqs: list) -> list[list[int]]:
-        dom = self.dom
-        parent = {i: i for i, d in enumerate(dom) if d & (d - 1)}
-        if not parent:
-            return []
-
-        def root(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for eq in eqs:
-            open_ = [v for v in eq[:3] if v in parent]
-            for v in open_[1:]:
-                parent[root(v)] = root(open_[0])
-        groups: dict[int, list[int]] = {}
-        for i in parent:
-            groups.setdefault(root(i), []).append(i)
-        return sorted(groups.values())
-
-    def _tried(self) -> None:
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise SizeBoundExceededError(f"enumeration exceeded branch budget {self.budget}")
-
-    def _count(self, dom: list[int], comp: list[int]) -> int:
-        var = _branch_var(dom, comp)
-        if var < 0:
-            return 1
-        total, d, var_eqs = 0, dom[var], self.net.var_eqs
-        while d:
-            bit = d & -d
-            d ^= bit
-            self._tried()
-            child = dom[:]
-            child[var] = bit
-            if _propagate(child, [var], var_eqs):
-                total += self._count(child, comp)
-        return total
-
-    def _solutions(self, dom: list[int], comp: list[int]):
-        """Yield the values of comp in each solution below dom, in search order."""
-        var = _branch_var(dom, comp)
-        if var < 0:
-            yield [dom[v].bit_length() - 1 for v in comp]
-            return
-        d, var_eqs = dom[var], self.net.var_eqs
-        while d:
-            bit = d & -d
-            d ^= bit
-            self._tried()
-            child = dom[:]
-            child[var] = bit
-            if _propagate(child, [var], var_eqs):
-                yield from self._solutions(child, comp)
-
-    def count(self) -> int:
-        self.net.masks()
-        total = 0 if self.dom is None else 1
-        for comp in self.components:
-            total *= self._count(self.dom, comp)
-            if not total:
-                break
-        return total
-
-    def rows(self) -> np.ndarray:
-        """Every solution as a row of its values in sorted variable order, the
-        rows in lexicographic order, in the smallest unsigned dtype."""
-        dtype = np.min_scalar_type(self.net.full.bit_length() - 1)
-        if self.dom is None:
-            return np.zeros((0, len(self.names)), dtype=dtype)
-        self.net.masks()
-        rows = np.array([[d.bit_length() - 1 for d in self.dom]], dtype=dtype)
-        for comp in self.components:
-            found = np.array(list(self._solutions(self.dom, comp)), dtype=dtype)
-            # every row so far with every solution of comp
-            rows = np.repeat(rows, len(found), axis=0)
-            if len(found):
-                rows[:, comp] = np.tile(found, (len(rows) // len(found), 1))
-        return rows[np.lexsort(rows.T[::-1])] if rows.shape[1] else rows
-
-    def assignments(self):
-        """Yield every solution as a dict, in the order of rows()."""
-        for row in self.rows().tolist():
-            yield dict(zip(self.names, row))
-
-    def unique(self) -> dict[str, int] | None:
-        """The solution as a dict if there is exactly one, else None.
-
-        Each component is searched only until a second solution turns up.
-        """
-        if self.dom is None:
-            return None
-        self.net.masks()
-        dom = self.dom[:]
-        for comp in self.components:
-            found = list(islice(self._solutions(self.dom, comp), 2))
-            if len(found) != 1:
-                return None
-            for v, val in zip(comp, found[0]):
-                dom[v] = 1 << val
-        return {name: d.bit_length() - 1 for name, d in zip(self.names, dom)}
-
-
-def _branch_var(dom: list[int], comp: list[int]) -> int:
-    """The open variable of comp with the smallest domain, the first on a tie;
-    -1 when every variable of comp is known."""
-    var, size = -1, 0
-    for v in comp:
-        d = dom[v]
-        if d & (d - 1) and (var < 0 or d.bit_count() < size):
-            var, size = v, d.bit_count()
-    return var
-
-
-# Counts whose widest domain is smaller take the search.  Timed over the 12
-# corpus diagrams, parsed afresh as the CLI does, the search is faster at 6 and
-# 10 elements, the two paths are mixed at 12 and 14, and the plan is faster
-# from 18 on (2-core VM, Python 3.11, numpy 2.4).
+# Counts whose widest domain is smaller take the depth-first plan, larger ones
+# the row plan.  Timed over the 12 corpus diagrams, parsed afresh as the CLI
+# does, the row plan takes 87 ms against 16 ms on the 11 corpus structures of
+# 6 elements, 38 against 24 ms on those of 20, and half the time or less on
+# those of 48 and 72 (2-core VM, Python 3.11, numpy 2.4).
 _PLAN_MIN_DOMAIN = 16
 
 
@@ -589,14 +299,16 @@ def _report(
     d: Diagram, x, want_list: bool, fixed=None, domains=None, budget=None
 ) -> ColoringSetReport:
     net = _network(d, x)
-    search = _Search(net, fixed, domains, budget)
-    if want_list:
-        out = [Coloring(x, assign) for assign in search.assignments()]
-        return ColoringSetReport(count=len(out), colorings=out, nodes=search.nodes)
-    if not fixed and search.dom is not None and search.widest >= _PLAN_MIN_DOMAIN:
-        count, nodes = _plan_count(net, search, budget)
+    widest = max((len({u for u in domains[v] if 0 <= u < net.n}) if v in domains else net.n
+                  for v in net.names), default=0) if domains else net.n
+    if not want_list and not fixed and widest >= _PLAN_MIN_DOMAIN:
+        count, nodes = _plan_count(net, domains, budget)
         return ColoringSetReport(count=count, nodes=nodes)
-    return ColoringSetReport(count=search.count(), nodes=search.nodes)
+    run = _depth_first(net, fixed, domains, budget)
+    if want_list:
+        out = [Coloring(x, dict(zip(net.names, row))) for row in run.rows().tolist()]
+        return ColoringSetReport(count=len(out), colorings=out, nodes=run.nodes)
+    return ColoringSetReport(count=run.count(), nodes=run.nodes)
 
 
 # -- public operations -----------------------------------------------------------
@@ -639,9 +351,10 @@ def brute_force_colorings(d: Diagram, x, bound: int = 10**6) -> int:
 
 
 def enumerate_flows(d: Diagram, g: FiniteGroup, budget=None) -> list[Flow]:
-    """All G-flows by constraint propagation over arcs, deterministic order."""
-    search = _Search(_network(d, g), budget=budget)
-    return [Flow(g, tuple(assign.items())) for assign in search.assignments()]
+    """All G-flows, in lexicographic order of the values in sorted arc order."""
+    net = _network(d, g)
+    rows = _depth_first(net, budget=budget).rows()
+    return [Flow(g, tuple(zip(net.names, row))) for row in rows.tolist()]
 
 
 def _check_flow(
@@ -697,8 +410,8 @@ def colorings_by_flow(
 def coloring_rows(d: Diagram, x: MCB | MCQ, domains=None, budget=None) -> tuple[list[str], list]:
     """The variables in sorted order and every coloring as its values in that
     order, the rows in the order of a listing (want_list=True)."""
-    search = _Search(_network(d, x), domains=domains, budget=budget)
-    return search.names, search.rows()
+    net = _network(d, x)
+    return net.names, _depth_first(net, domains=domains, budget=budget).rows()
 
 
 def per_flow_counts(d: Diagram, f: GFamilyQ | GFamilyB, budget=None) -> dict[Flow, int]:

@@ -98,6 +98,11 @@ class Diagram:
         return out
 
     def validate(self, allow_open: bool = False) -> None:
+        """Raise DiagramError on a malformed diagram; a diagram keeps the
+        allow_open of the strictest check it passed and does not repeat it."""
+        passed = getattr(self, "_validated", None)
+        if passed is not None and (allow_open or not passed):
+            return
         for lp in self.loops:
             if lp in self.semiarcs:
                 raise DiagramError(f"loop id {lp!r} also appears in a record")
@@ -118,6 +123,7 @@ class Diagram:
         for c in self.crossings:
             if c.sign not in (1, -1):
                 raise DiagramError(f"crossing sign must be +1/-1, got {c.sign}")
+        self._validated = allow_open
 
     def is_closed(self) -> bool:
         starts, ends = self.start_slots(), self.end_slots()

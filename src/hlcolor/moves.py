@@ -52,12 +52,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 
-from hlcolor.coloring import Coloring, _network, _propagate, _Search
+from hlcolor.coloring import Coloring, _network
 from hlcolor.diagram import Crossing, Diagram, Vertex, arcs_of
 from hlcolor.mcqb import MCQ
-from hlcolor.plan import KEYS
+from hlcolor.plan import KEYS, depth_first, getter
 
 
 class SiteMismatchError(ValueError):
@@ -364,9 +363,8 @@ class _Transport:
     ``checks`` tests every other equation whose slots are all placed.
 
     ``open`` says some variable is placed by neither (a kink's new semi-arc
-    sits in two slots of one equation).  The search then starts from the
-    placed variables in ``queue``, which share an equation with an open one,
-    and needs only the equations in ``near``, which hold an open variable.
+    sits in two slots of one equation).  The network's depth-first plan for
+    the ``kept`` variables, those fed from the source, then extends them.
     """
 
     def __init__(self, net, pairs):
@@ -375,9 +373,10 @@ class _Transport:
             sources.setdefault(net.index[target], []).append(source)
         placed = sorted(sources)
         at = {v: p for p, v in enumerate(placed)}
-        self.read = _getter([sources[v][0] for v in placed])
+        self.kept = [net.names[v] for v in placed]
+        self.read = getter([sources[v][0] for v in placed])
         self.same = [(at[v], name) for v in placed for name in sources[v][1:]]
-        self.n = net.full.bit_length()
+        self.n = net.n
         self.lookups, used = [], set()
         grew = True
         while grew:
@@ -394,14 +393,9 @@ class _Transport:
                     grew = True
         self.checks = [(at[a], at[b], at[c], t.lookup_lists[2]) for e, (a, b, c, t) in enumerate(net.eqs)
                        if e not in used and a in at and b in at and c in at]
-        self.placed = placed
-        self.names = [net.names[v] for v in placed]
         self.open = len(placed) < len(net.names)
-        if self.open:
-            self.near = [eq for eq in net.eqs if not all(v in at for v in eq[:3])]
-            self.queue = sorted({v for eq in self.near for v in eq[:3] if v in at})
-        else:
-            self.order = _getter([at[v] for v in range(len(net.names))])
+        if not self.open:
+            self.order = getter([at[v] for v in range(len(net.names))])
 
     def settle(self, vals: list[int]) -> bool:
         """Append the looked-up values to vals, which holds the fed ones;
@@ -417,13 +411,6 @@ class _Transport:
         return True
 
 
-def _getter(keys: list):
-    """itemgetter(*keys), returning a tuple however many keys there are."""
-    if len(keys) > 1:
-        return itemgetter(*keys)
-    return lambda items: tuple(items[k] for k in keys)
-
-
 def transport_coloring(d: Diagram, d2: Diagram, c, x) -> Coloring:
     """The unique coloring of d2 agreeing with c away from the rewrite site.
 
@@ -434,8 +421,8 @@ def transport_coloring(d: Diagram, d2: Diagram, c, x) -> Coloring:
     of c) and kept in the network's ``transports``.  Its key holds names (on
     an MCQ, arc pairs), not ids, so a reused id cannot hit a stale entry.
     Table lookups fix every new semi-arc except at kinks and bigons
-    (R1a/R1b/R2b apply), where the network's search (coloring._Search) fills
-    the open ones.
+    (R1a/R1b/R2b apply), where the network's depth-first plan for the kept
+    variables (hlcolor.plan) fills the open ones.
     """
     net = _network(d2, x)
     if isinstance(x, MCQ):
@@ -456,14 +443,8 @@ def transport_coloring(d: Diagram, d2: Diagram, c, x) -> Coloring:
     if (not fed or 0 <= min(fed) and max(fed) < plan.n) and plan.settle(vals):
         if not plan.open:
             return Coloring(x, dict(zip(net.names, plan.order(vals))))
-        # the search, from where _Search(net, placed values) would start after settling
-        dom = [net.full] * len(net.names)
-        for v, val in zip(plan.placed, vals):
-            dom[v] = 1 << val
-        net.masks()
-        if _propagate(dom, plan.queue[:], net.var_eqs):
-            assignment = _Search.settled(net, dom, plan.near).unique()
-            if assignment is not None:
-                return Coloring(x, assignment)
-    found = _Search(net, dict(zip(plan.names, fed))).count()
+        found = depth_first(net, dict(zip(plan.kept, fed))).unique()
+        if found is not None:
+            return Coloring(x, dict(zip(net.names, found)))
+    found = depth_first(net, dict(zip(plan.kept, fed))).count()
     raise RuntimeError(f"transport expected a unique extension, found {found}; wiring bug")

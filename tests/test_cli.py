@@ -290,6 +290,15 @@ def test_list_into_a_closed_pipe_prints_no_traceback():
     assert proc.returncode in (0, 1, 2, 3)
 
 
+def test_python_dash_m_hlcolor_runs_the_cli():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hlcolor", "--help"], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.startswith(b"usage: hlcolor")
+
+
 def test_verify_corpus_and_injection(capsys, monkeypatch):
     code, out = run(
         capsys, "verify",
@@ -413,6 +422,18 @@ def test_move_transport_rejects_a_structure_that_colors_no_diagram(capsys, tmp_p
     assert code == 1
     assert captured.err == "--transport expects an MCQ/MCB or G-family structure\n"
     assert captured.out == ""
+
+
+def test_flows_zn_with_group_is_a_usage_error(capsys):
+    # --zn used to win silently: count 4 (the Z_2 flows) and exit 0
+    code = main(["flows", corpus_path("diagrams", "theta.txt"), "--zn", "2",
+                 "--group", corpus_path("structures", "s3.txt")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "--zn cannot be combined with --group\n"
+    code, out = run(capsys, "flows", corpus_path("diagrams", "theta.txt"),
+                    "--group", corpus_path("structures", "s3.txt"))
+    assert code == 0 and out == "count: 36\n"
 
 
 @pytest.mark.parametrize("zn", ["-1", "0"])

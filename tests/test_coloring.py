@@ -178,7 +178,7 @@ def test_domains_and_fixed_match_brute_force(name, request, corpus_structures, c
 
 def test_union_with_an_uncolorable_component_is_empty(mcq6):
     # the trefoil (primed arcs, searched second) has no coloring inside these
-    # domains, and no domain holds a single value, so only the search sees it
+    # domains, and no domain holds a single value, so only the depth-first plan sees it
     d = disjoint_union(theta_curve(), trefoil())
     domains = {"s1'": [0, 2], "s2'": [2, 4], "s4": [4, 0]}
     assert _restricted_brute_force(trefoil(), mcq6, {
@@ -428,15 +428,6 @@ def test_linear_over_nonfield_quotients_matches_backtracking(corpus_structures, 
                 )
 
 
-def test_bitmasks_match_a_loop_across_word_boundaries():
-    from hlcolor.coloring import _bitmasks
-
-    rng = np.random.default_rng(0)
-    for n in (1, 63, 64, 65, 72, 130):
-        m = rng.random((3, n)) < 0.5
-        assert _bitmasks(m) == [sum(1 << j for j in range(n) if m[i, j]) for i in range(3)]
-
-
 def test_network_is_built_once_per_diagram_and_structure(mcb6, corpus_structures, monkeypatch):
     """Counts, listings and transports on one (diagram, MCB) pair compile its
     constraints once; another MCB object of the same size on the same diagram
@@ -472,7 +463,8 @@ def test_network_is_built_once_per_diagram_and_structure(mcb6, corpus_structures
 
 
 def _count_on(path, monkeypatch, d, x, **kw):
-    """enumerate_colorings with every count sent down one path."""
+    """enumerate_colorings with every count sent down one path: "plan" is the
+    row plan, "search" the depth-first plan."""
     from hlcolor import coloring
 
     monkeypatch.setattr(coloring, "_PLAN_MIN_DOMAIN", 1 if path == "plan" else 10**9)
@@ -539,8 +531,7 @@ def test_the_plan_counts_components_on_their_own(corpus_structures, monkeypatch)
         _count_on("plan", monkeypatch, trefoil(), x).count
         * _count_on("plan", monkeypatch, theta_curve(), x).count
     ) == _count_on("search", monkeypatch, du, x).count
-    (compiled,) = coloring._network(du, x).plans.values()
-    assert len(compiled.parts) == 2
+    assert len(coloring._network(du, x).plans[None].parts) == 2
 
 
 def test_plan_budget_counts_surviving_rows(corpus_structures, corpus_diagrams):
@@ -567,7 +558,8 @@ def test_plan_runs_in_slices_with_the_same_count_and_nodes(corpus_structures, co
 def test_counts_take_the_plan_only_for_large_domains(corpus_structures, corpus_diagrams,
                                                      monkeypatch):
     """The plan counts when the widest domain reaches _PLAN_MIN_DOMAIN; listings,
-    small structures and the per-flow domains of a 9-element family keep the search."""
+    small structures and the per-flow domains of a 9-element family keep the
+    depth-first plan."""
     from hlcolor import coloring, plan
 
     planned = []
@@ -587,7 +579,7 @@ def test_counts_take_the_plan_only_for_large_domains(corpus_structures, corpus_d
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_plan_counts_do_not_depend_on_the_variable_order(seed, corpus_structures, corpus_diagrams,
                                                           monkeypatch):
-    """Random expansion orders give the search's counts: a lookup that finds
+    """Random expansion orders give the depth-first plan's counts: a lookup that finds
     no entry drops its row before a check of the same step reads it."""
     from hlcolor import plan
 
@@ -604,19 +596,19 @@ def test_plan_counts_do_not_depend_on_the_variable_order(seed, corpus_structures
                         == _count_on("search", monkeypatch, d, qx).count), (name, dname, seed)
 
 
-def test_a_plan_count_builds_no_search_masks(corpus_diagrams, monkeypatch):
-    from hlcolor import coloring
+def test_a_plan_count_builds_no_depth_first_candidate_lists(corpus_diagrams):
+    from hlcolor.coloring import _rule_tables
     from hlcolor.structio import parse_structure_file
     from tests.conftest import corpus_path
 
-    built = []
-    pair_masks = coloring._pair_masks
-    monkeypatch.setattr(coloring, "_pair_masks", lambda *a: built.append(1) or pair_masks(*a))
     # a structure object of its own, whose tables no other test has searched
     x = associated_mcb(parse_structure_file(corpus_path("structures", "gf9-z8-family.txt")))
+    tables = _rule_tables(x).values()
     d = parse_diagram(serialize_diagram(corpus_diagrams["fig8"]))
-    assert enumerate_colorings_mcb(d, x).count == 360 and built == []
-    assert enumerate_colorings_mcb(d, x, want_list=True).count == 360 and built
+    assert enumerate_colorings_mcb(d, x).count == 360
+    assert not any(t._candidate_lists for t in tables)
+    assert enumerate_colorings_mcb(d, x, want_list=True).count == 360
+    assert any(t._candidate_lists for t in tables)
     # a one-element group knows every variable before any search
     assert len(enumerate_flows(theta_curve(), cyclic_group(1))) == 1
 

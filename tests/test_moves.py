@@ -1,10 +1,16 @@
 import hashlib
+import itertools
 import os
 
+import numpy as np
 import pytest
 
-from hlcolor.coloring import Coloring, _network, _Search, enumerate_colorings, enumerate_flows
+from hlcolor.coloring import Coloring, _network, enumerate_colorings, enumerate_flows
 from hlcolor.diagram import (
+    Crossing,
+    Diagram,
+    DiagramError,
+    arcs_of,
     build_braid,
     build_braid_open,
     diagrams_isomorphic,
@@ -17,7 +23,7 @@ from hlcolor.diagram import (
     trefoil,
 )
 from hlcolor.groups import cyclic_group
-from hlcolor.mcqb import q_functor_mcb
+from hlcolor.mcqb import MCQ, q_functor_mcb
 from hlcolor.moves import (
     MoveSite,
     SiteMismatchError,
@@ -25,6 +31,8 @@ from hlcolor.moves import (
     find_sites,
     transport_coloring,
 )
+from hlcolor.oracle import local_rules_hold
+from hlcolor.plan import depth_first
 
 ALL_MOVES = ["R1a", "R1b", "R2a", "R2b", "R3", "R4a", "R4b", "R5a", "R5b", "R6"]
 SITES_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "moves-corpus-sites.txt")
@@ -330,6 +338,32 @@ def test_r2_undo_of_a_strand_that_runs_on_into_the_other_is_no_site():
             apply_move(d, MoveSite(move, "undo", ("m",)))
 
 
+def test_a_rewritten_diagram_is_validated_once(x6, monkeypatch):
+    """apply_move and the networks of X, Q(X) and the Z_2 flows on its result
+    check the new diagram once; a closed check after open ones checks again."""
+    from hlcolor import diagram
+
+    checked = []
+    start_slots = diagram.Diagram.start_slots
+    monkeypatch.setattr(diagram.Diagram, "start_slots",
+                        lambda d: checked.append(d) or start_slots(d))
+    d = trefoil()
+    d2 = apply_move(d, find_sites(d, "R2a", "apply")[0]).diagram
+    for _ in range(2):
+        enumerate_colorings(d2, x6)
+        enumerate_colorings(d2, q_functor_mcb(x6))
+        enumerate_flows(d2, cyclic_group(2))
+    assert sum(dd is d2 for dd in checked) == 1
+    d2.validate()
+    d2.validate(allow_open=True)
+    d2.validate()
+    assert sum(dd is d2 for dd in checked) == 2
+    bad = Diagram([Crossing(2, "a", "b", "c", "d")])
+    for _ in range(2):
+        with pytest.raises(DiagramError):
+            bad.validate(allow_open=True)
+
+
 # -- the transport contract ------------------------------------------------------
 
 
@@ -357,17 +391,17 @@ def test_transport_rejects_a_non_unique_extension(x6):
 @pytest.mark.parametrize("move, settled", [("R1a", False), ("R1b", False), ("R2b", False),
                                            ("R2a", True)])
 def test_transport_round_trips_whether_or_not_propagation_settles_it(x6, move, settled):
-    """Forward checking from the kept values settles every new semi-arc across
-    R2a, but not across R1a, R1b or R2b, where the transport has to search."""
+    """Lookups from the kept values settle every new semi-arc across R2a, but
+    not across R1a, R1b or R2b, where the depth-first plan has to branch."""
     d = trefoil()
     cols = enumerate_colorings(d, x6, want_list=True).colorings
     open_ = 0
     for site in find_sites(d, move, "apply"):
         d2 = apply_move(d, site).diagram
-        keep = set(d2.semiarcs) | set(d2.loops)
+        net = _network(d2, x6)
         for col in cols:
-            fixed = {s: v for s, v in col.assignment.items() if s in keep}
-            open_ += bool(_Search(_network(d2, x6), fixed).components)
+            fixed = {s: v for s, v in col.assignment.items() if s in net.index}
+            open_ += bool(depth_first(net, fixed).plan.parts)
         _assert_transport_round_trips(d, x6, site)
     assert (open_ == 0) == settled
 
@@ -390,26 +424,63 @@ def test_a_move_keeps_the_unused_semiarcs_of_an_open_diagram(x6):
                 assert diagrams_isomorphic(back, d), site
 
 
-# -- the compiled transport against the search it replaces ---------------------------
+# -- the compiled transport against brute force ---------------------------------------
 
 
 def _kept(d, d2, x) -> list[tuple[str, str]]:
     """(variable of d2, variable of d) for every value a transport keeps."""
-    from hlcolor.diagram import arcs_of
-    from hlcolor.mcqb import MCQ
-
     if isinstance(x, MCQ):
         old_arcs, new_arcs = arcs_of(d), arcs_of(d2)
         return sorted({(new_arcs[s], old_arcs[s]) for s in set(old_arcs) & set(new_arcs)})
     return [(s, s) for s in sorted((set(d.semiarcs) | set(d.loops)) & (set(d2.semiarcs) | set(d2.loops)))]
 
 
-def test_compiled_transport_equals_the_search_on_every_corpus_site(x6, corpus_diagrams):
+def _extension_counts(d2, x, kept: list[str], rows: list[dict]) -> np.ndarray:
+    """For each row of values of the kept variables of d2, how many
+    assignments of d2's other variables make it a coloring of d2.
+
+    Brute force over every assignment of the new variables at once, on the
+    records that hold one; the rules are the oracle's (oracle.semiarc_rules_hold)
+    stated over numpy arrays, one axis for the rows and one for the assignments.
+    """
+    var_of = arcs_of(d2) if isinstance(x, MCQ) else {s: s for s in d2.semiarcs + d2.loops}
+    new = sorted(set(var_of.values()) - set(kept))
+    grid = np.array(list(itertools.product(range(x.n), repeat=len(new)))).T  # (new, assignments)
+
+    def color(s):
+        v = var_of[s]
+        return grid[new.index(v)][None, :] if v in new else np.array([[r[v]] for r in rows])
+
+    ok = np.ones((len(rows), grid.shape[1]), dtype=bool)
+    for c in d2.crossings:
+        if all(var_of[s] not in new for s in c.slots()):
+            continue
+        oi, oo, ui, uo = map(color, c.slots())
+        if c.sign < 0:
+            oi, oo, ui, uo = oo, oi, uo, ui
+        if isinstance(x, MCQ):
+            ok &= x.star[ui, oi] == uo
+        else:
+            ok &= (x.under[ui, oo] == uo) & (x.over[oo, ui] == oi)
+    for v in d2.vertices:
+        if all(var_of[s] not in new for s in v.slots()):
+            continue
+        e1, e2, e3 = map(color, v.slots())
+        if isinstance(x, MCQ):
+            ok &= (x.block_of[e1] == x.block_of[e2]) & (x.prod[e1, e2] == e3)
+        else:
+            ok &= np.any([(x.block_of[b] == x.block_of[e2]) & (x.over[b, e2] == e1)
+                          & (x.prod[b, e2] == e3) for b in range(x.n)], axis=0)
+    return ok.sum(axis=1)
+
+
+def test_compiled_transport_is_the_unique_extension_on_every_corpus_site(x6, corpus_diagrams):
     """Every corpus diagram, move, direction and site, for every x6 coloring
-    and every Q(x6) coloring: the transport equals the search's unique
-    extension of the kept values, and the way back round-trips.  Only a
-    transport that makes a kink or a bigon (R1a/R1b/R2b apply, and the way
-    back across their undo) leaves a variable to the search."""
+    and every Q(x6) coloring: the transport is a coloring by the oracle, keeps
+    every kept value, and brute force finds no second extension of the kept
+    values; the way back round-trips.  Only a transport that makes a kink or a
+    bigon (R1a/R1b/R2b apply, and the way back across their undo) leaves a
+    variable to the depth-first plan."""
     qx6 = q_functor_mcb(x6)
     searched, transports = set(), 0
     for name, d in sorted(corpus_diagrams.items()):
@@ -419,11 +490,13 @@ def test_compiled_transport_equals_the_search_on_every_corpus_site(x6, corpus_di
                 for site in find_sites(d, move, direction):
                     d2 = apply_move(d, site).diagram
                     for x, xcols in cols:
-                        net, kept = _network(d2, x), _kept(d, d2, x)
-                        for col in xcols:
-                            fixed = {new: col.assignment[old] for new, old in kept}
+                        kept = _kept(d, d2, x)
+                        rows = [{new: col.assignment[old] for new, old in kept} for col in xcols]
+                        assert (_extension_counts(d2, x, [v for v, _ in kept], rows) == 1).all(), (name, site)
+                        for col, row in zip(xcols, rows):
                             moved = transport_coloring(d, d2, col, x)
-                            assert moved.assignment == _Search(net, fixed).unique(), (name, site)
+                            assert local_rules_hold(d2, x, moved.assignment), (name, site)
+                            assert row.items() <= moved.assignment.items(), (name, site)
                             back = transport_coloring(d2, d, moved, x)
                             assert back.assignment == col.assignment, (name, site)
                             transports += 1

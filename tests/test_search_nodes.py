@@ -1,11 +1,13 @@
-"""The bitset search's counts and node counts on the corpus, pinned.
+"""The depth-first plan's counts and node counts on the corpus, pinned.
 
-``nodes`` counts the values the search tries, so it moves with any change to
-the branching order or to what propagation narrows.  The table covers every
-corpus (structure, diagram) pair that takes the search: each MCB and MCQ of
-under 16 elements among the corpus files, the associated MCBs and MCQs of the
-family files and the Q(X) of every such MCB, plus the G-flows of every corpus
-group and family group, and the per-flow counts of the small families.
+``nodes`` counts the values the plan tries, so it moves with any change to
+the variable order or to what a level's candidates and lookups rule out.  The
+table covers every corpus (structure, diagram) pair that takes the
+depth-first plan: each MCB and MCQ of under 16 elements among the corpus
+files, the associated MCBs and MCQs of the family files and the Q(X) of every
+such MCB, plus the G-flows of every corpus group and family group, and the
+per-flow counts of the small families.  The plan's order follows the records
+of a diagram, not its names, so relabeled diagrams give the same table.
 
 Regenerate with ``python tests/test_search_nodes.py > tests/data/search-nodes.txt``
 (with ``src`` on the path) only for a change that is meant to move them, and
@@ -13,22 +15,26 @@ say why.
 """
 
 import os
+import random
+
+import pytest
 
 from hlcolor.coloring import (
     _network,
-    _Search,
     colorings_by_flow,
     enumerate_colorings,
     enumerate_flows,
 )
+from hlcolor.diagram import relabel
 from hlcolor.gfamily import GFamilyB, GFamilyQ, associated_mcb, associated_mcq
 from hlcolor.groups import FiniteGroup
 from hlcolor.mcqb import MCB, MCQ, q_functor_mcb
+from hlcolor.plan import depth_first
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "search-nodes.txt")
 
-SEARCH_MAX = 15  # counts on more elements take the lookup plan
-PER_FLOW_MAX = 15  # per-flow domains of more elements take the lookup plan
+SEARCH_MAX = 15  # counts on more elements take the row plan
+PER_FLOW_MAX = 15  # per-flow domains of more elements take the row plan
 
 
 def _search_structures(structures):
@@ -62,9 +68,9 @@ def search_node_lines(structures, diagrams) -> list[str]:
             lines.append(f"color {sname} {dname} count={rep.count} nodes={rep.nodes}")
     for gname, g in _groups(structures):
         for dname, d in sorted(diagrams.items()):
-            search = _Search(_network(d, g))
-            found = sum(1 for _ in search.assignments())
-            lines.append(f"flows {gname} {dname} count={found} nodes={search.nodes}")
+            run = depth_first(_network(d, g))
+            found = len(run.rows())
+            lines.append(f"flows {gname} {dname} count={found} nodes={run.nodes}")
     for fname, f in sorted(structures.items()):
         if not isinstance(f, (GFamilyB, GFamilyQ)) or f.n > PER_FLOW_MAX:
             continue
@@ -75,10 +81,24 @@ def search_node_lines(structures, diagrams) -> list[str]:
     return lines
 
 
-def test_search_node_counts_are_unchanged(corpus_structures, corpus_diagrams):
+def _golden() -> list[str]:
     with open(GOLDEN, encoding="utf-8") as fh:
-        want = fh.read().splitlines()
-    assert search_node_lines(corpus_structures, corpus_diagrams) == want
+        return fh.read().splitlines()
+
+
+def test_search_node_counts_are_unchanged(corpus_structures, corpus_diagrams):
+    assert search_node_lines(corpus_structures, corpus_diagrams) == _golden()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_node_counts_do_not_depend_on_names(seed, corpus_structures, corpus_diagrams):
+    """Every corpus diagram with its semi-arc and loop names shuffled."""
+    rng = random.Random(seed)
+    renamed = {}
+    for name, d in corpus_diagrams.items():
+        names = list(d.semiarcs + d.loops)
+        renamed[name] = relabel(d, dict(zip(names, rng.sample(names, len(names)))))
+    assert search_node_lines(corpus_structures, renamed) == _golden()
 
 
 if __name__ == "__main__":
