@@ -38,7 +38,7 @@ from hlcolor.oracle import semiarc_rules_hold
 from hlcolor.plan import KEYS as _KEYS
 from hlcolor.plan import count as _plan_count
 from hlcolor.plan import depth_first as _depth_first
-from hlcolor.rings import SizeBoundExceededError
+from hlcolor.rings import SizeBoundExceededError, solve_homogeneous
 
 
 @dataclass(frozen=True)
@@ -364,7 +364,7 @@ def _check_flow(
 
     Raises FlowInvalidError unless the flow is a G-flow of d.
     """
-    if flow.group != group:
+    if flow.group is not group and flow.group != group:
         raise FlowInvalidError(f"flow group has order {flow.group.n}, the family's has {group.n}")
     arcs = arcs_of(d)
     fd = flow.as_dict()
@@ -374,12 +374,13 @@ def _check_flow(
     bad = sorted(a for a in set(arcs.values()) if not 0 <= fd[a] < group.n)
     if bad:
         raise FlowInvalidError(f"flow values out of range(0, {group.n}) on arcs {bad}")
+    conj, mul = group.conj_lists, group.mul_lists
     for c in d.crossings:
         _, _, ui, uo = _crossing_slots(c)
-        if group.conj(fd[arcs[ui]], fd[arcs[c.over_in]]) != fd[arcs[uo]]:
+        if conj[fd[arcs[ui]]][fd[arcs[c.over_in]]] != fd[arcs[uo]]:
             raise FlowInvalidError(f"flow breaks the crossing relation at under arc {arcs[ui]}")
     for v in d.vertices:
-        if group.mul(fd[arcs[v.e1]], fd[arcs[v.e2]]) != fd[arcs[v.e3]]:
+        if mul[fd[arcs[v.e1]]][fd[arcs[v.e2]]] != fd[arcs[v.e3]]:
             raise FlowInvalidError(f"flow breaks the vertex relation at {v.e1} {v.e2} {v.e3}")
     return arcs, fd
 
@@ -473,51 +474,53 @@ def verify_correspondence(
 def linear_colorings(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow) -> ColoringSetReport:
     """Flow-filtered colorings of an Alexander family via exact linear algebra.
 
-    One linear equation over the family's coefficient ring per local rule;
+    One linear equation over the family's coefficient ring per local rule,
+    solved by propagation along the diagram (``rings.solve_homogeneous``);
     over a field the report carries the solution module's dimension and a
     basis (vectors indexed by sorted variable order).
     """
-    from hlcolor.rings import solve_linear
-
     if getattr(f, "alexander", None) is None:
         raise ValueError("linear path requires an Alexander family")
     arcs, fd = _check_flow(d, f.group, flow)
     on_arcs = isinstance(f, GFamilyQ)
     vars_ = sorted(set(arcs.values()) if on_arcs else arcs)
     index = {v: i for i, v in enumerate(vars_)}
-    if on_arcs:
-        kind, ring, u = f.alexander
-    else:
-        kind, ring, t, s = f.alexander
-    zero, one, neg_one = ring.zero, ring.one, ring.neg(ring.one)
-    rows: list[list] = []
-    rhs: list = []
+    ring = f.alexander[1]
+    tb = ring.tables
+    mul, add, sub, neg = tb.mul, tb.add, tb.sub, tb.neg
+    one = tb.one
+    neg_one = neg[one]
+    rows: list[dict[int, int]] = []
 
     def row(*terms):
-        r = [zero] * len(vars_)
+        """A row as column -> nonzero code; a repeated variable (a kink) adds up."""
+        r: dict[int, int] = {}
         for var, coef in terms:
             i = index[var]
-            r[i] = coef if r[i] == zero else ring.add(r[i], coef)
+            v = add[r.get(i, 0)][coef]
+            if v:
+                r[i] = v
+            else:
+                r.pop(i, None)
         rows.append(r)
-        rhs.append(zero)
 
     def powers(x):
-        """x^h for h = 0, 1, ..., |G| - 1."""
+        """The codes of x^h for h = 0, 1, ..., |G| - 1."""
         out = [one]
         for _ in range(f.group.n - 1):
-            out.append(ring.mul(out[-1], x))
+            out.append(mul[out[-1]][x])
         return out
 
     # the row coefficients -u^h, u^h - 1, -t^h, -s^h and t^h - s^h for each h in G
     if on_arcs:
-        u_pows = powers(u)
-        neg_u = [ring.neg(p) for p in u_pows]
-        u_minus_one = [ring.sub(p, one) for p in u_pows]
+        u_pows = powers(tb.code[f.alexander[2]])
+        neg_u = [neg[p] for p in u_pows]
+        u_minus_one = [sub[p][one] for p in u_pows]
     else:
-        t_pows, s_pows = powers(t), powers(s)
-        neg_t = [ring.neg(p) for p in t_pows]
-        neg_s = [ring.neg(p) for p in s_pows]
-        t_minus_s = [ring.sub(tp, sp) for tp, sp in zip(t_pows, s_pows)]
+        t_pows, s_pows = powers(tb.code[f.alexander[2]]), powers(tb.code[f.alexander[3]])
+        neg_t = [neg[p] for p in t_pows]
+        neg_s = [neg[p] for p in s_pows]
+        t_minus_s = [sub[tp][sp] for tp, sp in zip(t_pows, s_pows)]
     for c in d.crossings:
         h = fd[arcs[c.over_in]]
         if on_arcs:
@@ -545,10 +548,7 @@ def linear_colorings(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow) -> Coloring
             # e1 = b over e2 and e3 = b . e2:  x_e1 = s^{flow(e2)} x_e2, x_e3 = x_e2
             row((v.e1, one), (v.e2, neg_s[fd[arcs[v.e2]]]))
             row((v.e3, one), (v.e2, neg_one))
-    if not rows:
-        rows = [[zero] * len(vars_)]
-        rhs = [zero]
-    sol = solve_linear(ring, rows, rhs)
+    sol = solve_homogeneous(ring, len(vars_), rows)
     module_info = None
     if sol.dimension is not None:
         module_info = (sol.dimension, sol.basis)

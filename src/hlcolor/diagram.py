@@ -273,14 +273,14 @@ def reverse(d: Diagram) -> Diagram:
         Vertex("split" if v.kind == "merge" else "merge", v.e2, v.e1, v.e3)
         for v in d.vertices
     ]
-    return Diagram(crossings, vertices, d.loops)
+    return Diagram(crossings, vertices, d.loops, d.semiarcs)
 
 
 def mirror(d: Diagram) -> Diagram:
     """Reflect across a vertical line: flip crossing signs, swap e1/e2 at vertices."""
     crossings = [replace(c, sign=-c.sign) for c in d.crossings]
     vertices = [Vertex(v.kind, v.e2, v.e1, v.e3) for v in d.vertices]
-    return Diagram(crossings, vertices, d.loops)
+    return Diagram(crossings, vertices, d.loops, d.semiarcs)
 
 
 def reverse_mirror(d: Diagram) -> Diagram:
@@ -309,7 +309,8 @@ def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
         Vertex(v.kind, *(mapping[s] for s in v.slots())) for v in d2.vertices
     ]
     loops = list(d1.loops) + [mapping[l] for l in d2.loops]
-    return Diagram(crossings, vertices, loops)
+    declared = list(d1.semiarcs) + [mapping[s] for s in d2.semiarcs]
+    return Diagram(crossings, vertices, loops, declared)
 
 
 def relabel(d: Diagram, mapping: dict[str, str]) -> Diagram:
@@ -322,6 +323,7 @@ def relabel(d: Diagram, mapping: dict[str, str]) -> Diagram:
         [Crossing(c.sign, *(m(s) for s in c.slots())) for c in d.crossings],
         [Vertex(v.kind, *(m(s) for s in v.slots())) for v in d.vertices],
         [m(l) for l in d.loops],
+        [m(s) for s in d.semiarcs],
     )
 
 

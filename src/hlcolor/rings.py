@@ -5,14 +5,18 @@ entries reduced into [0, m).  With deg f = 0 the ring is Z_m itself and elements
 are 1-tuples.  All operations are pure; a ring handle is immutable and safe to
 share.
 
-Elements stay tuples at the API.  Inside, the field solver and the Alexander
+Elements stay tuples at the API.  Inside, the solvers and the Alexander
 constructors work on integer codes, an element's code being its position in
 ``elements()``, through the ``add``/``sub``/``mul`` tables, ``neg`` and ``inv``
 of ``FiniteRing.tables``, built vectorised once per ring object on first use.
 Units, inverses, unit orders and ``is_field`` are read from those tables.
 
-Linear systems are solved exactly over every such ring: by Gaussian elimination
-over a field, otherwise over Z_m through the regular representation.
+Linear systems are solved exactly over every such ring by ``solve_linear``:
+by Gauss-Jordan elimination over a field, otherwise over Z_m through the
+regular representation.  ``solve_homogeneous`` takes the sparse homogeneous
+systems of the coloring rules: it places the variables by propagation, as
+linear forms in a few parameters, and hands ``solve_linear`` only the residual
+system in those parameters.
 """
 
 from __future__ import annotations
@@ -324,6 +328,125 @@ def _solve_field(
     return LinearSystemSolution(
         cardinality=ring.size**dim, dimension=dim, basis=basis, particular=particular
     )
+
+
+def solve_homogeneous(
+    ring: FiniteRing, ncols: int, rows: Sequence[dict[int, int]]
+) -> LinearSystemSolution:
+    """Solve A x = 0 by propagation, with ``solve_linear`` on what is left.
+
+    Each row is a sparse dict column -> nonzero code of ``ring.tables``.  Every
+    variable is placed as a linear form (a dict parameter -> code) over k
+    parameters.  A row with one open variable, whose coefficient is a unit,
+    places it; when no row does, the next open variable in order of first
+    appearance becomes a parameter.  A row whose variables are all placed
+    leaves a residual form; a row whose one open coefficient is not a unit
+    waits until it does.  The map from parameters to solutions is the identity
+    on the parameters, so the solutions are in bijection with the kernel of
+    the residual system, which ``solve_linear`` solves.  Over a field the
+    kernel's basis is mapped back through the forms and reduced to the basis
+    that Gauss-Jordan elimination on the full system gives.
+    """
+    tb = ring.tables
+    mul, add, neg, inv, one = tb.mul, tb.add, tb.neg, tb.inv, tb.one
+    occurs: list[list[int]] = [[] for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for j in row:
+            occurs[j].append(r)
+    forms: list[dict[int, int] | None] = [None] * ncols
+    n_open = [len(row) for row in rows]
+    ready = [r for r, n in enumerate(n_open) if n <= 1]
+    done = [False] * len(rows)
+    residual: list[dict[int, int]] = []
+
+    def count_down(j: int) -> None:
+        """Note that j is placed in each of its rows."""
+        for r in occurs[j]:
+            n_open[r] -= 1
+            if n_open[r] <= 1:
+                ready.append(r)
+
+    k = 0
+    for var in dict.fromkeys([j for row in rows for j in row] + list(range(ncols))):
+        if forms[var] is None:
+            forms[var], k = {k: one}, k + 1  # a branch: var becomes a parameter
+            count_down(var)
+        while ready:
+            r = ready.pop()
+            if done[r]:
+                continue
+            row = rows[r]
+            j, scale = None, one
+            if n_open[r]:
+                for j in row:
+                    if forms[j] is None:
+                        break
+                if inv[row[j]] < 0:
+                    continue
+                scale = neg[inv[row[j]]]
+            done[r] = True
+            # scale times the sum of coefficient times form over the placed variables
+            form: dict[int, int] = {}
+            for i, c in row.items():
+                placed = forms[i]
+                if placed is not None:
+                    times = mul[mul[scale][c]]
+                    for p, x in placed.items():
+                        v = add[form.get(p, 0)][times[x]]
+                        if v:
+                            form[p] = v
+                        else:
+                            form.pop(p, None)
+            if j is not None:
+                forms[j] = form
+                count_down(j)
+            elif form:
+                residual.append(form)
+    els = tb.elements
+    sol = solve_linear(
+        ring,
+        [[els[form.get(p, 0)] for p in range(k)] for form in residual] or [[ring.zero] * k],
+        [ring.zero] * max(len(residual), 1),
+    )
+    if sol.dimension is None:
+        return LinearSystemSolution(cardinality=sol.cardinality, particular=[ring.zero] * ncols)
+    # Each kernel vector is mapped through the forms, then reduced to a 1 at
+    # its right-most nonzero column (its pivot) and 0 at the others' pivots.
+    # A column is free in Gauss-Jordan elimination iff some solution ends
+    # there, so the pivots are its free columns and this is its basis.
+    basis: list[tuple[int, list[int]]] = []
+    for kernel_vec in sol.basis:
+        v = [tb.code[x] for x in kernel_vec]
+        vec = [0] * ncols
+        for j, form in enumerate(forms):
+            acc = 0
+            for p, c in form.items():
+                acc = add[acc][mul[c][v[p]]]
+            vec[j] = acc
+        for piv, b in basis:
+            _axpy(tb, vec, b, vec[piv])
+        piv = max(j for j, x in enumerate(vec) if x)
+        scale = mul[inv[vec[piv]]]
+        vec = [scale[x] for x in vec]
+        for _, b in basis:
+            _axpy(tb, b, vec, b[piv])
+        basis.append((piv, vec))
+    basis.sort()
+    return LinearSystemSolution(
+        cardinality=sol.cardinality,
+        dimension=sol.dimension,
+        basis=[[els[x] for x in vec] for _, vec in basis],
+        particular=[ring.zero] * ncols,
+    )
+
+
+def _axpy(tb: RingTables, y: list[int], x: list[int], a: int) -> None:
+    """y -= a x, in place, on code vectors."""
+    if a:
+        times = tb.mul[a]
+        for j, xj in enumerate(x):
+            if xj:
+                y[j] = tb.sub[y[j]][times[xj]]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

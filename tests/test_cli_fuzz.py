@@ -1,8 +1,9 @@
 """Fuzz the CLI: ``hlcolor check`` with generated structure files (whose
 parsed objects must also serialize stably), ``hlcolor move`` with generated
 diagram files, move names, directions, site ids, variants and
-``--transport`` coloring files, and ``hlcolor color --flow`` and ``hlcolor
-flows`` with generated flow files, group files and orders.  Whatever the
+``--transport`` coloring files, ``hlcolor color --flow`` and ``hlcolor
+flows`` with generated flow files, group files and orders, and ``hlcolor
+verify`` with corpus structures on corpus and mutated diagrams.  Whatever the
 input, the command exits 0, 1, 2 or 3 and never raises.
 
 Ring moduli stay at most 12, quotient rings at most 16 elements and group
@@ -376,5 +377,46 @@ def test_color_flow_exits_0_to_3_on_any_flow_file(call):
 def test_flows_exits_0_to_3_on_any_order_or_group_file(text, group, options):
     code, err = _run(["flows", "{tmp}/diagram.txt", *(a for o in options for a in o)],
                      {"diagram.txt": text, "group.txt": group + "\n"})
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+# -- verify: MCBs and B-families against corpus and mutated diagrams -----------------
+
+# every kind verify takes (an MCB, a G-family of biquandles, Alexander or not) and
+# some it refuses (a quandle, a biquandle, an MCQ, a family of quandles, a group)
+VERIFY_STRUCTURES = (
+    "assoc-z3-z2-mcb", "lift-dihedral-mcb", "lift-s3-conj-mcb", "assoc-z5-z4-mcb",
+    "z3-z2-family", "z5-z4-family", "gr16-z3-family", "dihedral-z2-family",
+    "alex-z5-s2-t3", "s3-conj-mcq", "dihedral3", "s3",
+)
+CORPUS_DIAGRAMS = sorted(f[:-4] for f in os.listdir(os.path.join(CORPUS, "diagrams")))
+
+
+@st.composite
+def verify_calls(draw) -> tuple[str, list[str]]:
+    """(diagram text, the arguments of verify after the two files): an
+    unchanged corpus diagram or a mutated small one, with or without
+    --per-flow (which reaches the linear path for Alexander families) and
+    --budget."""
+    if draw(st.integers(0, 2)):
+        text = _corpus_text(draw(st.sampled_from(CORPUS_DIAGRAMS)))
+    else:
+        text = draw(diagram_texts())
+    structure = draw(st.sampled_from(VERIFY_STRUCTURES))
+    args = [os.path.join(CORPUS, "structures", f"{structure}.txt")]
+    if draw(st.booleans()):
+        args.append("--per-flow")
+    if draw(st.booleans()):
+        args += ["--budget", draw(st.sampled_from(["0", "1", "5", "40", "1000", "-1", "x"]))]
+    return text, args
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.given(verify_calls())
+def test_verify_exits_0_to_3_on_any_diagram_structure_and_budget(call):
+    text, args = call
+    code, err = _run(["--format", "machine", "verify", args[0], "{tmp}/diagram.txt", *args[1:]],
+                     {"diagram.txt": text})
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err

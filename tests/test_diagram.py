@@ -1,5 +1,6 @@
 import pytest
 
+from hlcolor.coloring import enumerate_colorings_mcb
 from hlcolor.diagram import (
     Crossing,
     Diagram,
@@ -101,6 +102,22 @@ def test_disjoint_union_counts_and_renaming():
     du2.validate()
     lp = disjoint_union(loop_diagram(), loop_diagram())
     assert len(lp.loops) == 2
+
+
+def test_transforms_keep_declared_semiarcs_on_no_record(corpus_structures):
+    # strand 2 of the open braid crosses nothing, so t2 is declared but on no record
+    d = build_braid_open(3, [("x", 0, 1)])[0]
+    assert "t2" in d.semiarcs and len(d.semiarcs) == 5
+    x = corpus_structures["assoc-z3-z2-mcb"]
+    assert enumerate_colorings_mcb(d, x).count == 216
+    renamed = relabel(d, {"t2": "free"})
+    assert "free" in renamed.semiarcs and "t2" not in renamed.semiarcs
+    for image in (relabel(d, {}), renamed, reverse(d), mirror(d), reverse_mirror(d)):
+        assert len(image.semiarcs) == 5
+        assert enumerate_colorings_mcb(image, x).count == 216
+    du = disjoint_union(d, d)
+    assert len(du.semiarcs) == 10 and {"t2", "t2'"} <= set(du.semiarcs)
+    assert enumerate_colorings_mcb(du, x).count == 216**2
 
 
 def test_braid_closure_free_strand_becomes_loop():

@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import pytest
 
+from hlcolor import rings
 from hlcolor.rings import (
     FiniteRing,
     LinearSystemSolution,
@@ -13,6 +14,7 @@ from hlcolor.rings import (
     parse_element,
     parse_ring_literal,
     ring_make,
+    solve_homogeneous,
     solve_linear,
 )
 from tests.conftest import corpus_rings
@@ -389,3 +391,79 @@ def test_literals_roundtrip():
         parse_ring_literal("m=3")
     with pytest.raises(ValueError):
         parse_element(GF9, "1+*x")
+
+
+# -- propagation against the full solve -------------------------------------------
+
+HOMOGENEOUS_RINGS = {
+    "GF(4)": ring_make(2, [1, 1, 1]),
+    "GF(9)": GF9,
+    "GF(25)": ring_make(5, [2, 0, 1]),
+    "Z5": Z5,
+    "Z9": ring_make(9),
+    "Z4[t]/(t^2+t+1)": ring_make(4, [1, 1, 1]),
+    "Z2[t]/(t^2)": ring_make(2, [0, 0, 1]),
+}
+BRUTE_FORCE_MAX = 5000  # assignments the oracle tests, per system
+
+
+def _sparse_system(ring, rng):
+    """(ncols, rows) of a random homogeneous system in codes: rows that place a
+    head variable with coefficient 1, as the coloring rules do, rows of random
+    entries, rows of non-units only and all-zero rows."""
+    tb = ring.tables
+    codes = range(1, ring.size)
+    nonunits = [c for c in codes if tb.inv[c] < 0] or list(codes)
+    ncols = rng.randint(1, 7)
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.choice(("head", "head", "random", "nonunit", "zero"))
+        pool = nonunits if kind == "nonunit" else codes
+        row = {}
+        if kind != "zero":
+            for j in rng.sample(range(ncols), rng.randint(1, min(3, ncols))):
+                row[j] = rng.choice(pool)
+        if kind == "head":
+            row[rng.randrange(ncols)] = tb.one
+        rows.append(row)
+    return ncols, rows
+
+
+@pytest.mark.parametrize("name", sorted(HOMOGENEOUS_RINGS))
+def test_solve_homogeneous_matches_the_full_solve_and_brute_force(name, monkeypatch):
+    ring = HOMOGENEOUS_RINGS[name]
+    tb = ring.tables
+    residuals = []
+
+    def solve_residual(ring, rows, rhs):
+        residuals.append(any(x != ring.zero for r in rows for x in r))
+        return solve_linear(ring, rows, rhs)
+
+    monkeypatch.setattr(rings, "solve_linear", solve_residual)
+    rng = random.Random(name)
+    seen = dict.fromkeys(("zero row", "column in no row", "row without a unit", "residual",
+                          "brute force", "dimension > 0"), 0)
+    for _ in range(300):
+        ncols, rows = _sparse_system(ring, rng)
+        # the full system as tuples, one zero row standing for none
+        dense = [[tb.elements[row.get(j, 0)] for j in range(ncols)] for row in rows or [{}]]
+        zeros = [ring.zero] * len(dense)
+        got = solve_homogeneous(ring, ncols, rows)
+        want = solve_linear(ring, dense, zeros)
+        assert (got.cardinality, got.dimension, got.basis) == (
+            want.cardinality, want.dimension, want.basis
+        ), (ncols, rows)
+        if ring.size**ncols <= BRUTE_FORCE_MAX:
+            assert got.cardinality == _solve_bruteforce(ring, dense, zeros)
+            seen["brute force"] += 1
+        seen["zero row"] += any(not row for row in rows)
+        seen["column in no row"] += any(all(j not in row for row in rows) for j in range(ncols))
+        seen["row without a unit"] += any(row and all(tb.inv[c] < 0 for c in row.values())
+                                          for row in rows)
+        seen["residual"] += residuals.pop()
+        seen["dimension > 0"] += bool(got.dimension)
+    if ring.is_field:
+        del seen["row without a unit"]
+    else:
+        del seen["dimension > 0"]
+    assert min(seen.values()) >= 20, seen
