@@ -73,7 +73,7 @@ class ColoringSetReport:
     colorings: list[Coloring] | None = None
     module_info: tuple[int, list] | None = None  # (dimension, basis vectors)
     per_flow: dict[Flow, int] | None = None
-    nodes: int | None = None  # values tried (rows an expansion keeps on the row plan)
+    nodes: int | None = None  # values tried (on the row executor, rows each level keeps)
 
 
 class FlowInvalidError(ValueError):
@@ -92,15 +92,16 @@ class NotBraidShapedError(ValueError):
 
 
 class _RuleTable:
-    """A rule table tbl[a, b] == c, -1 where undefined, with what the plans
-    (hlcolor.plan) derive from it, built when a plan first asks.
+    """A rule table tbl[a, b] == c, -1 where undefined, with what the plan
+    (hlcolor.plan) derives from it, built when it is first asked for.
 
     lookups[i] gives slot i from the other two slots, indexed by them in the
     order _KEYS[i], -1 where no entry has them; it is None where some pair of
     them allows several values.  support(s, i)[u, w] says some entry holds u
     in slot s and w in slot i, and candidates lists the values one slot takes
-    beside known ones.  The depth-first plan and the coloring transport read
-    lookups and candidates as nested lists (lookup_lists, candidate_lists).
+    beside known ones.  The depth-first executor and the coloring transport
+    read lookups and candidates as nested lists (lookup_lists,
+    candidate_lists); the row executor reads the numpy arrays.
     """
 
     def __init__(self, tbl: np.ndarray):
@@ -243,8 +244,8 @@ class _Network:
     records, and n is the number of values.  var_eqs[i] lists the equations
     that hold variable i, and rank[i] is its place in the order in which the
     variables first appear in eqs.  plans holds the plans of hlcolor.plan
-    compiled for it: the row plan under None and the depth-first plan of each
-    set of fixed variables under that set.  transports holds the schedules of
+    compiled for it, one per set of fixed variables, the one with nothing
+    fixed under None.  transports holds the schedules of
     moves.transport_coloring, by the names of the source coloring.
     """
 
@@ -287,11 +288,13 @@ def _network(d: Diagram, x: MCB | MCQ | FiniteGroup) -> _Network:
     return entry[1]
 
 
-# Counts whose widest domain is smaller take the depth-first plan, larger ones
-# the row plan.  Timed over the 12 corpus diagrams, parsed afresh as the CLI
-# does, the row plan takes 87 ms against 16 ms on the 11 corpus structures of
-# 6 elements, 38 against 24 ms on those of 20, and half the time or less on
-# those of 48 and 72 (2-core VM, Python 3.11, numpy 2.4).
+# Counts whose widest domain is smaller take the depth-first executor, larger
+# ones the row executor; both run the same plan.  Timed cold (the 12 corpus
+# diagrams parsed afresh, as the CLI does; every corpus MCB/MCQ, associated
+# MCB/MCQ and Q(X), best of 3, summed by size), depth-first against row:
+# 6 elements (11 structures) 10 against 13 ms, 20 (4) 14 against 6 ms,
+# 48 (2) 24 against 5 ms, 72 (2) 91 against 16 ms (2-core VM, Python 3.11,
+# numpy 2.4).  The corpus has no structure between 6 and 20 elements.
 _PLAN_MIN_DOMAIN = 16
 
 

@@ -1,40 +1,34 @@
-"""The compiled plans that solve a constraint network (coloring._Network:
-equations tbl[a, b] == c on integer variables), kept in the network's
-``plans``.
+"""The compiled plan that solves a constraint network (coloring._Network:
+equations tbl[a, b] == c on integer variables), and its two executors.
 
-A depth-first plan, compiled once per set of fixed variables, counts, lists
-and extends colorings one value at a time on nested lists.  Each level
-branches one variable over the values a rule table allows beside its placed
-neighbours, places every variable a single-valued lookup then fixes, and
-checks every equation whose three slots are placed.  The variable branched
-next is the open one in the most equations with a placed variable, the first
-to appear in the equations on a tie, so the plan depends on the order of a
-diagram's records and not on its names.
-
-A row plan counts on large structures.  The partial colorings of one
-component are the rows of a numpy array, grown a variable at a time.  A
-variable whose equation has its other two slots in the rows is a lookup,
-through an inverse table when the rule is single-valued in its slot.
-Otherwise the plan expands the next variable into the values that occur
-beside one or two known slots, and keeps the rows that every equation of the
-new variable still allows beside one other known slot.  The joins are exact,
-so the count equals the depth-first plan's.
-
-Both plans solve each connected component of the open variables on its own;
+One compiler turns a network and a set of fixed variables into levels, kept
+in the network's ``plans``.  Each level branches one variable over the values
+a rule table allows beside its placed neighbours, places every variable a
+single-valued lookup then fixes, and checks every equation whose three slots
+are placed.  The variable branched next is the open one in the most
+equations with a placed variable, the first to appear in the equations on a
+tie, so the plan depends on the order of a diagram's records and not on its
+names.  Each connected component of the open variables has levels of its own;
 the components' counts multiply.
+
+The depth-first executor counts, lists and extends colorings one value at a
+time, on nested lists.  The row executor counts on large structures: the
+partial colorings of one component are the rows of a numpy array, column j
+holding variable j, and each level expands every row at once, then keeps the
+rows its lookups and checks allow.  Both run the same levels, so they give
+the same count.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
 
 from hlcolor.rings import SizeBoundExceededError
 
-_BLOCK_ROWS = 4096  # an expansion past this many rows runs slice by slice
+_BLOCK_ROWS = 4096  # a level past this many rows runs slice by slice
 
 # the two slots that determine slot i of tbl[a, b] == c, in the order a lookup
 # of slot i is indexed by: a from (c, b), b from (a, c), c from (a, b)
@@ -68,24 +62,22 @@ def getter(keys: list):
     return lambda items: tuple(items[k] for k in keys)
 
 
-# -- the depth-first plan ------------------------------------------------------------
+# -- the compiler -------------------------------------------------------------------
 
 
-class _Enough(Exception):
-    """A listing has found as many solutions as it was asked for."""
-
-
-class _DepthFirst:
-    """The depth-first plan of one network given its fixed variables.
+class _Levels:
+    """The plan of one network given its fixed variables.
 
     ``prefix`` is the (lookups, checks) that run once the fixed values are
     in; ``parts`` holds each component's variables and levels.  A level is
     (var, source, lookups, checks): var takes the values of source, which is
-    (lists, a, b) for the candidate lists of a rule table indexed by the
-    values of variables a and b (b is -1 for one key), or None for every
-    value.  Each lookup (table, a, b, c) sets c to table[a][b]; each check
-    (table, a, b, c) asks table[a][b] == c, on the nested lists of the rule
-    tables (coloring._RuleTable).
+    (table, keys, slot, a, b) for the values slot ``slot`` of a rule table
+    (coloring._RuleTable) takes beside the values of variables a and b in the
+    slots keys (b is -1 for one key), or None for every value.  Each lookup
+    (table, slot, a, b, c) sets c to the one value that slot takes beside a
+    and b, in the slots KEYS[slot]; each check (table, a, b, c) asks
+    table[a, b] == c.  The depth-first executor reads them as nested lists
+    (``lists``), the row executor as the tables' numpy arrays.
     """
 
     def __init__(self, net, fixed: frozenset):
@@ -99,11 +91,31 @@ class _DepthFirst:
         comps.sort(key=lambda comp: min(net.rank[v] for v in comp))
         self.parts = [(comp, placer.levels(comp)) for comp in comps]
 
+    @cached_property
+    def lists(self) -> tuple[tuple, list]:
+        """(prefix, parts) with each source as (lists, a, b), where var takes
+        lists[vals[a]] (lists[vals[a]][vals[b]]), and each lookup and check
+        as (lists, a, b, c) on lists[vals[a]][vals[b]]."""
+        def steps(lookups, checks):
+            return ([(t.lookup_lists[slot], a, b, c) for t, slot, a, b, c in lookups],
+                    [(t.lookup_lists[2], a, b, c) for t, a, b, c in checks])
+
+        parts = []
+        for comp, levels in self.parts:
+            found = []
+            for var, source, lookups, checks in levels:
+                if source is not None:
+                    t, keys, slot, a, b = source
+                    source = (t.candidate_lists(keys, slot), a, b)
+                found.append((var, source, *steps(lookups, checks)))
+            parts.append((comp, found))
+        return steps(*self.prefix), parts
+
 
 class _Placer:
-    """What a depth-first plan has placed while it compiles: the variables,
-    the equations done (checked, or held by construction) and, per variable,
-    the number of its equations that hold a placed variable."""
+    """What the compiler has placed so far: the variables, the equations done
+    (checked, or held by construction) and, per variable, the number of its
+    equations that hold a placed variable."""
 
     def __init__(self, net, fixed: frozenset):
         self.net = net
@@ -130,25 +142,29 @@ class _Placer:
                 known = (a in placed, b in placed, c in placed)
                 if all(known):
                     done.add(e)
-                    checks.append((t.lookup_lists[2], a, b, c))
+                    checks.append((t, a, b, c))
                     continue
                 i = known.index(False)
-                if sum(known) == 2 and t.lookup_lists[i] is not None:
+                if sum(known) == 2 and t.lookups[i] is not None:
                     k, m = KEYS[i]
                     slots = (a, b, c)
-                    lookups.append((t.lookup_lists[i], slots[k], slots[m], slots[i]))
+                    lookups.append((t, i, slots[k], slots[m], slots[i]))
                     placed.add(slots[i])
                     done.add(e)
                     queue.append(slots[i])
         return lookups, checks
+
+    def branch_var(self, left: list[int]) -> int:
+        """The open variable in the most equations with a placed one, the
+        first in left on a tie."""
+        return max(left, key=self.score.__getitem__)
 
     def levels(self, comp: list[int]) -> list[tuple]:
         net, placed, n = self.net, self.placed, self.net.n
         levels = []
         left = sorted(comp, key=net.rank.__getitem__)
         while left:
-            # the open variable in the most equations with a placed one
-            var = max(left, key=self.score.__getitem__)
+            var = self.branch_var(left)
             source, fan = None, n
             for e in net.var_eqs[var]:
                 a, b, c, t = net.eqs[e]
@@ -169,7 +185,7 @@ class _Placer:
             if source is not None:
                 e, keys, i = source
                 slots = net.eqs[e]
-                source = (slots[3].candidate_lists(keys, i), slots[keys[0]],
+                source = (slots[3], keys, i, slots[keys[0]],
                           slots[keys[1]] if len(keys) == 2 else -1)
                 if len(keys) == 2:
                     self.done.add(e)  # the candidates satisfy it
@@ -179,20 +195,34 @@ class _Placer:
         return levels
 
 
-def depth_first(net, fixed=None, domains=None, budget=None) -> _Run:
-    """A run of the network's depth-first plan for the fixed variables, which
-    is compiled once per set of them; fixed maps names to values and domains
-    maps names to the values they may take."""
-    fixed = {net.index[v]: u for v, u in (fixed or {}).items()}
-    key = frozenset(fixed)
+def _levels(net, fixed: frozenset) -> _Levels:
+    """The network's plan for the fixed variables, compiled once per set of
+    them; the plan with nothing fixed, which both executors run, is kept
+    under None."""
+    key = fixed or None
     plan = net.plans.get(key)
     if plan is None:
-        plan = net.plans[key] = _DepthFirst(net, key)
+        plan = net.plans[key] = _Levels(net, fixed)
+    return plan
+
+
+# -- the depth-first executor --------------------------------------------------------
+
+
+class _Enough(Exception):
+    """A listing has found as many solutions as it was asked for."""
+
+
+def depth_first(net, fixed=None, domains=None, budget=None) -> _Run:
+    """A depth-first run of the network's plan for the fixed variables; fixed
+    maps names to values and domains maps names to the values they may take."""
+    fixed = {net.index[v]: u for v, u in (fixed or {}).items()}
+    plan = _levels(net, frozenset(fixed))
     return _Run(plan, fixed, {net.index[v]: vals for v, vals in (domains or {}).items()}, budget)
 
 
 class _Run:
-    """One pass over a depth-first plan: a count, the rows or the unique solution.
+    """One pass over a plan: a count, the rows or the unique solution.
 
     A domain is a list of n + 1 booleans, false at -1; it filters the values
     a level branches on and the values its lookups give.  ``nodes`` counts
@@ -200,8 +230,9 @@ class _Run:
     SizeBoundExceededError.
     """
 
-    def __init__(self, plan: _DepthFirst, fixed: dict, domains: dict, budget=None):
+    def __init__(self, plan: _Levels, fixed: dict, domains: dict, budget=None):
         self.plan, self.fixed, self.budget = plan, fixed, budget
+        self.prefix, self.parts = plan.lists
         self.n, self.full = plan.n, plan.full
         self.nodes = 0
         self.dom = [plan.full] * plan.size
@@ -220,7 +251,7 @@ class _Run:
             if not 0 <= u < self.n or not dom[v][u]:
                 return False
             vals[v] = u
-        lookups, checks = self.plan.prefix
+        lookups, checks = self.prefix
         for table, a, b, c in lookups:
             u = table[vals[a]][vals[b]]
             if not dom[c][u]:
@@ -286,7 +317,7 @@ class _Run:
         if not self._start():
             return 0
         total = 1
-        for _, levels in self.plan.parts:
+        for _, levels in self.parts:
             total *= self._walk(levels, 0)
             if not total:
                 break
@@ -299,7 +330,7 @@ class _Run:
         if not self._start():
             return np.zeros((0, self.plan.size), dtype=dtype)
         rows = np.array([self.vals], dtype=dtype)
-        for comp, levels in self.plan.parts:
+        for comp, levels in self.parts:
             found = np.array(self._solutions(comp, levels), dtype=dtype).reshape(-1, len(comp))
             # every row so far with every solution of comp
             rows = np.repeat(rows, len(found), axis=0)
@@ -313,7 +344,7 @@ class _Run:
         each component stops at a second solution."""
         if not self._start():
             return None
-        for comp, levels in self.plan.parts:
+        for comp, levels in self.parts:
             found = self._solutions(comp, levels, limit=2)
             if len(found) != 1:
                 return None
@@ -322,259 +353,93 @@ class _Run:
         return self.vals
 
 
-# -- the row plan -------------------------------------------------------------------
+# -- the row executor ----------------------------------------------------------------
 
 
-@dataclass
-class _Step:
-    """One step of a plan, on rows whose column j holds the variable placed j-th.
+class _RowCount:
+    """One count over the plan with nothing fixed, on numpy rows.
 
-    An expansion first joins ``var`` through ``source``: (start, values,
-    columns) from coloring._RuleTable.candidates, or None for its whole
-    domain.  Then each lookup (array, cols_a, cols_b) appends the columns
-    array[a, b] and drops rows where one is -1, and each check (array,
-    cols_a, cols_b, cols_c) keeps the rows where array[a, b] == c, or where
-    array[a, b] is true when cols_c is None.  ``new`` lists the (variable,
-    column) pairs it places.
+    A domain is a boolean mask of n + 1 entries, false at -1; it filters the
+    values a level expands into and the values its lookups give.  ``nodes``
+    counts the rows each level keeps after its lookups and checks, over all
+    components; past ``budget`` a count raises SizeBoundExceededError.
     """
 
-    lookups: list
-    checks: list
-    new: list
-    var: int = -1
-    source: tuple | None = None
-
-
-class _PartBuilder:
-    """Compiles the steps of one component; ``rows`` estimates the rows left
-    after the steps so far, each filter scaling it by the share it keeps."""
-
-    def __init__(self, net):
-        self.eqs, self.var_eqs, self.n = net.eqs, net.var_eqs, net.n
-        self.col: dict[int, int] = {}
-        self.state = [0] * len(net.eqs)  # 0 open, 1 its pair checked, 2 done
-        self.rows = 1.0
-        self.steps: list[_Step] = []
-
-    def trial(self) -> _PartBuilder:
-        """A copy to try an expansion on, with no steps of its own."""
-        other = copy.copy(self)
-        other.col, other.state, other.steps = dict(self.col), self.state[:], []
-        return other
-
-    def _place(self, v: int, step: _Step) -> None:
-        self.col[v] = len(self.col)
-        step.new.append((v, self.col[v]))
-
-    def _check(self, placed, step: _Step) -> None:
-        """Filter by every open equation of the placed variables that is now
-        known in all three slots, or in two slots that no lookup can extend."""
-        col, n = self.col, self.n
-        full: dict = {}
-        pairs: dict = {}
-        for e in sorted({e for v in placed for e in self.var_eqs[v]}):
-            if self.state[e] == 2:
-                continue
-            *slots, t = self.eqs[e]
-            unknown = [i for i in range(3) if slots[i] not in col]
-            if not unknown:
-                self.state[e] = 2
-                self.rows *= t.density / n
-                cols = full.setdefault(id(t), (t.tbl, [], [], []))
-                for k in range(3):
-                    cols[k + 1].append(col[slots[k]])
-            elif len(unknown) == 1 and not self.state[e] and t.lookups[unknown[0]] is None:
-                self.state[e] = 1
-                k, m = KEYS[unknown[0]]
-                if t.share(k, m) < 1:
-                    self.rows *= t.share(k, m)
-                    cols = pairs.setdefault((id(t), k, m), (t.support(k, m), [], [], None))
-                    cols[1].append(col[slots[k]])
-                    cols[2].append(col[slots[m]])
-        step.checks += list(full.values()) + list(pairs.values())
-
-    def settle(self, placed) -> None:
-        """Append lookup levels until no variable is a lookup."""
-        col = self.col
-        while placed:
-            found: dict[int, tuple] = {}
-            for e in sorted({e for v in placed for e in self.var_eqs[v]}):
-                if self.state[e] == 2:
-                    continue
-                *slots, t = self.eqs[e]
-                unknown = [i for i in range(3) if slots[i] not in col]
-                if len(unknown) == 1 and slots[unknown[0]] not in found:
-                    if t.lookups[unknown[0]] is not None:
-                        found[slots[unknown[0]]] = (e, unknown[0])
-            step = _Step([], [], [])
-            groups: dict = {}
-            for v, (e, i) in found.items():
-                *slots, t = self.eqs[e]
-                self.state[e] = 2
-                self.rows *= t.density
-                k, m = KEYS[i]
-                groups.setdefault((id(t), i), (t.lookups[i], [], [], []))
-                groups[id(t), i][1].append(col[slots[k]])
-                groups[id(t), i][2].append(col[slots[m]])
-                groups[id(t), i][3].append(v)
-            for table, cols_a, cols_b, made in groups.values():
-                step.lookups.append((table, cols_a, cols_b))
-                for v in made:
-                    self._place(v, step)
-            placed = [v for _, _, _, made in groups.values() for v in made]
-            if placed:
-                self._check(placed, step)
-                self.steps.append(step)
-
-    def expand(self, v: int) -> None:
-        """Append the expansion of v through its fewest candidates, then settle."""
-        col, n = self.col, self.n
-        best, fan = None, float(n)
-        for e in self.var_eqs[v]:
-            if self.state[e] == 2:
-                continue
-            *slots, t = self.eqs[e]
-            if slots.count(v) != 1:
-                continue
-            i = slots.index(v)
-            keys = tuple(k for k in KEYS[i] if slots[k] in col)
-            if not keys:
-                continue
-            guess = t.density if len(keys) == 2 else t.share(keys[0], i) * n
-            if guess < fan:
-                best, fan = (e, keys, i), guess
-        step = _Step([], [], [], var=v)
-        if best is not None:
-            e, keys, i = best
-            *slots, t = self.eqs[e]
-            start, values = t.candidates(keys, i)
-            step.source = (start, values, [col[slots[k]] for k in keys])
-            self.state[e] = 2 if len(keys) == 2 else 1
-        self.rows *= fan
-        self._place(v, step)
-        self._check([v], step)
-        self.steps.append(step)
-        self.settle([v])
-
-
-def _compile_part(net, comp: list[int]) -> list[_Step]:
-    """The steps that count one component."""
-    builder = _PartBuilder(net)
-    while len(builder.col) < len(comp):
-        builder.expand(_next_var(builder, [v for v in comp if v not in builder.col]))
-    return builder.steps
-
-
-def _next_var(builder: _PartBuilder, open_: list[int]) -> int:
-    """The variable whose expansion and lookups leave the fewest rows, among
-    those that share an equation with a placed one if any do."""
-    near = [v for v in open_ if any(
-        u in builder.col for e in builder.var_eqs[v] for u in builder.eqs[e][:3])]
-    best, least = open_[0], None
-    for v in near or open_:
-        trial = builder.trial()
-        trial.expand(v)
-        if least is None or trial.rows < least:
-            best, least = v, trial.rows
-    return best
-
-
-class _Plan:
-    """The row plan of one network: the steps of each component."""
-
-    def __init__(self, net):
-        self.n = n = net.n
-        self.dtype = np.uint8 if n <= 2**8 else np.uint16 if n <= 2**16 else np.int32
-        self.parts = [_compile_part(net, comp) for comp in components(net, range(len(net.names)))]
-
-
-class _PlanCount:
-    """One count over a row plan: the domains' masks, nodes and budget."""
-
-    def __init__(self, plan: _Plan, domains: dict, budget=None):
+    def __init__(self, plan: _Levels, domains: dict, budget=None):
         self.plan, self.budget = plan, budget
         self.nodes = 0
         self.masks = {}
         for v, values in domains.items():
-            mask = self.masks[v] = np.zeros(plan.n, dtype=bool)
+            mask = self.masks[v] = np.zeros(plan.n + 1, dtype=bool)
             mask[[u for u in values if 0 <= u < plan.n]] = True
 
     def count(self) -> int:
         total = 1
-        for steps in self.plan.parts:
-            total *= self._run(steps, 0, np.zeros((1, 0), dtype=self.plan.dtype))
+        for _, levels in self.plan.parts:
+            total *= self._run(levels, 0, np.zeros((1, self.plan.size), dtype=self.plan.dtype))
             if not total:
                 break
         return total
 
-    def _run(self, steps: list[_Step], i: int, rows: np.ndarray) -> int:
-        n, dtype = self.plan.n, self.plan.dtype
-        while i < len(steps) and len(rows):
-            step = steps[i]
-            if step.var >= 0:
-                mask = self.masks.get(step.var)
-                if step.source is None:
-                    values = np.arange(n, dtype=dtype) if mask is None else np.flatnonzero(mask)
-                    counts = np.full(len(rows), len(values))
-                else:
-                    start, values, keys = step.source
-                    key = rows[:, keys[0]].astype(np.intp)
-                    if len(keys) == 2:
-                        key = key * n + rows[:, keys[1]]
-                    lo = start[key]
-                    counts = start[key + 1] - lo
-                ends = np.cumsum(counts)
-                total = int(ends[-1])
-                if total > _BLOCK_ROWS and len(rows) > 1:
-                    cuts = [0]
-                    while cuts[-1] < len(rows):
-                        done = int(ends[cuts[-1] - 1]) if cuts[-1] else 0
-                        cut = int(np.searchsorted(ends, done + _BLOCK_ROWS, side="right"))
-                        cuts.append(max(cut, cuts[-1] + 1))
-                    return sum(self._run(steps, i, rows[a:b]) for a, b in zip(cuts, cuts[1:]))
-                if step.source is None:
-                    new = np.tile(values, len(rows))
-                else:
-                    new = values[np.repeat(lo - ends + counts, counts) + np.arange(total)]
-                rows = np.repeat(rows, counts, axis=0)
-                rows = np.concatenate([rows, new[:, None].astype(dtype)], axis=1)
-            if step.lookups:
-                made = [table[rows[:, a], rows[:, b]] for table, a, b in step.lookups]
-                made = np.concatenate(made, axis=1) if len(made) > 1 else made[0]
-                rows = np.concatenate([rows, made.astype(dtype)], axis=1)
-                defined = (made >= 0).all(axis=1)
-                if not defined.all():
-                    rows = rows[defined]
+    def _run(self, levels: list, i: int, rows: np.ndarray) -> int:
+        n, masks = self.plan.n, self.masks
+        while i < len(levels) and len(rows):
+            var, source, lookups, checks = levels[i]
+            mask = masks.get(var)
+            if source is None:
+                values = np.arange(n, dtype=rows.dtype) if mask is None else np.flatnonzero(mask)
+                counts = np.full(len(rows), len(values))
+            else:
+                table, keys, slot, a, b = source
+                start, values = table.candidates(keys, slot)
+                key = rows[:, a].astype(np.intp)
+                if b >= 0:
+                    key = key * n + rows[:, b]
+                lo = start[key]
+                counts = start[key + 1] - lo
+            ends = np.cumsum(counts)
+            total = int(ends[-1])
+            if total > _BLOCK_ROWS and len(rows) > 1:
+                cuts = [0]
+                while cuts[-1] < len(rows):
+                    done = int(ends[cuts[-1] - 1]) if cuts[-1] else 0
+                    cut = int(np.searchsorted(ends, done + _BLOCK_ROWS, side="right"))
+                    cuts.append(max(cut, cuts[-1] + 1))
+                return sum(self._run(levels, i, rows[a:b]) for a, b in zip(cuts, cuts[1:]))
+            if source is None:
+                new = np.tile(values, len(rows))
+            else:
+                new = values[np.repeat(lo - ends + counts, counts) + np.arange(total)]
+            rows = np.repeat(rows, counts, axis=0)
+            rows[:, var] = new
+            if mask is not None and source is not None:
+                rows = rows[mask[new]]
+            for table, slot, a, b, c in lookups:
+                got = table.lookups[slot][rows[:, a], rows[:, b]]
+                ok = masks[c][got] if c in masks else got >= 0
+                if not ok.all():
+                    rows, got = rows[ok], got[ok]
+                rows[:, c] = got
             ok = None
-            for table, a, b, c in step.checks:
-                got = table[rows[:, a], rows[:, b]]
-                hit = (got if c is None else got == rows[:, c]).all(axis=1)
+            for table, a, b, c in checks:
+                hit = table.tbl[rows[:, a], rows[:, b]] == rows[:, c]
                 ok = hit if ok is None else ok & hit
-            for v, j in step.new:
-                mask = self.masks.get(v)
-                if mask is not None:
-                    hit = mask[rows[:, j]]
-                    ok = hit if ok is None else ok & hit
             if ok is not None:
                 rows = rows[ok]
-            if step.var >= 0:
-                self.nodes += len(rows)
-                if self.budget is not None and self.nodes > self.budget:
-                    raise SizeBoundExceededError(
-                        f"enumeration exceeded branch budget {self.budget}")
+            self.nodes += len(rows)
+            if self.budget is not None and self.nodes > self.budget:
+                raise SizeBoundExceededError(f"enumeration exceeded branch budget {self.budget}")
             i += 1
         return len(rows)
 
 
 def count(net, domains=None, budget=None) -> tuple[int, int]:
     """(count, nodes) of the network's solutions inside the domains (name ->
-    values), by the row plan, compiled once per network.
+    values), by the row executor on the plan with nothing fixed.
 
-    nodes is the number of rows that survive each expansion's filters; past
-    budget the count raises SizeBoundExceededError.
+    nodes is the number of rows each level keeps after its lookups and
+    checks; past budget the count raises SizeBoundExceededError.
     """
-    plan = net.plans.get(None)
-    if plan is None:
-        plan = net.plans[None] = _Plan(net)
-    run = _PlanCount(plan, {net.index[v]: vals for v, vals in (domains or {}).items()}, budget)
+    plan = _levels(net, frozenset())
+    run = _RowCount(plan, {net.index[v]: vals for v, vals in (domains or {}).items()}, budget)
     return run.count(), run.nodes

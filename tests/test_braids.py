@@ -71,7 +71,7 @@ def test_generated_braids_match_brute_force(mcb, braid):
     for x in mcb:
         count = enumerate_colorings(d, x).count
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(coloring, "_PLAN_MIN_DOMAIN", 1)  # every count on the row plan
+            m.setattr(coloring, "_PLAN_MIN_DOMAIN", 1)  # every count on the row executor
             assert enumerate_colorings(d, x).count == count, braid
         listed = enumerate_colorings(d, x, want_list=True).colorings
         assert len(listed) == count, braid

@@ -2,7 +2,8 @@
 parsed objects must also serialize stably), ``hlcolor move`` with generated
 diagram files, move names, directions, site ids, variants and
 ``--transport`` coloring files, ``hlcolor color --flow`` and ``hlcolor
-flows`` with generated flow files, group files and orders, and ``hlcolor
+flows`` with generated flow files, group files and orders, ``hlcolor color``
+without ``--flow`` with generated structure and diagram files, and ``hlcolor
 verify`` with corpus structures on corpus and mutated diagrams.  Whatever the
 input, the command exits 0, 1, 2 or 3 and never raises.
 
@@ -418,5 +419,64 @@ def test_verify_exits_0_to_3_on_any_diagram_structure_and_budget(call):
     text, args = call
     code, err = _run(["--format", "machine", "verify", args[0], "{tmp}/diagram.txt", *args[1:]],
                      {"diagram.txt": text})
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+# -- color: structure and diagram files, --count, --list and --budget ----------------
+
+# every kind color takes (an MCB, an MCQ, a family of either, with Alexander and
+# 72-element ones that count on the row executor) and some it refuses
+COLOR_STRUCTURES = (
+    "assoc-z3-z2-mcb", "lift-s3-conj-mcb", "s3-conj-mcq", "assoc-dihedral-z2-mcq",
+    "z3-z2-family", "dihedral-z2-family", "z5-z4-family", "gr16-z3-family", "gf9-z8-family",
+    "alex-z5-s2-t3", "dihedral3", "s3",
+)
+
+
+# the generated kinds that color takes once they parse
+COLOR_KINDS = ("mcq", "mcb", "gfamily-q", "gfamily-b", "gfamily-alexander-q",
+               "gfamily-alexander-b", "zkm-family")
+
+
+@st.composite
+def alexander_families(draw) -> list[str]:
+    """An Alexander G-family over Z_m, m <= 9, of a group of order at most 6;
+    it parses for about two in five draws, and its associated structure of up
+    to 54 elements counts on the row executor from 16 elements on."""
+    m, n = draw(st.integers(2, 9)), draw(st.integers(1, 6))
+    unit = st.integers(0, m - 1)
+    if draw(st.booleans()):
+        return [f"gfamily-alexander-q ring=ring m={m} n={n} u={draw(unit)}"]
+    return [f"gfamily-alexander-b ring=ring m={m} n={n} t={draw(unit)} s={draw(unit)}"]
+
+
+@st.composite
+def color_calls(draw) -> tuple[dict[str, str], list[str]]:
+    """(files, the arguments of color): a generated or corpus structure file
+    on a small corpus diagram or a generated diagram file, with --count or
+    --list, with or without --budget."""
+    diagram = st.one_of(st.sampled_from(SMALL_DIAGRAMS).map(_corpus_text), diagram_texts())
+    files = {"diagram.txt": draw(diagram)}
+    if draw(st.booleans()):
+        lines = draw(st.one_of(alexander_families(),
+                               st.sampled_from(COLOR_KINDS).flatmap(structure_lines)))
+        files["structure.txt"] = "\n".join(lines) + "\n"
+        files["inner.txt"] = "\n".join(draw(structure_lines("quandle"))) + "\n"
+        structure = "{tmp}/structure.txt"
+    else:
+        name = draw(st.sampled_from(COLOR_STRUCTURES))
+        structure = os.path.join(CORPUS, "structures", f"{name}.txt")
+    args = ["color", structure, "{tmp}/diagram.txt", draw(st.sampled_from(["--count", "--list"]))]
+    if draw(st.booleans()):
+        args += ["--budget", draw(st.sampled_from(["0", "1", "5", "40", "1000", "-1", "x"]))]
+    return files, args
+
+
+@hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+@hypothesis.given(color_calls())
+def test_color_exits_0_to_3_on_any_structure_diagram_and_budget(call):
+    files, args = call
+    code, err = _run(["--format", "machine", *args], files)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err

@@ -215,8 +215,8 @@ def test_budget_counts_nodes_over_all_components(mcq6):
 
 
 def test_gf9_mcb_node_counts_stay_under_50000(corpus_structures, corpus_diagrams):
-    # counts on the 72-element MCB take the lookup plan, whose nodes are the
-    # rows each expansion keeps; the search without forward checking took
+    # counts on the 72-element MCB take the row executor, whose nodes are the
+    # rows each level keeps; the search without forward checking took
     # 751,752 nodes on fig8 and 3,032,712 on stem-clasp
     x = associated_mcb(corpus_structures["gf9-z8-family"])
     for name in ("fig8", "stem-clasp", "stem-clasp-slid-under", "union-trefoil-theta"):
@@ -464,7 +464,7 @@ def test_network_is_built_once_per_diagram_and_structure(mcb6, corpus_structures
 
 def _count_on(path, monkeypatch, d, x, **kw):
     """enumerate_colorings with every count sent down one path: "plan" is the
-    row plan, "search" the depth-first plan."""
+    row executor, "search" the depth-first executor."""
     from hlcolor import coloring
 
     monkeypatch.setattr(coloring, "_PLAN_MIN_DOMAIN", 1 if path == "plan" else 10**9)
@@ -509,16 +509,19 @@ def test_plan_and_search_agree_on_every_corpus_pair(corpus_structures, corpus_di
 def test_plan_and_search_agree_inside_a_flow(corpus_structures, corpus_diagrams, monkeypatch):
     from hlcolor import coloring
 
+    checked = 0
     for name, fam in corpus_structures.items():
         if not isinstance(fam, (GFamilyB, GFamilyQ)):
             continue
         for dname, d in corpus_diagrams.items():
-            flow = enumerate_flows(d, fam.group)[-1]
-            counts = []
-            for threshold in (1, 10**9):
-                monkeypatch.setattr(coloring, "_PLAN_MIN_DOMAIN", threshold)
-                counts.append(colorings_by_flow(d, fam, flow).count)
-            assert counts[0] == counts[1], (name, dname)
+            for flow in enumerate_flows(d, fam.group):
+                counts = []
+                for threshold in (1, 10**9):
+                    monkeypatch.setattr(coloring, "_PLAN_MIN_DOMAIN", threshold)
+                    counts.append(colorings_by_flow(d, fam, flow).count)
+                assert counts[0] == counts[1], (name, dname, flow)
+                checked += 1
+    assert checked == 2940
 
 
 def test_the_plan_counts_components_on_their_own(corpus_structures, monkeypatch):
@@ -579,21 +582,25 @@ def test_counts_take_the_plan_only_for_large_domains(corpus_structures, corpus_d
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_plan_counts_do_not_depend_on_the_variable_order(seed, corpus_structures, corpus_diagrams,
                                                           monkeypatch):
-    """Random expansion orders give the depth-first plan's counts: a lookup that finds
-    no entry drops its row before a check of the same step reads it."""
+    """Random branch orders give the same count on both executors as the
+    compiler's own order: a lookup that finds no entry drops its row before a
+    check of the same level reads it."""
     from hlcolor import plan
 
-    rng = random.Random(seed)
-    monkeypatch.setattr(plan, "_next_var", lambda builder, open_: rng.choice(open_))
+    pairs = []
     for name in ("gf9-z8-family", "z5-z4-family"):
         x = associated_mcb(corpus_structures[name])
         for qx in (x, q_functor_mcb(x)):
             for dname, d in corpus_diagrams.items():
                 if dname.startswith("stem-clasp"):
                     continue  # a poor order takes seconds on the 8-crossing diagrams
-                d = parse_diagram(serialize_diagram(d))  # no plan compiled yet
-                assert (_count_on("plan", monkeypatch, d, qx).count
-                        == _count_on("search", monkeypatch, d, qx).count), (name, dname, seed)
+                pairs.append((name, qx, dname, d, enumerate_colorings(d, qx).count))
+    rng = random.Random(seed)
+    monkeypatch.setattr(plan._Placer, "branch_var", lambda placer, left: rng.choice(left))
+    for name, qx, dname, d, want in pairs:
+        d = parse_diagram(serialize_diagram(d))  # no plan compiled yet
+        assert (_count_on("plan", monkeypatch, d, qx).count
+                == _count_on("search", monkeypatch, d, qx).count == want), (name, dname, seed)
 
 
 def test_a_plan_count_builds_no_depth_first_candidate_lists(corpus_diagrams):

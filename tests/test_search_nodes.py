@@ -7,7 +7,9 @@ depth-first plan: each MCB and MCQ of under 16 elements among the corpus
 files, the associated MCBs and MCQs of the family files and the Q(X) of every
 such MCB, plus the G-flows of every corpus group and family group, and the
 per-flow counts of the small families.  The plan's order follows the records
-of a diagram, not its names, so relabeled diagrams give the same table.
+of a diagram, not its names, so relabeled diagrams give the same table, and
+the row executor, which runs the same plan, gives the same (count, nodes) on
+relabeled diagrams for every target it counts.
 
 Regenerate with ``python tests/test_search_nodes.py > tests/data/search-nodes.txt``
 (with ``src`` on the path) only for a change that is meant to move them, and
@@ -29,15 +31,17 @@ from hlcolor.diagram import relabel
 from hlcolor.gfamily import GFamilyB, GFamilyQ, associated_mcb, associated_mcq
 from hlcolor.groups import FiniteGroup
 from hlcolor.mcqb import MCB, MCQ, q_functor_mcb
-from hlcolor.plan import depth_first
+from hlcolor.plan import count, depth_first
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "search-nodes.txt")
 
-SEARCH_MAX = 15  # counts on more elements take the row plan
-PER_FLOW_MAX = 15  # per-flow domains of more elements take the row plan
+SEARCH_MAX = 15  # counts on more elements take the row executor
+PER_FLOW_MAX = 15  # per-flow domains of more elements take the row executor
 
 
-def _search_structures(structures):
+def _targets(structures):
+    """Each corpus MCB and MCQ, each family's associated MCB or MCQ, and the
+    Q(X) of every such MCB."""
     out = []
     for name, obj in sorted(structures.items()):
         if isinstance(obj, (MCB, MCQ)):
@@ -47,7 +51,7 @@ def _search_structures(structures):
         elif isinstance(obj, GFamilyQ):
             out.append((f"assoc({name})", associated_mcq(obj)))
     out += [(f"Q({name})", q_functor_mcb(x)) for name, x in out if isinstance(x, MCB)]
-    return [(name, x) for name, x in out if x.n <= SEARCH_MAX]
+    return out
 
 
 def _groups(structures):
@@ -62,7 +66,9 @@ def _groups(structures):
 
 def search_node_lines(structures, diagrams) -> list[str]:
     lines = []
-    for sname, x in _search_structures(structures):
+    for sname, x in _targets(structures):
+        if x.n > SEARCH_MAX:
+            continue
         for dname, d in sorted(diagrams.items()):
             rep = enumerate_colorings(d, x)
             lines.append(f"color {sname} {dname} count={rep.count} nodes={rep.nodes}")
@@ -90,15 +96,38 @@ def test_search_node_counts_are_unchanged(corpus_structures, corpus_diagrams):
     assert search_node_lines(corpus_structures, corpus_diagrams) == _golden()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_node_counts_do_not_depend_on_names(seed, corpus_structures, corpus_diagrams):
-    """Every corpus diagram with its semi-arc and loop names shuffled."""
+def _renamed(diagrams, seed: int) -> dict:
+    """Every diagram with its semi-arc and loop names shuffled."""
     rng = random.Random(seed)
     renamed = {}
-    for name, d in corpus_diagrams.items():
+    for name, d in diagrams.items():
         names = list(d.semiarcs + d.loops)
         renamed[name] = relabel(d, dict(zip(names, rng.sample(names, len(names)))))
-    assert search_node_lines(corpus_structures, renamed) == _golden()
+    return renamed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_node_counts_do_not_depend_on_names(seed, corpus_structures, corpus_diagrams):
+    assert search_node_lines(corpus_structures, _renamed(corpus_diagrams, seed)) == _golden()
+
+
+def row_node_lines(structures, diagrams) -> list[str]:
+    """The row executor's count and nodes on every diagram for every target of
+    more than SEARCH_MAX elements: the MCBs of 20, 48 and 72 elements (a
+    corpus file and the families' associated MCBs) and their Q(X)."""
+    targets = [(name, x) for name, x in _targets(structures) if x.n > SEARCH_MAX]
+    lines = []
+    for sname, x in targets:
+        for dname, d in sorted(diagrams.items()):
+            found, nodes = count(_network(d, x))
+            lines.append(f"rows {sname} {dname} count={found} nodes={nodes}")
+    return lines
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_row_node_counts_do_not_depend_on_names(seed, corpus_structures, corpus_diagrams):
+    assert (row_node_lines(corpus_structures, _renamed(corpus_diagrams, seed))
+            == row_node_lines(corpus_structures, corpus_diagrams))
 
 
 if __name__ == "__main__":
