@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sb = sub.add_parser("build", help="run a constructor and write the structure file")
     sb.add_argument("what", choices=("assoc", "zkm", "conj", "lift", "tables"))
     sb.add_argument("source")
-    sb.add_argument("--k", type=int, default=1)
+    sb.add_argument("--k", type=_at_least(1), default=1)
     sb.add_argument("-o", "--out")
     sb.set_defaults(func=cmd_construct)
 
@@ -423,6 +423,9 @@ def main(argv=None) -> int:
     except StructParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except MemoryError:
+        print("error: out of memory (the structure is too large to build)", file=sys.stderr)
+        return EXIT_FAIL
     except BrokenPipeError:
         # the reader closed stdout early (``| head``); point stdout at devnull
         # so that the flush at interpreter exit does not fail a second time

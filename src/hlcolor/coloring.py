@@ -242,24 +242,31 @@ class _Network:
     Variable i is the i-th name in sorted order; eqs holds every equation as
     (a, b, c, table) on variable indices, in the order of the diagram's
     records, and n is the number of values.  var_eqs[i] lists the equations
-    that hold variable i, and rank[i] is its place in the order in which the
-    variables first appear in eqs.  plans holds the plans of hlcolor.plan
-    compiled for it, one per set of fixed variables, the one with nothing
-    fixed under None.  transports holds the schedules of
-    moves.transport_coloring, by the names of the source coloring.
+    that hold variable i, and order lists the variables in the order in
+    which they first appear in eqs, then those in none.  plans holds the
+    plans of hlcolor.plan compiled for it: the depth-first executor's by the
+    set of fixed variables, the row executor's under None.  transports holds
+    what moves.transport_coloring needs of a plan, by the names of the
+    source coloring.
     """
 
     def __init__(self, all_vars, domain_size: int, constraints):
         self.names = sorted(all_vars)
-        self.index = {v: i for i, v in enumerate(self.names)}
-        self.eqs = [(self.index[a], self.index[b], self.index[c], t) for a, b, c, t in constraints]
+        self.index = index = {v: i for i, v in enumerate(self.names)}
         self.n = domain_size
+        self.eqs: list[tuple] = []
         self.var_eqs: list[list[int]] = [[] for _ in self.names]
-        for e, eq in enumerate(self.eqs):
-            for v in dict.fromkeys(eq[:3]):
+        self.order: list[int] = []
+        seen = [False] * len(self.names)
+        for e, (a, b, c, t) in enumerate(constraints):
+            a, b, c = index[a], index[b], index[c]
+            self.eqs.append((a, b, c, t))
+            for v in (a, b, c) if a != b != c != a else dict.fromkeys((a, b, c)):  # each once
                 self.var_eqs[v].append(e)
-        first = {v: i for i, v in enumerate(dict.fromkeys(v for eq in self.eqs for v in eq[:3]))}
-        self.rank = [first.get(v, len(first) + v) for v in range(len(self.names))]
+                if not seen[v]:
+                    seen[v] = True
+                    self.order.append(v)
+        self.order += [v for v, hit in enumerate(seen) if not hit]
         self.plans: dict = {}
         self.transports: dict = {}
 

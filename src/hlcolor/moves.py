@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from hlcolor.coloring import Coloring, _network
 from hlcolor.diagram import Crossing, Diagram, Vertex, arcs_of
 from hlcolor.mcqb import MCQ
-from hlcolor.plan import KEYS, depth_first, getter
+from hlcolor.plan import _levels, _Run, extend, getter
 
 
 class SiteMismatchError(ValueError):
@@ -351,78 +351,22 @@ def find_sites(d: Diagram, move: str, direction: str) -> list[MoveSite]:
 # -- coloring transport ---------------------------------------------------------
 
 
-class _Transport:
-    """How colorings with one set of names move onto one network.
-
-    Built from (target name, source name) pairs: each kept semi-arc on an
-    MCB; on an MCQ each new arc with the old arc of every shared semi-arc.
-    Values sit at positions, one per variable in ``placed``.  ``read`` takes
-    the fed values, one source each, and the further sources in ``same``
-    must agree.  Each of ``lookups`` places one more variable from two placed
-    slots of an equation single-valued in its slot, so every value is forced;
-    ``checks`` tests every other equation whose slots are all placed.
-
-    ``open`` says some variable is placed by neither (a kink's new semi-arc
-    sits in two slots of one equation).  The network's depth-first plan for
-    the ``kept`` variables, those fed from the source, then extends them.
-    """
-
-    def __init__(self, net, pairs):
-        sources: dict[int, list[str]] = {}
-        for target, source in sorted(pairs):
-            sources.setdefault(net.index[target], []).append(source)
-        placed = sorted(sources)
-        at = {v: p for p, v in enumerate(placed)}
-        self.kept = [net.names[v] for v in placed]
-        self.read = getter([sources[v][0] for v in placed])
-        self.same = [(at[v], name) for v in placed for name in sources[v][1:]]
-        self.n = net.n
-        self.lookups, used = [], set()
-        grew = True
-        while grew:
-            grew = False
-            for e, (*slots, t) in enumerate(net.eqs):
-                unknown = [i for i in range(3) if slots[i] not in at]
-                if len(unknown) == 1 and t.lookup_lists[unknown[0]] is not None:
-                    i = unknown[0]
-                    k, m = KEYS[i]
-                    self.lookups.append((at[slots[k]], at[slots[m]], t.lookup_lists[i]))
-                    at[slots[i]] = len(placed)
-                    placed.append(slots[i])
-                    used.add(e)
-                    grew = True
-        self.checks = [(at[a], at[b], at[c], t.lookup_lists[2]) for e, (a, b, c, t) in enumerate(net.eqs)
-                       if e not in used and a in at and b in at and c in at]
-        self.open = len(placed) < len(net.names)
-        if not self.open:
-            self.order = getter([at[v] for v in range(len(net.names))])
-
-    def settle(self, vals: list[int]) -> bool:
-        """Append the looked-up values to vals, which holds the fed ones;
-        False when a lookup finds no entry or a check fails."""
-        for k, m, table in self.lookups:
-            val = table[vals[k]][vals[m]]
-            if val < 0:
-                return False
-            vals.append(val)
-        for a, b, c, table in self.checks:
-            if table[vals[a]][vals[b]] != vals[c]:
-                return False
-        return True
-
-
 def transport_coloring(d: Diagram, d2: Diagram, c, x) -> Coloring:
     """The unique coloring of d2 agreeing with c away from the rewrite site.
 
     d2 must be the result of a move on d; failure to find exactly one
     extension indicates a wiring bug and raises RuntimeError.
 
-    The transport is a _Transport, compiled once per (network of d2, names
-    of c) and kept in the network's ``transports``.  Its key holds names (on
-    an MCQ, arc pairs), not ids, so a reused id cannot hit a stale entry.
-    Table lookups fix every new semi-arc except at kinks and bigons
-    (R1a/R1b/R2b apply), where the network's depth-first plan for the kept
-    variables (hlcolor.plan) fills the open ones.
+    The values kept from c are those of each kept semi-arc on an MCB and, on
+    an MCQ, of each new arc from the old arc of a shared semi-arc.  They fix
+    the variables of the network of d2's depth-first plan for them
+    (hlcolor.plan), compiled once per (network, names of c) and kept in the
+    network's ``transports`` with the kept variables and where each reads
+    its value.  The key holds names (on an MCQ, arc pairs), not ids, so a
+    reused id cannot hit a stale entry.  The plan's prefix places every new
+    semi-arc by lookups, and rejects where a lookup finds no entry or a check
+    fails, except at kinks and bigons (R1a/R1b/R2b apply), where its parts
+    branch and stop at a second solution.
     """
     net = _network(d2, x)
     if isinstance(x, MCQ):
@@ -430,21 +374,27 @@ def transport_coloring(d: Diagram, d2: Diagram, c, x) -> Coloring:
         key = frozenset((new_arcs[s], old_arcs[s]) for s in old_arcs.keys() & new_arcs.keys())
     else:
         key = frozenset(c.assignment)
-    plan = net.transports.get(key)
-    if plan is None:
+    entry = net.transports.get(key)
+    if entry is None:
         pairs = key if isinstance(x, MCQ) else [(s, s) for s in key if s in net.index]
-        plan = net.transports[key] = _Transport(net, pairs)
+        sources: dict[int, list[str]] = {}
+        for target, source in sorted(pairs):
+            sources.setdefault(net.index[target], []).append(source)
+        kept = sorted(sources)
+        read = getter([sources[v][0] for v in kept])
+        same = [(p, name) for p, v in enumerate(kept) for name in sources[v][1:]]
+        at = {v: p for p, v in enumerate(kept)}
+        spread = getter([at.get(v, len(kept)) for v in range(len(net.names))])
+        entry = net.transports[key] = (_levels(net, frozenset(kept)), kept, read, same, spread)
+    plan, kept, read, same, spread = entry
     source = c.assignment
-    fed = plan.read(source)
-    for p, name in plan.same:
+    fed = read(source)
+    for p, name in same:
         if source[name] != fed[p]:
             raise RuntimeError("inconsistent arc transport; wiring bug")
-    vals = list(fed)
-    if (not fed or 0 <= min(fed) and max(fed) < plan.n) and plan.settle(vals):
-        if not plan.open:
-            return Coloring(x, dict(zip(net.names, plan.order(vals))))
-        found = depth_first(net, dict(zip(plan.kept, fed))).unique()
+    if not fed or 0 <= min(fed) and max(fed) < net.n:
+        found = extend(plan, list(spread(fed + (0,))))
         if found is not None:
             return Coloring(x, dict(zip(net.names, found)))
-    found = depth_first(net, dict(zip(plan.kept, fed))).count()
+    found = _Run(plan, dict(zip(kept, fed)), {}).count()
     raise RuntimeError(f"transport expected a unique extension, found {found}; wiring bug")

@@ -8,20 +8,22 @@ single-valued lookup then fixes, and checks every equation whose three slots
 are placed.  The variable branched next is the open one in the most
 equations with a placed variable, the first to appear in the equations on a
 tie, so the plan depends on the order of a diagram's records and not on its
-names.  Each connected component of the open variables has levels of its own;
-the components' counts multiply.
+names.  The compiler walks the open variables once: a component of them ends
+when no open variable shares an equation with one of its variables, and each
+component has levels of its own; the components' counts multiply.  It writes
+each level in the form of the executor that runs it.
 
 The depth-first executor counts, lists and extends colorings one value at a
-time, on nested lists.  The row executor counts on large structures: the
-partial colorings of one component are the rows of a numpy array, column j
-holding variable j, and each level expands every row at once, then keeps the
-rows its lookups and checks allow.  Both run the same levels, so they give
-the same count.
+time, on nested lists; a coloring transport (moves.transport_coloring) runs
+it on the plan for the kept variables.  The row executor counts on large
+structures: the partial colorings of one component are the rows of a numpy
+array, column j holding variable j, and each level expands every row at
+once, then keeps the rows its lookups and checks allow.  Both run the same
+levels, so they give the same count.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -35,26 +37,6 @@ _BLOCK_ROWS = 4096  # a level past this many rows runs slice by slice
 KEYS = {0: (2, 1), 1: (0, 2), 2: (0, 1)}
 
 
-def components(net, open_) -> list[list[int]]:
-    """The connected components of the open variables under the network's
-    equations, each sorted, in sorted order."""
-    left = set(open_)
-    comps = []
-    for v in sorted(left):
-        if v not in left:
-            continue
-        left.discard(v)
-        comp = [v]
-        for u in comp:
-            for e in net.var_eqs[u]:
-                for w in net.eqs[e][:3]:
-                    if w in left:
-                        left.discard(w)
-                        comp.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
 def getter(keys: list):
     """itemgetter(*keys), returning a tuple however many keys there are."""
     if len(keys) > 1:
@@ -66,60 +48,41 @@ def getter(keys: list):
 
 
 class _Levels:
-    """The plan of one network given its fixed variables.
+    """The plan of one network given its fixed variables, in one executor's form.
 
     ``prefix`` is the (lookups, checks) that run once the fixed values are
-    in; ``parts`` holds each component's variables and levels.  A level is
-    (var, source, lookups, checks): var takes the values of source, which is
-    (table, keys, slot, a, b) for the values slot ``slot`` of a rule table
-    (coloring._RuleTable) takes beside the values of variables a and b in the
-    slots keys (b is -1 for one key), or None for every value.  Each lookup
-    (table, slot, a, b, c) sets c to the one value that slot takes beside a
-    and b, in the slots KEYS[slot]; each check (table, a, b, c) asks
-    table[a, b] == c.  The depth-first executor reads them as nested lists
-    (``lists``), the row executor as the tables' numpy arrays.
+    in; ``parts`` holds each component's (variables, levels, take), take
+    reading the component's values from a full assignment.  A level is
+    (var, source, lookups, checks).  In the row executor's form var takes
+    the values of source, which is (table, keys, slot, a, b) for the values
+    slot ``slot`` of a rule table (coloring._RuleTable) takes beside the
+    values of variables a and b in the slots keys (b is -1 for one key), or
+    None for every value; each lookup (table, slot, a, b, c) sets c to the
+    one value that slot takes beside a and b, in the slots KEYS[slot]; each
+    check (table, a, b, c) asks table[a, b] == c.  In the depth-first form
+    (``lists``) the tables are nested lists: a source is (lists, a, b),
+    where var takes lists[vals[a]] (lists[vals[a]][vals[b]]), and each lookup
+    and check is (lists, a, b, c) on lists[vals[a]][vals[b]].
     """
 
-    def __init__(self, net, fixed: frozenset):
+    def __init__(self, net, fixed: frozenset, lists: bool):
         self.n, self.size = net.n, len(net.names)
         self.full = [True] * net.n + [False]  # index -1, an undefined entry, is never allowed
-        self.dtype = np.min_scalar_type(net.n - 1)
-        placer = _Placer(net, fixed)
-        self.prefix = placer.settle(sorted(fixed, key=net.rank.__getitem__))
-        open_ = [v for v in range(self.size) if v not in placer.placed]
-        comps = components(net, open_)
-        comps.sort(key=lambda comp: min(net.rank[v] for v in comp))
-        self.parts = [(comp, placer.levels(comp)) for comp in comps]
-
-    @cached_property
-    def lists(self) -> tuple[tuple, list]:
-        """(prefix, parts) with each source as (lists, a, b), where var takes
-        lists[vals[a]] (lists[vals[a]][vals[b]]), and each lookup and check
-        as (lists, a, b, c) on lists[vals[a]][vals[b]]."""
-        def steps(lookups, checks):
-            return ([(t.lookup_lists[slot], a, b, c) for t, slot, a, b, c in lookups],
-                    [(t.lookup_lists[2], a, b, c) for t, a, b, c in checks])
-
-        parts = []
-        for comp, levels in self.parts:
-            found = []
-            for var, source, lookups, checks in levels:
-                if source is not None:
-                    t, keys, slot, a, b = source
-                    source = (t.candidate_lists(keys, slot), a, b)
-                found.append((var, source, *steps(lookups, checks)))
-            parts.append((comp, found))
-        return steps(*self.prefix), parts
+        placer = _Placer(net, fixed, lists)
+        self.prefix = placer.settle([v for v in net.order if v in fixed])
+        placer.near.clear()  # the fixed variables belong to no component
+        self.parts = placer.parts()
 
 
 class _Placer:
     """What the compiler has placed so far: the variables, the equations done
-    (checked, or held by construction) and, per variable, the number of its
-    equations that hold a placed variable."""
+    (checked, or held by construction), per variable the number of its
+    equations that hold a placed variable, and the open variables that share
+    an equation with a variable of the current component (``near``)."""
 
-    def __init__(self, net, fixed: frozenset):
-        self.net = net
-        self.placed, self.done = set(fixed), set()
+    def __init__(self, net, fixed: frozenset, lists: bool):
+        self.net, self.lists = net, lists
+        self.placed, self.done, self.near = set(fixed), set(), set()
         self.touched = [False] * len(net.eqs)
         self.score = [0] * len(net.names)
 
@@ -127,13 +90,13 @@ class _Placer:
         """Place every variable that lookups fix once new is placed: the
         lookups, and the checks of the equations they leave placed in full."""
         eqs, placed, done = self.net.eqs, self.placed, self.done
-        touched, score = self.touched, self.score
+        touched, score, lists = self.touched, self.score, self.lists
         lookups, checks, queue = [], [], list(new)
         for v in queue:
             for e in self.net.var_eqs[v]:
                 if e in done:
                     continue
-                a, b, c, t = eqs[e]
+                a, b, c, t = slots = eqs[e]
                 if not touched[e]:
                     touched[e] = True
                     score[a] += 1
@@ -142,16 +105,19 @@ class _Placer:
                 known = (a in placed, b in placed, c in placed)
                 if all(known):
                     done.add(e)
-                    checks.append((t, a, b, c))
+                    checks.append((t.lookup_lists[2], a, b, c) if lists else (t, a, b, c))
                     continue
                 i = known.index(False)
                 if sum(known) == 2 and t.lookups[i] is not None:
                     k, m = KEYS[i]
-                    slots = (a, b, c)
-                    lookups.append((t, i, slots[k], slots[m], slots[i]))
-                    placed.add(slots[i])
+                    w = slots[i]
+                    lookups.append((t.lookup_lists[i], slots[k], slots[m], w) if lists
+                                   else (t, i, slots[k], slots[m], w))
+                    placed.add(w)
                     done.add(e)
-                    queue.append(slots[i])
+                    queue.append(w)
+                else:
+                    self.near.update(slots[:3])
         return lookups, checks
 
     def branch_var(self, left: list[int]) -> int:
@@ -159,50 +125,69 @@ class _Placer:
         first in left on a tie."""
         return max(left, key=self.score.__getitem__)
 
-    def levels(self, comp: list[int]) -> list[tuple]:
+    def source(self, var: int):
+        """Where var takes its values: the rule-table slot with the fewest
+        values expected beside var's placed neighbours, or None."""
         net, placed, n = self.net, self.placed, self.net.n
-        levels = []
-        left = sorted(comp, key=net.rank.__getitem__)
+        source, fan = None, n
+        for e in net.var_eqs[var]:
+            a, b, c, t = slots = net.eqs[e]
+            if (a, b, c).count(var) != 1:
+                continue
+            i = slots.index(var)
+            k, m = KEYS[i]
+            if slots[k] in placed and slots[m] in placed:
+                keys, guess = (k, m), t.density / t.share(k, m)
+            elif slots[k] in placed or slots[m] in placed:
+                keys = (k,) if slots[k] in placed else (m,)
+                guess = t.share(keys[0], i) * n
+            else:
+                continue
+            if guess < fan:
+                source, fan = (e, keys, i), guess
+        if source is None:
+            return None
+        e, keys, i = source
+        slots = net.eqs[e]
+        t, a, b = slots[3], slots[keys[0]], -1
+        if len(keys) == 2:
+            b = slots[keys[1]]
+            self.done.add(e)  # the candidates satisfy it
+        if self.lists:
+            return t.candidate_lists(keys, i), a, b
+        return t, keys, i, a, b
+
+    def parts(self) -> list[tuple]:
+        """Walk the open variables once, in the order of the network's
+        records; a component ends when no open variable shares an equation
+        with one of its variables, and the next starts."""
+        placed = self.placed
+        left = [v for v in self.net.order if v not in placed]
+        parts = []
         while left:
-            var = self.branch_var(left)
-            source, fan = None, n
-            for e in net.var_eqs[var]:
-                a, b, c, t = net.eqs[e]
-                slots = (a, b, c)
-                if slots.count(var) != 1:
-                    continue
-                i = slots.index(var)
-                k, m = KEYS[i]
-                if slots[k] in placed and slots[m] in placed:
-                    keys, guess = (k, m), t.density / t.share(k, m)
-                elif slots[k] in placed or slots[m] in placed:
-                    keys = (k,) if slots[k] in placed else (m,)
-                    guess = t.share(keys[0], i) * n
-                else:
-                    continue
-                if guess < fan:
-                    source, fan = (e, keys, i), guess
-            if source is not None:
-                e, keys, i = source
-                slots = net.eqs[e]
-                source = (slots[3], keys, i, slots[keys[0]],
-                          slots[keys[1]] if len(keys) == 2 else -1)
-                if len(keys) == 2:
-                    self.done.add(e)  # the candidates satisfy it
+            near = [v for v in left if v in self.near]
+            if not near:
+                comp, levels = [], []
+                parts.append((comp, levels))
+            var = self.branch_var(near or left)
+            source = self.source(var)
             placed.add(var)
-            levels.append((var, source, *self.settle([var])))
+            lookups, checks = self.settle([var])
+            levels.append((var, source, lookups, checks))
+            comp.append(var)
+            comp += [lookup[-1] for lookup in lookups]
             left = [v for v in left if v not in placed]
-        return levels
+        return [(comp, levels, getter(comp)) for comp, levels in parts]
 
 
-def _levels(net, fixed: frozenset) -> _Levels:
+def _levels(net, fixed: frozenset, lists: bool = True) -> _Levels:
     """The network's plan for the fixed variables, compiled once per set of
-    them; the plan with nothing fixed, which both executors run, is kept
-    under None."""
-    key = fixed or None
+    them for the depth-first executor and once, with nothing fixed, for the
+    row executor, kept under None."""
+    key = fixed if lists else None
     plan = net.plans.get(key)
     if plan is None:
-        plan = net.plans[key] = _Levels(net, fixed)
+        plan = net.plans[key] = _Levels(net, fixed, lists)
     return plan
 
 
@@ -222,7 +207,7 @@ def depth_first(net, fixed=None, domains=None, budget=None) -> _Run:
 
 
 class _Run:
-    """One pass over a plan: a count, the rows or the unique solution.
+    """One pass over a plan: a count or the rows.
 
     A domain is a list of n + 1 booleans, false at -1; it filters the values
     a level branches on and the values its lookups give.  ``nodes`` counts
@@ -232,7 +217,7 @@ class _Run:
 
     def __init__(self, plan: _Levels, fixed: dict, domains: dict, budget=None):
         self.plan, self.fixed, self.budget = plan, fixed, budget
-        self.prefix, self.parts = plan.lists
+        self.prefix, self.parts = plan.prefix, plan.parts
         self.n, self.full = plan.n, plan.full
         self.nodes = 0
         self.dom = [plan.full] * plan.size
@@ -303,9 +288,9 @@ class _Run:
                                 raise _Enough
         return total
 
-    def _solutions(self, comp: list[int], levels: list, limit: int = 0) -> list[tuple]:
-        """The values of comp in each solution of its levels, up to limit if set."""
-        self.out, self.take, self.limit = [], getter(comp), limit
+    def _solutions(self, levels: list, take, limit: int = 0) -> list[tuple]:
+        """take(vals) for each solution of the levels, up to limit if set."""
+        self.out, self.take, self.limit = [], take, limit
         try:
             self._walk(levels, 0)
         except _Enough:
@@ -317,7 +302,7 @@ class _Run:
         if not self._start():
             return 0
         total = 1
-        for _, levels in self.parts:
+        for _, levels, _ in self.parts:
             total *= self._walk(levels, 0)
             if not total:
                 break
@@ -326,12 +311,12 @@ class _Run:
     def rows(self) -> np.ndarray:
         """Every solution as a row of its values in variable order, the rows
         in lexicographic order, in the smallest unsigned dtype."""
-        dtype = self.plan.dtype
+        dtype = np.min_scalar_type(self.n - 1)
         if not self._start():
             return np.zeros((0, self.plan.size), dtype=dtype)
         rows = np.array([self.vals], dtype=dtype)
-        for comp, levels in self.parts:
-            found = np.array(self._solutions(comp, levels), dtype=dtype).reshape(-1, len(comp))
+        for comp, levels, take in self.parts:
+            found = np.array(self._solutions(levels, take), dtype=dtype).reshape(-1, len(comp))
             # every row so far with every solution of comp
             rows = np.repeat(rows, len(found), axis=0)
             if not len(rows):
@@ -339,18 +324,31 @@ class _Run:
             rows[:, comp] = np.tile(found, (len(rows) // len(found), 1))
         return rows[np.lexsort(rows.T[::-1])] if rows.shape[1] else rows
 
-    def unique(self) -> list[int] | None:
-        """Every variable's value if there is exactly one solution, else None;
-        each component stops at a second solution."""
-        if not self._start():
+
+def extend(plan: _Levels, vals: list[int]) -> list[int] | None:
+    """vals, which holds the fixed values in their places, completed to the
+    plan's unique solution, or None if there is none or more than one.  The
+    prefix rejects where a lookup finds no entry or a check fails; each
+    component is walked only up to a second solution."""
+    lookups, checks = plan.prefix
+    for table, a, b, c in lookups:
+        u = table[vals[a]][vals[b]]
+        if u < 0:
             return None
-        for comp, levels in self.parts:
-            found = self._solutions(comp, levels, limit=2)
+        vals[c] = u
+    for table, a, b, c in checks:
+        if table[vals[a]][vals[b]] != vals[c]:
+            return None
+    if plan.parts:
+        run = _Run(plan, {}, {})
+        run.vals = vals
+        for comp, levels, take in plan.parts:
+            found = run._solutions(levels, take, limit=2)
             if len(found) != 1:
                 return None
             for v, u in zip(comp, found[0]):
-                self.vals[v] = u
-        return self.vals
+                vals[v] = u
+    return vals
 
 
 # -- the row executor ----------------------------------------------------------------
@@ -375,8 +373,9 @@ class _RowCount:
 
     def count(self) -> int:
         total = 1
-        for _, levels in self.plan.parts:
-            total *= self._run(levels, 0, np.zeros((1, self.plan.size), dtype=self.plan.dtype))
+        dtype = np.min_scalar_type(self.plan.n - 1)
+        for _, levels, _ in self.plan.parts:
+            total *= self._run(levels, 0, np.zeros((1, self.plan.size), dtype=dtype))
             if not total:
                 break
         return total
@@ -440,6 +439,6 @@ def count(net, domains=None, budget=None) -> tuple[int, int]:
     nodes is the number of rows each level keeps after its lookups and
     checks; past budget the count raises SizeBoundExceededError.
     """
-    plan = _levels(net, frozenset())
+    plan = _levels(net, frozenset(), lists=False)
     run = _RowCount(plan, {net.index[v]: vals for v, vals in (domains or {}).items()}, budget)
     return run.count(), run.nodes

@@ -442,6 +442,30 @@ def test_flows_zn_must_be_positive(capsys, zn):
     assert code == 2
 
 
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_build_zkm_k_must_be_positive(capsys, k):
+    # --k 0 used to end in a ValueError traceback from the constructor
+    code = main(["build", "zkm", corpus_path("structures", "dihedral3.txt"), "--k", k])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--k: must be at least 1" in captured.err
+
+
+def test_running_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
+    from hlcolor import cli
+
+    def too_large(obj, k):
+        raise MemoryError("Unable to allocate 29.1 TiB")
+
+    makers, expects, fails = cli._CONSTRUCTIONS["zkm"]
+    monkeypatch.setitem(cli._CONSTRUCTIONS, "zkm",
+                        (dict.fromkeys(makers, too_large), expects, fails))
+    code = main(["build", "zkm", corpus_path("structures", "dihedral3.txt"), "--k", "1000000"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "out of memory" in captured.err
+
+
 def test_flow_group_path_is_relative_to_the_flow_file(capsys, tmp_path, monkeypatch):
     flows = tmp_path / "flows"
     flows.mkdir()

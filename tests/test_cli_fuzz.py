@@ -1,5 +1,6 @@
 """Fuzz the CLI: ``hlcolor check`` with generated structure files (whose
-parsed objects must also serialize stably), ``hlcolor move`` with generated
+parsed objects must also serialize stably), ``hlcolor build`` of every kind
+on those files and the corpus structures, ``hlcolor move`` with generated
 diagram files, move names, directions, site ids, variants and
 ``--transport`` coloring files, ``hlcolor color --flow`` and ``hlcolor
 flows`` with generated flow files, group files and orders, ``hlcolor color``
@@ -478,5 +479,39 @@ def color_calls(draw) -> tuple[dict[str, str], list[str]]:
 def test_color_exits_0_to_3_on_any_structure_diagram_and_budget(call):
     files, args = call
     code, err = _run(["--format", "machine", *args], files)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+# -- build: every kind on generated and corpus structure files -----------------------
+
+BUILD_KINDS = ("assoc", "zkm", "conj", "lift", "tables")
+CORPUS_STRUCTURES = sorted(f[:-4] for f in os.listdir(os.path.join(CORPUS, "structures")))
+
+
+@st.composite
+def build_calls(draw) -> tuple[dict[str, str], list[str]]:
+    """(files, the arguments of build): any kind on a file of the check
+    strategy, with the inner file a zkm-family file may name, or on a corpus
+    structure file, with or without --k (-2 to 4) and -o."""
+    files = {}
+    if draw(st.booleans()):
+        files["structure.txt"], files["inner.txt"] = draw(structure_files())
+        source = "{tmp}/structure.txt"
+    else:
+        source = os.path.join(CORPUS, "structures", f"{draw(st.sampled_from(CORPUS_STRUCTURES))}.txt")
+    args = ["build", draw(st.sampled_from(BUILD_KINDS)), source]
+    if draw(st.integers(0, 3)):
+        args += ["--k", str(draw(st.integers(-2, 4)))]
+    if draw(st.booleans()):
+        args += ["-o", "{tmp}/out.txt"]
+    return files, args
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.given(build_calls())
+def test_build_exits_0_to_3_on_any_structure_file_and_k(call):
+    files, args = call
+    code, err = _run(args, files)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err

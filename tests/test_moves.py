@@ -406,6 +406,32 @@ def test_transport_round_trips_whether_or_not_propagation_settles_it(x6, move, s
     assert (open_ == 0) == settled
 
 
+def test_a_transport_compiles_one_kept_variable_plan(x6, monkeypatch):
+    """16 transports across one R1a-apply site, where the kink's semi-arc is
+    left to branch on, compile one plan, for the kept variables, and run it."""
+    from hlcolor import plan
+
+    built = []
+
+    class CountingPlacer(plan._Placer):
+        def __init__(self, net, fixed, *args):
+            built.append(fixed)
+            super().__init__(net, fixed, *args)
+
+    d = trefoil()
+    cols = enumerate_colorings(d, x6, want_list=True).colorings
+    d2 = apply_move(d, MoveSite("R1a", "apply", ("s1",), "over")).diagram
+    net = _network(d2, x6)
+    monkeypatch.setattr(plan, "_Placer", CountingPlacer)
+    for col in (cols * 16)[:16]:
+        moved = transport_coloring(d, d2, col, x6)
+        assert local_rules_hold(d2, x6, moved.assignment)
+    kept = frozenset(net.index[s] for s in cols[0].assignment if s in net.index)
+    assert built == [kept]
+    (entry,) = net.transports.values()
+    assert entry[0] is net.plans[kept] and entry[0].parts
+
+
 def test_a_move_keeps_the_unused_semiarcs_of_an_open_diagram(x6):
     d = build_braid_open(3, [("x", 0, 1)])[0]
     assert "t2" in d.semiarcs  # the third strand is on no record
@@ -480,7 +506,7 @@ def test_compiled_transport_is_the_unique_extension_on_every_corpus_site(x6, cor
     every kept value, and brute force finds no second extension of the kept
     values; the way back round-trips.  Only a transport that makes a kink or a
     bigon (R1a/R1b/R2b apply, and the way back across their undo) leaves a
-    variable to the depth-first plan."""
+    variable to the parts of the kept-variable plan."""
     qx6 = q_functor_mcb(x6)
     searched, transports = set(), 0
     for name, d in sorted(corpus_diagrams.items()):
@@ -502,8 +528,8 @@ def test_compiled_transport_is_the_unique_extension_on_every_corpus_site(x6, cor
                             transports += 1
                             if x is x6:
                                 for way, (src, dst) in (("forth", (col, d2)), ("back", (moved, d))):
-                                    plan = _network(dst, x).transports[frozenset(src.assignment)]
-                                    if plan.open:
+                                    plan = _network(dst, x).transports[frozenset(src.assignment)][0]
+                                    if plan.parts:
                                         searched.add((move, direction, way))
     assert transports > 100_000
     kinks = {("R1a", "apply", "forth"), ("R1b", "apply", "forth"), ("R2b", "apply", "forth")}
