@@ -163,12 +163,15 @@ def _group_from_args(args):
 def cmd_flows(args) -> int:
     d = _load_diagram(args.diagram)
     g = _group_from_args(args)
+    if not args.list:
+        # a count of the colorings by g's conjugation MCQ, without a Flow per row
+        _emit(args, "count", enumerate_colorings(d, conjugation_mcq(g)).count)
+        return EXIT_OK
     flows = enumerate_flows(d, g)
     _emit(args, "count", len(flows))
-    if args.list:
-        for i, flow in enumerate(flows):
-            body = " ".join(f"{a}:{v}" for a, v in flow.assignment)
-            _emit(args, f"flow {i}", body)
+    for i, flow in enumerate(flows):
+        body = " ".join(f"{a}:{v}" for a, v in flow.assignment)
+        _emit(args, f"flow {i}", body)
     return EXIT_OK
 
 

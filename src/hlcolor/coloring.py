@@ -13,9 +13,9 @@ out) the three colors satisfy, in both cases on the same slots,
 
 MCQ colorings live on arcs with the plain rules:  star[ui, over] = uo at a
 positive crossing (in/out swapped at a negative one) and e3 = e1 . e2 at
-vertices.  G-flows are the group shadows of these rules: conjugation of the
-under arc by the over arc at crossings, flow(e3) = flow(e1) . flow(e2) at
-vertices.
+vertices.  A G-flow is a coloring by G's conjugation MCQ (one block G,
+x * y = y^-1 x y, the group product at vertices), so a group enters the
+engine only as that MCQ and the flow rules are the MCQ rules.
 
 This rule set is the unique one (up to a global mirror relabeling) that
 passes the kink, slide and triangle invariance tests together with the
@@ -33,7 +33,7 @@ import numpy as np
 from hlcolor.diagram import Diagram, arcs_of
 from hlcolor.gfamily import GFamilyB, GFamilyQ, associated_mcb, associated_mcq
 from hlcolor.groups import FiniteGroup
-from hlcolor.mcqb import MCB, MCQ
+from hlcolor.mcqb import MCB, MCQ, conjugation_mcq
 from hlcolor.oracle import semiarc_rules_hold
 from hlcolor.plan import KEYS as _KEYS
 from hlcolor.plan import count as _plan_count
@@ -72,7 +72,6 @@ class ColoringSetReport:
     count: int
     colorings: list[Coloring] | None = None
     module_info: tuple[int, list] | None = None  # (dimension, basis vectors)
-    per_flow: dict[Flow, int] | None = None
     nodes: int | None = None  # values tried (on the row executor, rows each level keeps)
 
 
@@ -176,26 +175,32 @@ class _RuleTable:
         return found
 
 
-def _rule_tables(x: MCB | MCQ | FiniteGroup) -> dict[str, _RuleTable]:
+def _rule_tables(x: MCB | MCQ) -> dict[str, _RuleTable]:
     """The rule tables of x, built once per structure object and stored on it.
 
     The MCB vertex table is V[e1, e2] = (e1 over^-1 e2) . e2, so V[e1, e2] = e3
     says e1 = b over e2 and e3 = b . e2 for a block element b; the MCQ vertex
-    table is prod.  Both are -1 across blocks.  A group's tables are its
-    conjugation (the flow rule at crossings) and its product (at vertices).
+    table is prod.  Both are -1 across blocks.
     """
     tables = getattr(x, "_rule_tables", None)
     if tables is None:
         if isinstance(x, MCB):
             vertex = x.prod[x.over_inv, np.arange(x.n)[None, :]]
             tables = {"under": x.under, "over": x.over, "vertex": vertex}
-        elif isinstance(x, MCQ):
-            tables = {"star": x.star, "vertex": x.prod}
         else:
-            tables = {"conj": x.conj_table(), "prod": x.cayley}
+            tables = {"star": x.star, "vertex": x.prod}
         tables = {name: _RuleTable(tbl) for name, tbl in tables.items()}
         x._rule_tables = tables
     return tables
+
+
+def _flow_mcq(g: FiniteGroup) -> MCQ:
+    """The conjugation MCQ of g, whose colorings are g's flows, built once per
+    group object and stored on it."""
+    x = getattr(g, "_flow_mcq", None)
+    if x is None:
+        x = g._flow_mcq = conjugation_mcq(g)
+    return x
 
 
 def coloring_vars(d: Diagram, on_arcs: bool) -> list[str]:
@@ -222,14 +227,15 @@ def _mcb_constraints(d: Diagram, x: MCB) -> list:
     return eqs
 
 
-def _arc_constraints(d: Diagram, arcs: dict[str, str], crossing, vertex) -> list:
-    """crossing[ui, over] = uo and vertex[e1, e2] = e3 on the arcs of d."""
+def _mcq_constraints(d: Diagram, x: MCQ, arcs: dict[str, str]) -> list:
+    """star[ui, over] = uo and vertex[e1, e2] = e3 on the arcs of d."""
+    t = _rule_tables(x)
     eqs: list = []
     for c in d.crossings:
         _, _, ui, uo = _crossing_slots(c)
-        eqs.append((arcs[ui], arcs[c.over_in], arcs[uo], crossing))
+        eqs.append((arcs[ui], arcs[c.over_in], arcs[uo], t["star"]))
     for v in d.vertices:
-        eqs.append((arcs[v.e1], arcs[v.e2], arcs[v.e3], vertex))
+        eqs.append((arcs[v.e1], arcs[v.e2], arcs[v.e3], t["vertex"]))
     return eqs
 
 
@@ -272,11 +278,14 @@ class _Network:
 
 
 def _network(d: Diagram, x: MCB | MCQ | FiniteGroup) -> _Network:
-    """The network of d's coloring rules for x, built once and stored on d.
+    """The network of d's coloring rules for x, built once and stored on d; a
+    group's is that of its conjugation MCQ.
 
     The first call for a structure object validates d.  The entry holds x
     itself, so it lives as long as d does and its id cannot be reused.
     """
+    if isinstance(x, FiniteGroup):
+        x = _flow_mcq(x)
     networks = getattr(d, "_networks", None)
     if networks is None:
         networks = d._networks = {}
@@ -286,11 +295,8 @@ def _network(d: Diagram, x: MCB | MCQ | FiniteGroup) -> _Network:
         if isinstance(x, MCB):
             net = _Network(coloring_vars(d, False), x.n, _mcb_constraints(d, x))
         else:
-            # an MCQ, or a group's shadows: conjugation at crossings, products at vertices
-            t = _rule_tables(x)
-            rules = (t["star"], t["vertex"]) if isinstance(x, MCQ) else (t["conj"], t["prod"])
             arcs = arcs_of(d)
-            net = _Network(set(arcs.values()), x.n, _arc_constraints(d, arcs, *rules))
+            net = _Network(set(arcs.values()), x.n, _mcq_constraints(d, x, arcs))
         entry = networks[id(x)] = (x, net)
     return entry[1]
 
@@ -361,10 +367,10 @@ def brute_force_colorings(d: Diagram, x, bound: int = 10**6) -> int:
 
 
 def enumerate_flows(d: Diagram, g: FiniteGroup, budget=None) -> list[Flow]:
-    """All G-flows, in lexicographic order of the values in sorted arc order."""
-    net = _network(d, g)
-    rows = _depth_first(net, budget=budget).rows()
-    return [Flow(g, tuple(zip(net.names, row))) for row in rows.tolist()]
+    """All G-flows, in lexicographic order of the values in sorted arc order:
+    the colorings by g's conjugation MCQ."""
+    names, rows = coloring_rows(d, _flow_mcq(g), budget=budget)
+    return [Flow(g, tuple(zip(names, row))) for row in rows.tolist()]
 
 
 def _check_flow(
@@ -372,27 +378,27 @@ def _check_flow(
 ) -> tuple[dict[str, str], dict[str, int]]:
     """d's semi-arc -> arc map and the flow as an arc -> element dict.
 
-    Raises FlowInvalidError unless the flow is a G-flow of d.
+    Raises FlowInvalidError unless the flow is a coloring of d by the group's
+    conjugation MCQ: it names every arc of d and nothing else, each value lies
+    in the group, and every equation of that network holds.
     """
     if flow.group is not group and flow.group != group:
         raise FlowInvalidError(f"flow group has order {flow.group.n}, the family's has {group.n}")
-    arcs = arcs_of(d)
+    net = _network(d, group)
     fd = flow.as_dict()
-    missing = sorted({a for a in arcs.values() if a not in fd})
-    if missing:
-        raise FlowInvalidError(f"flow misses arcs {missing}")
-    bad = sorted(a for a in set(arcs.values()) if not 0 <= fd[a] < group.n)
+    got, want = fd.keys(), net.index.keys()
+    if got != want:
+        missing, unknown = sorted(want - got), sorted(got - want)
+        raise FlowInvalidError(f"flow arcs missing {missing}, unknown {unknown}")
+    bad = [a for a in net.names if not 0 <= fd[a] < group.n]
     if bad:
         raise FlowInvalidError(f"flow values out of range(0, {group.n}) on arcs {bad}")
-    conj, mul = group.conj_lists, group.mul_lists
-    for c in d.crossings:
-        _, _, ui, uo = _crossing_slots(c)
-        if conj[fd[arcs[ui]]][fd[arcs[c.over_in]]] != fd[arcs[uo]]:
-            raise FlowInvalidError(f"flow breaks the crossing relation at under arc {arcs[ui]}")
-    for v in d.vertices:
-        if mul[fd[arcs[v.e1]]][fd[arcs[v.e2]]] != fd[arcs[v.e3]]:
-            raise FlowInvalidError(f"flow breaks the vertex relation at {v.e1} {v.e2} {v.e3}")
-    return arcs, fd
+    vals = [fd[a] for a in net.names]
+    for a, b, c, t in net.eqs:
+        if t.lookup_lists[2][vals[a]][vals[b]] != vals[c]:
+            names = " ".join(net.names[v] for v in (a, b, c))
+            raise FlowInvalidError(f"flow breaks the rule on arcs {names}")
+    return arcs_of(d), fd
 
 
 def flow_domains(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow) -> tuple[MCB | MCQ, dict]:
@@ -460,24 +466,16 @@ def verify_correspondence(
     report = CorrespondenceReport(count_mcb, count_mcq, count_mcb == count_mcq)
     if family is not None:
         qfam = qg_map(family)
-        alexander_field = (
-            getattr(family, "alexander", None) is not None and family.alexander[1].is_field
-        )
-        rows = []
-        ok = True
-        dims_ok = True if alexander_field else None
-        for flow in enumerate_flows(d, family.group, budget=budget):
-            nb = colorings_by_flow(d, family, flow, budget=budget).count
-            nq = colorings_by_flow(d, qfam, flow, budget=budget).count
-            rows.append((flow, nb, nq))
-            ok = ok and nb == nq
-            if alexander_field:
-                dim_b = linear_colorings(d, family, flow).module_info[0]
-                dim_q = linear_colorings(d, qfam, flow).module_info[0]
-                dims_ok = dims_ok and dim_b == dim_q
-        report.per_flow_equal = ok
-        report.per_flow = rows
-        report.dims_equal = dims_ok
+        counts_b = per_flow_counts(d, family, budget=budget)
+        counts_q = per_flow_counts(d, qfam, budget=budget)
+        report.per_flow = [(flow, nb, counts_q[flow]) for flow, nb in counts_b.items()]
+        report.per_flow_equal = counts_b == counts_q
+        if getattr(family, "alexander", None) is not None and family.alexander[1].is_field:
+            report.dims_equal = all(
+                linear_colorings(d, family, flow).module_info[0]
+                == linear_colorings(d, qfam, flow).module_info[0]
+                for flow in counts_b
+            )
     return report
 
 
@@ -532,21 +530,15 @@ def linear_colorings(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow) -> Coloring
         neg_s = [neg[p] for p in s_pows]
         t_minus_s = [sub[tp][sp] for tp, sp in zip(t_pows, s_pows)]
     for c in d.crossings:
-        h = fd[arcs[c.over_in]]
+        oi, oo, ui, uo = _crossing_slots(c)
+        h = fd[arcs[oi]]
         if on_arcs:
-            a_in, a_out, a_ov = arcs[c.under_in], arcs[c.under_out], arcs[c.over_in]
-            src, dst = (a_in, a_out) if c.sign > 0 else (a_out, a_in)
-            # dst = u^h src + (1 - u^h) over
-            row((dst, one), (src, neg_u[h]), (a_ov, u_minus_one[h]))
-        elif c.sign > 0:
-            g = fd[arcs[c.under_in]]
-            # uo = t^h ui + (s^h - t^h) oo ;  oi = s^g oo
-            row((c.under_out, one), (c.under_in, neg_t[h]), (c.over_out, t_minus_s[h]))
-            row((c.over_in, one), (c.over_out, neg_s[g]))
+            # uo = u^h ui + (1 - u^h) over
+            row((arcs[uo], one), (arcs[ui], neg_u[h]), (arcs[oi], u_minus_one[h]))
         else:
-            g = fd[arcs[c.under_out]]
-            row((c.under_in, one), (c.under_out, neg_t[h]), (c.over_in, t_minus_s[h]))
-            row((c.over_out, one), (c.over_in, neg_s[g]))
+            # uo = t^h ui + (s^h - t^h) oo ;  oi = s^g oo with g the flow on ui
+            row((uo, one), (ui, neg_t[h]), (oo, t_minus_s[h]))
+            row((oi, one), (oo, neg_s[fd[arcs[ui]]]))
     for v in d.vertices:
         if on_arcs:
             a1, a2, a3 = arcs[v.e1], arcs[v.e2], arcs[v.e3]

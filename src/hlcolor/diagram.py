@@ -372,7 +372,7 @@ def diagrams_isomorphic(d1: Diagram, d2: Diagram) -> bool:
 # -- braid-style construction --------------------------------------------------
 
 
-def _build_braid_records(n_strands: int, word, prefix: str):
+def _build_braid_records(n_strands: int, word):
     tops = [f"t{j}" for j in range(n_strands)]
     positions = list(tops)
     counter = 0
@@ -380,7 +380,7 @@ def _build_braid_records(n_strands: int, word, prefix: str):
     def fresh() -> str:
         nonlocal counter
         counter += 1
-        return f"{prefix}{counter}"
+        return f"s{counter}"
 
     crossings: list[Crossing] = []
     vertices: list[Vertex] = []
@@ -417,19 +417,16 @@ def _build_braid_records(n_strands: int, word, prefix: str):
     return crossings, vertices, tops, positions
 
 
-def build_braid(n_strands: int, word, close: bool = True, prefix: str = "s") -> Diagram:
+def build_braid(n_strands: int, word) -> Diagram:
     """Build a (trivalent) braid diagram from a word of tokens.
 
     Tokens: ``("x", i, +1)`` is the braid generator (position i passes over
     position i+1), ``("x", i, -1)`` its inverse; ``("m", i)`` merges positions
-    i, i+1; ``("s", i)`` splits position i.  Positions are 0-based.  With
-    ``close=True`` the bottom ends are joined back to the matching top ends.
+    i, i+1; ``("s", i)`` splits position i.  Positions are 0-based.  The
+    bottom ends are joined back to the matching top ends; build_braid_open
+    leaves them open.
     """
-    crossings, vertices, tops, positions = _build_braid_records(n_strands, word, prefix)
-    if not close:
-        d = Diagram(crossings, vertices, declared=tops + positions)
-        d.validate(allow_open=True)
-        return d
+    crossings, vertices, tops, positions = _build_braid_records(n_strands, word)
     if len(positions) != n_strands:
         raise DiagramError(
             f"cannot close: {len(positions)} bottom strands vs {n_strands} top strands"
@@ -446,9 +443,9 @@ def build_braid(n_strands: int, word, close: bool = True, prefix: str = "s") -> 
     return d
 
 
-def build_braid_open(n_strands: int, word, prefix: str = "s"):
+def build_braid_open(n_strands: int, word):
     """Open braid; returns (diagram, top ids, bottom ids) in position order."""
-    crossings, vertices, tops, positions = _build_braid_records(n_strands, word, prefix)
+    crossings, vertices, tops, positions = _build_braid_records(n_strands, word)
     d = Diagram(crossings, vertices, declared=tops + positions)
     d.validate(allow_open=True)
     return d, tops, positions

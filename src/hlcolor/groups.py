@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -49,16 +48,6 @@ class FiniteGroup:
         """conj_table()[g, h] = h^{-1} g h."""
         gs, hs = np.arange(self.n)[:, None], np.arange(self.n)[None, :]
         return self.cayley[self.cayley[self.inverse[hs], gs], hs]
-
-    @cached_property
-    def mul_lists(self) -> list[list[int]]:
-        """The Cayley table as nested lists, for scalar lookups."""
-        return self.cayley.tolist()
-
-    @cached_property
-    def conj_lists(self) -> list[list[int]]:
-        """conj_table() as nested lists: conj_lists[g][h] = h^{-1} g h."""
-        return self.conj_table().tolist()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and np.array_equal(self.cayley, other.cayley)

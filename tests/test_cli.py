@@ -578,6 +578,8 @@ def _trefoil_gf9_flow(capsys, tmp_path, body: str, *extra):
     "flow zn=8\nassign s1 1\nassign s2 2\nassign s4 3\n",  # breaks the crossing relation
     "flow zn=8\nassign s1 99\nassign s2 99\nassign s4 99\n",  # out of range
     "flow zn=4\nassign s1 2\nassign s2 2\nassign s4 2\n",  # Z_4 flow, Z_8 family
+    "flow zn=8\nassign zz 5\nassign s1 0\nassign s2 0\nassign s4 0\n",  # no such semi-arc
+    "flow zn=8\nassign s3 7\nassign s1 0\nassign s2 0\nassign s4 0\n",  # s3 lies on arc s2
 ])
 def test_invalid_flow_exits_1_on_both_paths(capsys, tmp_path, body, extra):
     code, out = _trefoil_gf9_flow(capsys, tmp_path, body, *extra)

@@ -252,6 +252,8 @@ def test_flow_invalid(dihedral_family):
     (8, {"s1": 1, "s2": 2, "s4": 3}),  # breaks the crossing relation
     (8, {"s1": 99, "s2": 99, "s4": 99}),  # out of range
     (4, {"s1": 2, "s2": 2, "s4": 2}),  # a Z_4 flow for the Z_8 family
+    (8, {"s1": 0, "s2": 0, "s4": 0, "zz": 5}),  # a name that is no semi-arc
+    (8, {"s1": 0, "s2": 0, "s4": 0, "s3": 7}),  # s3 lies on arc s2
 ])
 def test_invalid_flow_rejected_by_both_paths(corpus_structures, group, values):
     fam = corpus_structures["gf9-z8-family"]
