@@ -110,17 +110,6 @@ class Quandle:
         self.table = _as_table(table, "quandle")
         self.n = self.table.shape[0]
         self.labels = labels
-        self._inv: np.ndarray | None = None
-
-    @property
-    def inv_table(self) -> np.ndarray:
-        """inv_table[a][b] solves x * b = a."""
-        if self._inv is None:
-            self._inv = _column_inverse(self.table, "quandle")
-        return self._inv
-
-    def op(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Quandle) and np.array_equal(self.table, other.table)
@@ -210,14 +199,10 @@ def biquandle_check(b: Biquandle) -> AxiomReport:
 
 
 def alexander_quandle(ring: FiniteRing, t: Element) -> Quandle:
-    """a * b = t a + (1 - t) b on the carrier of ``ring``; t must be a unit."""
-    if not ring.is_unit(t):
-        raise NonUnitError(f"Alexander parameter t must be a unit")
-    tb = ring.tables
-    add, mul = np.array(tb.add), np.array(tb.mul)
-    one_minus_t = tb.code[ring.sub(ring.one, t)]
-    table = add[mul[tb.code[t]][:, None], mul[one_minus_t][None, :]]
-    return Quandle(table, labels=ring.elements())
+    """a * b = t a + (1 - t) b on the carrier of ``ring``, t a unit: the under
+    operation of the Alexander biquandle with s = 1."""
+    b = alexander_biquandle(ring, ring.one, t)
+    return Quandle(b.under, labels=b.labels)
 
 
 def alexander_biquandle(ring: FiniteRing, s: Element, t: Element) -> Biquandle:
@@ -301,14 +286,11 @@ def _pair_step_order(tbl: np.ndarray) -> int:
 def type_of(s: Quandle | Biquandle) -> int:
     """Least n >= 1 making the n-fold (bracket) operations trivial for all pairs.
 
-    Computed as the lcm of per-pair cycle lengths; finite carriers guarantee
-    termination with no search cap.
+    Computed as the lcm of per-pair cycle lengths, a quandle's as its lift's
+    (``quandle_lift``); finite carriers guarantee termination with no cap.
     """
     if isinstance(s, Quandle):
-        order = 1
-        for bcol in range(s.n):
-            order = lcm(order, _perm_order(s.table[:, bcol]))
-        return order
+        s = quandle_lift(s)
     return lcm(_pair_step_order(s.under), _pair_step_order(s.over))
 
 

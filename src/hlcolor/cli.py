@@ -17,6 +17,7 @@ from hlcolor.algebra import Biquandle, Quandle, biquandle_check, quandle_check
 from hlcolor.coloring import (
     Coloring,
     FlowInvalidError,
+    coloring_problem,
     coloring_rows,
     coloring_vars,
     enumerate_colorings,
@@ -49,7 +50,6 @@ from hlcolor.mcqb import (
     quandle_lift_mcb,
 )
 from hlcolor.moves import MoveSite, SiteMismatchError, apply_move, transport_coloring
-from hlcolor.oracle import local_rules_hold
 from hlcolor.rings import SizeBoundExceededError, format_element
 from hlcolor.structio import (
     StructParseError,
@@ -278,18 +278,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _coloring_problem(d, x, assignment: dict[str, int]) -> str | None:
-    """Why the assignment is not a coloring of d by x, or None if it is one."""
-    want, got = set(coloring_vars(d, isinstance(x, MCQ))), set(assignment)
-    if got != want:
-        return f"missing {sorted(want - got)}, unknown {sorted(got - want)}"
-    if not all(0 <= v < x.n for v in assignment.values()):
-        return f"a value outside range(0, {x.n})"
-    if not local_rules_hold(d, x, assignment):
-        return "it breaks a crossing or vertex rule"
-    return None
-
-
 def cmd_move(args) -> int:
     d = _load_diagram(args.diagram)
     site = MoveSite(args.move, args.direction, tuple(args.site.split(",")), args.variant)
@@ -310,7 +298,7 @@ def cmd_move(args) -> int:
             return EXIT_FAIL
         with open(args.transport, encoding="utf-8") as fh:
             assignment = parse_coloring_assignment(fh.read())
-        problem = _coloring_problem(d, x, assignment)
+        problem = coloring_problem(d, x, assignment)
         if problem is not None:
             print(f"invalid coloring: {problem}", file=sys.stderr)
             return EXIT_FAIL

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from hlcolor.diagram import Diagram, arcs_of
-from hlcolor.gfamily import GFamilyB, GFamilyQ, associated_mcb, associated_mcq
+from hlcolor.gfamily import GFamilyB, GFamilyQ, _unit_powers, associated_mcb, associated_mcq
 from hlcolor.groups import FiniteGroup
 from hlcolor.mcqb import MCB, MCQ, conjugation_mcq
 from hlcolor.oracle import semiarc_rules_hold
@@ -373,31 +373,41 @@ def enumerate_flows(d: Diagram, g: FiniteGroup, budget=None) -> list[Flow]:
     return [Flow(g, tuple(zip(names, row))) for row in rows.tolist()]
 
 
+def coloring_problem(d: Diagram, x: MCB | MCQ | FiniteGroup, assignment: dict) -> str | None:
+    """Why the assignment is not a coloring of d by x, or None if it is one:
+    it must name each variable of d's network for x (semi-arcs for an MCB,
+    arcs for an MCQ or a group) and no other, with values in range(0, x.n),
+    and hold every equation of that network."""
+    net = _network(d, x)
+    got, want = assignment.keys(), net.index.keys()
+    if got != want:
+        missing, unknown = sorted(want - got), sorted(got - want)
+        return f"missing {missing}, unknown {unknown}"
+    bad = [a for a in net.names if not 0 <= assignment[a] < net.n]
+    if bad:
+        return f"values out of range(0, {net.n}) on {bad}"
+    vals = [assignment[a] for a in net.names]
+    for a, b, c, t in net.eqs:
+        if t.lookup_lists[2][vals[a]][vals[b]] != vals[c]:
+            names = " ".join(net.names[v] for v in (a, b, c))
+            return f"it breaks the rule on {names}"
+    return None
+
+
 def _check_flow(
     d: Diagram, group: FiniteGroup, flow: Flow
 ) -> tuple[dict[str, str], dict[str, int]]:
     """d's semi-arc -> arc map and the flow as an arc -> element dict.
 
-    Raises FlowInvalidError unless the flow is a coloring of d by the group's
-    conjugation MCQ: it names every arc of d and nothing else, each value lies
-    in the group, and every equation of that network holds.
+    Raises FlowInvalidError unless the flow is over the group and is a
+    coloring of d by its conjugation MCQ (``coloring_problem``).
     """
     if flow.group is not group and flow.group != group:
         raise FlowInvalidError(f"flow group has order {flow.group.n}, the family's has {group.n}")
-    net = _network(d, group)
     fd = flow.as_dict()
-    got, want = fd.keys(), net.index.keys()
-    if got != want:
-        missing, unknown = sorted(want - got), sorted(got - want)
-        raise FlowInvalidError(f"flow arcs missing {missing}, unknown {unknown}")
-    bad = [a for a in net.names if not 0 <= fd[a] < group.n]
-    if bad:
-        raise FlowInvalidError(f"flow values out of range(0, {group.n}) on arcs {bad}")
-    vals = [fd[a] for a in net.names]
-    for a, b, c, t in net.eqs:
-        if t.lookup_lists[2][vals[a]][vals[b]] != vals[c]:
-            names = " ".join(net.names[v] for v in (a, b, c))
-            raise FlowInvalidError(f"flow breaks the rule on arcs {names}")
+    problem = coloring_problem(d, group, fd)
+    if problem is not None:
+        raise FlowInvalidError(problem)
     return arcs_of(d), fd
 
 
@@ -485,23 +495,28 @@ def linear_colorings(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow) -> Coloring
     One linear equation over the family's coefficient ring per local rule,
     solved by propagation along the diagram (``rings.solve_homogeneous``);
     over a field the report carries the solution module's dimension and a
-    basis (vectors indexed by sorted variable order).
+    basis (vectors indexed by sorted variable order).  A quandle family's
+    rows are the biquandle family's with t = u and s = 1, read on arcs.
     """
     if getattr(f, "alexander", None) is None:
         raise ValueError("linear path requires an Alexander family")
     arcs, fd = _check_flow(d, f.group, flow)
     on_arcs = isinstance(f, GFamilyQ)
+    ring, t = f.alexander[1:3]
+    s = ring.one if on_arcs else f.alexander[3]
     vars_ = sorted(set(arcs.values()) if on_arcs else arcs)
     index = {v: i for i, v in enumerate(vars_)}
-    ring = f.alexander[1]
+    if on_arcs:
+        index = {k: index[a] for k, a in arcs.items()}
     tb = ring.tables
-    mul, add, sub, neg = tb.mul, tb.add, tb.sub, tb.neg
+    add, sub, neg = tb.add, tb.sub, tb.neg
     one = tb.one
     neg_one = neg[one]
     rows: list[dict[int, int]] = []
 
     def row(*terms):
-        """A row as column -> nonzero code; a repeated variable (a kink) adds up."""
+        """A row as column -> nonzero code, dropped if it sums to zero; a
+        repeated variable (a kink, or two semi-arcs of one arc) adds up."""
         r: dict[int, int] = {}
         for var, coef in terms:
             i = index[var]
@@ -510,46 +525,26 @@ def linear_colorings(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow) -> Coloring
                 r[i] = v
             else:
                 r.pop(i, None)
-        rows.append(r)
+        if r:
+            rows.append(r)
 
-    def powers(x):
-        """The codes of x^h for h = 0, 1, ..., |G| - 1."""
-        out = [one]
-        for _ in range(f.group.n - 1):
-            out.append(mul[out[-1]][x])
-        return out
-
-    # the row coefficients -u^h, u^h - 1, -t^h, -s^h and t^h - s^h for each h in G
-    if on_arcs:
-        u_pows = powers(tb.code[f.alexander[2]])
-        neg_u = [neg[p] for p in u_pows]
-        u_minus_one = [sub[p][one] for p in u_pows]
-    else:
-        t_pows, s_pows = powers(tb.code[f.alexander[2]]), powers(tb.code[f.alexander[3]])
-        neg_t = [neg[p] for p in t_pows]
-        neg_s = [neg[p] for p in s_pows]
-        t_minus_s = [sub[tp][sp] for tp, sp in zip(t_pows, s_pows)]
+    # the row coefficients -t^h, -s^h and t^h - s^h for each h in G, built once per family
+    coefs = getattr(f, "_linear_coefs", None)
+    if coefs is None:
+        t_pows, s_pows = (_unit_powers(ring, f.group.n, x).tolist() for x in (t, s))
+        coefs = f._linear_coefs = ([neg[p] for p in t_pows], [neg[p] for p in s_pows],
+                                   [sub[tp][sp] for tp, sp in zip(t_pows, s_pows)])
+    neg_t, neg_s, t_minus_s = coefs
     for c in d.crossings:
         oi, oo, ui, uo = _crossing_slots(c)
         h = fd[arcs[oi]]
-        if on_arcs:
-            # uo = u^h ui + (1 - u^h) over
-            row((arcs[uo], one), (arcs[ui], neg_u[h]), (arcs[oi], u_minus_one[h]))
-        else:
-            # uo = t^h ui + (s^h - t^h) oo ;  oi = s^g oo with g the flow on ui
-            row((uo, one), (ui, neg_t[h]), (oo, t_minus_s[h]))
-            row((oi, one), (oo, neg_s[fd[arcs[ui]]]))
+        # uo = t^h ui + (s^h - t^h) oo ;  oi = s^g oo with g the flow on ui
+        row((uo, one), (ui, neg_t[h]), (oo, t_minus_s[h]))
+        row((oi, one), (oo, neg_s[fd[arcs[ui]]]))
     for v in d.vertices:
-        if on_arcs:
-            a1, a2, a3 = arcs[v.e1], arcs[v.e2], arcs[v.e3]
-            if a1 != a2:
-                row((a1, one), (a2, neg_one))
-            if a3 != a2:
-                row((a3, one), (a2, neg_one))
-        else:
-            # e1 = b over e2 and e3 = b . e2:  x_e1 = s^{flow(e2)} x_e2, x_e3 = x_e2
-            row((v.e1, one), (v.e2, neg_s[fd[arcs[v.e2]]]))
-            row((v.e3, one), (v.e2, neg_one))
+        # e1 = b over e2 and e3 = b . e2:  x_e1 = s^{flow(e2)} x_e2, x_e3 = x_e2
+        row((v.e1, one), (v.e2, neg_s[fd[arcs[v.e2]]]))
+        row((v.e3, one), (v.e2, neg_one))
     sol = solve_homogeneous(ring, len(vars_), rows)
     module_info = None
     if sol.dimension is not None:

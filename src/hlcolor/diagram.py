@@ -21,16 +21,12 @@ def _strip_comment(line: str) -> str:
     """Drop a comment: a ``#`` at line start or preceded by whitespace.
 
     A ``#`` inside a token is id text (move-generated ids look like r2a#1).
+    Every file format reads comments this way.
     """
-    if line.startswith("#"):
-        return ""
-    idx = 0
-    while True:
+    idx = line.find("#")
+    while idx > 0 and not line[idx - 1].isspace():
         idx = line.find("#", idx + 1)
-        if idx < 0:
-            return line
-        if line[idx - 1].isspace():
-            return line[:idx]
+    return line if idx < 0 else line[:idx]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from hlcolor.algebra import (
     _as_tables,
     _cube,
     _law,
+    quandle_lift,
     type_of,
 )
 from hlcolor.groups import FiniteGroup, cyclic_group
@@ -129,19 +130,16 @@ def _unit_powers(ring: FiniteRing, n: int, u: Element) -> np.ndarray:
 
 
 def gfamily_alexander_q(ring: FiniteRing, n: int, u: Element) -> GFamilyQ:
-    """Z_n-family on the ring carrier: x *^i y = u^i x + (1 - u^i) y."""
+    """Z_n-family on the ring carrier: x *^i y = u^i x + (1 - u^i) y, the
+    under operations of the biquandle family with t = u and s = 1."""
     if n < 1:
         raise ValueError(f"family order n must be at least 1, got {n}")
     if not ring.is_unit(u):
         raise NonUnitError("Alexander family unit u is not invertible")
     if ring.pow(u, n) != ring.one:
         raise OrderMismatchError(f"u^{n} != 1 for u={u}")
-    tb = ring.tables
-    add, sub, mul = np.array(tb.add), np.array(tb.sub), np.array(tb.mul)
-    ui = _unit_powers(ring, n, u)
-    one_minus = sub[tb.one, ui]
-    ops = add[mul[ui][:, :, None], mul[one_minus][:, None, :]]
-    return GFamilyQ(cyclic_group(n), ops, labels=ring.elements(), alexander=("quandle", ring, u))
+    b = gfamily_alexander_b(ring, n, u, ring.one)
+    return GFamilyQ(b.group, b.under_ops, labels=b.labels, alexander=("quandle", ring, u))
 
 
 def gfamily_alexander_b(ring: FiniteRing, n: int, t: Element, s: Element) -> GFamilyB:
@@ -164,18 +162,10 @@ def gfamily_alexander_b(ring: FiniteRing, n: int, t: Element, s: Element) -> GFa
 
 
 def zkm_family_from_quandle(q: Quandle, k: int) -> GFamilyQ:
-    """The Z_{km}-family (m = type of q) with *^i the i-fold star."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    m = type_of(q)
-    order = k * m
-    n = q.n
-    cols = np.broadcast_to(np.arange(n)[None, :], (n, n))
-    ops = np.empty((order, n, n), dtype=np.int64)
-    ops[0] = np.broadcast_to(np.arange(n)[:, None], (n, n))
-    for i in range(1, order):
-        ops[i] = q.table[ops[i - 1], cols]
-    return GFamilyQ(cyclic_group(order), ops, labels=q.labels)
+    """The Z_{km}-family (m = type of q) with *^i the i-fold star: the under
+    operations of the family of q's lift, whose over operation is the projection."""
+    b = zkm_family_from_biquandle(quandle_lift(q), k)
+    return GFamilyQ(b.group, b.under_ops, labels=b.labels)
 
 
 def zkm_family_from_biquandle(b: Biquandle, k: int) -> GFamilyB:
@@ -185,9 +175,8 @@ def zkm_family_from_biquandle(b: Biquandle, k: int) -> GFamilyB:
     m = type_of(b)
     order = k * m
     n = b.n
-    under = np.empty((order, n, n), dtype=np.int64)
-    over = np.empty((order, n, n), dtype=np.int64)
-    for which, tbl, out in (("under", b.under, under), ("over", b.over, over)):
+    under, over = np.empty((2, order, n, n), dtype=np.int64)
+    for tbl, out in ((b.under, under), (b.over, over)):
         a = np.broadcast_to(np.arange(n)[:, None], (n, n)).copy()
         c = np.broadcast_to(np.arange(n)[None, :], (n, n)).copy()
         for i in range(order):

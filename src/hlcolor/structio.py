@@ -1,10 +1,10 @@
 """Line-oriented file formats for structures, flows and colorings.
 
 Every format starts with a header line whose first token names the kind.
-``#`` starts a comment.  Ring literals are ``ring m=<int> poly=<c0,...,1>``
-(poly omitted for Z_m); elements are compact ``[c0,c1,...]`` or polynomial
-expressions.  Tables are rows of whitespace-separated integers; partial
-product tables use ``-`` for undefined (cross-block) entries.
+``#`` starts a comment as in diagram files (``diagram._strip_comment``).
+Ring literals are ``ring m=<int> poly=<c0,...,1>`` (poly omitted for Z_m);
+elements are compact ``[c0,c1,...]`` or polynomial expressions.  Tables are rows of
+integers; partial product tables use ``-`` for undefined (cross-block) entries.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from hlcolor.algebra import (
     alexander_biquandle,
     alexander_quandle,
 )
+from hlcolor.diagram import _strip_comment
 from hlcolor.gfamily import (
     GFamilyB,
     GFamilyQ,
@@ -39,7 +40,7 @@ class StructParseError(ValueError):
 def _clean_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if line:
             out.append((i, line))
     return out

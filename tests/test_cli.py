@@ -377,6 +377,42 @@ def test_move_roundtrip_and_transport(capsys, tmp_path):
     assert tcol.read_text().startswith("coloring")
 
 
+def test_move_transport_round_trip_through_r4b_ids(capsys, tmp_path):
+    """A coloring transported onto ids that R4b makes (r4b#1, ...) reads back:
+    a ``#`` inside a token is id text in coloring files too."""
+    from hlcolor.coloring import enumerate_colorings
+    from hlcolor.diagram import parse_diagram
+    from hlcolor.structio import (
+        parse_coloring_assignment,
+        parse_structure_file,
+        serialize_coloring,
+    )
+
+    structure = corpus_path("structures", "assoc-z3-z2-mcb.txt")
+    with open(corpus_path("diagrams", "stem-clasp.txt"), encoding="utf-8") as fh:
+        d = parse_diagram(fh.read())
+    col = enumerate_colorings(d, parse_structure_file(structure), want_list=True).colorings[36]
+    (tmp_path / "c0.txt").write_text(serialize_coloring(col))
+    code, _ = run(
+        capsys, "move", corpus_path("diagrams", "stem-clasp.txt"),
+        "--move", "R4b", "--site", "s4,s5", "-o", str(tmp_path / "d1.txt"),
+        "--transport", str(tmp_path / "c0.txt"), "--structure", structure,
+        "--transport-out", str(tmp_path / "c1.txt"),
+    )
+    assert code == 0
+    assert "assign r4b#1 " in (tmp_path / "c1.txt").read_text()
+    code, _ = run(
+        capsys, "move", str(tmp_path / "d1.txt"),
+        "--move", "R4b", "--direction", "undo", "--site", "r4b#3", "--variant", "split",
+        "--transport", str(tmp_path / "c1.txt"), "--structure", structure,
+        "--transport-out", str(tmp_path / "c2.txt"),
+    )
+    assert code == 0
+    # the undo names the rejoined semi-arc s7 r4b#4
+    back = parse_coloring_assignment((tmp_path / "c2.txt").read_text())
+    assert back == {"r4b#4" if k == "s7" else k: v for k, v in col.assignment.items()}
+
+
 def _transport_across_trefoil_r2a(capsys, col_path):
     code = main([
         "move", corpus_path("diagrams", "trefoil.txt"), "--move", "R2a", "--site", "s1,s2",
@@ -480,6 +516,28 @@ def test_flow_group_path_is_relative_to_the_flow_file(capsys, tmp_path, monkeypa
         "--flow", str(flows / "flow.txt"),
     )
     assert code == 0 and "count: 9" in out
+
+
+def test_color_flow_reads_a_flow_on_r4b_ids(capsys, tmp_path):
+    """A flow of a diagram rewritten by R4b, saved as a flow file, reads back:
+    a ``#`` inside a token is id text in flow files too."""
+    from hlcolor.coloring import colorings_by_flow, enumerate_flows
+    from hlcolor.diagram import parse_diagram
+    from hlcolor.structio import parse_structure_file, serialize_flow
+
+    structure = corpus_path("structures", "z3-z2-family.txt")
+    diagram = corpus_path("diagrams", "stem-clasp-slid-over.txt")
+    with open(diagram, encoding="utf-8") as fh:
+        d = parse_diagram(fh.read())
+    family = parse_structure_file(structure)
+    flow = enumerate_flows(d, family.group)[2]
+    assert "r4b#1" in flow.as_dict()
+    flow_file = tmp_path / "flow.txt"
+    flow_file.write_text(serialize_flow(flow))
+    code, out = run(capsys, "--format", "machine", "color", structure, diagram,
+                    "--flow", str(flow_file))
+    assert code == 0
+    assert out == f"count={colorings_by_flow(d, family, flow).count}\n"
 
 
 @pytest.mark.parametrize("extra", [(), ("--dim",)])
