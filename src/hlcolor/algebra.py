@@ -15,6 +15,10 @@ import numpy as np
 from hlcolor.rings import Element, FiniteRing, NonUnitError
 
 
+class AxiomError(ValueError):
+    """A table lacks a law that a computation on it needs: a bijective column."""
+
+
 @dataclass
 class AxiomReport:
     ok: bool
@@ -96,7 +100,7 @@ def _column_inverse(table: np.ndarray, name: str) -> np.ndarray:
     """inv[a][b] = the x with table[x][b] = a; requires permutation columns."""
     bad = _bijective_columns(table, name)
     if bad:
-        raise ValueError(f"{name} column {bad[0][1][0]} is not a permutation; no inverse table")
+        raise AxiomError(f"{name} column {bad[0][1][0]} is not a permutation; no inverse table")
     n = table.shape[0]
     inv = np.empty((n, n), dtype=np.int64)
     inv[table, np.arange(n)] = np.arange(n)[:, None]
@@ -147,7 +151,7 @@ class Biquandle:
             tbl = self.under if which == "under" else self.over
             diag = tbl[np.arange(self.n), np.arange(self.n)]
             if len(np.unique(diag)) != self.n:
-                raise ValueError(f"diagonal of {which} is not a bijection")
+                raise AxiomError(f"diagonal of {which} is not a bijection")
             inv = np.empty(self.n, dtype=np.int64)
             inv[diag] = np.arange(self.n)
             self._diag_inv[which] = inv

@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 
-from hlcolor.algebra import Biquandle, Quandle, biquandle_check, quandle_check
+from hlcolor.algebra import AxiomError, Biquandle, Quandle, biquandle_check, quandle_check
 from hlcolor.coloring import (
     Coloring,
     FlowInvalidError,
@@ -103,7 +103,7 @@ _CONSTRUCTIONS = {
            "input fails G-family axioms"),
     "assoc": (_ASSOCIATED, "assoc expects a G-family file", None),
     "zkm": ({Quandle: zkm_family_from_quandle, Biquandle: zkm_family_from_biquandle},
-            "zkm expects a quandle or biquandle file", None),
+            "zkm expects a quandle or biquandle file", "input fails its axioms"),
     "conj": ({FiniteGroup: conjugation_mcq}, "conj expects a group file", None),
     "lift": ({MCQ: quandle_lift_mcb}, "lift expects an MCQ file", None),
     "tables": (dict.fromkeys(_CHECKERS, lambda obj: obj), None, None),
@@ -414,6 +414,9 @@ def main(argv=None) -> int:
     except StructParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except AxiomError as exc:
+        print(f"axiom violation: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except MemoryError:
         print("error: out of memory (the structure is too large to build)", file=sys.stderr)
         return EXIT_FAIL

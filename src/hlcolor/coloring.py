@@ -38,7 +38,7 @@ from hlcolor.oracle import semiarc_rules_hold
 from hlcolor.plan import KEYS as _KEYS
 from hlcolor.plan import count as _plan_count
 from hlcolor.plan import depth_first as _depth_first
-from hlcolor.rings import SizeBoundExceededError, solve_homogeneous
+from hlcolor.rings import SizeBoundExceededError, compile_homogeneous, run_homogeneous
 
 
 @dataclass(frozen=True)
@@ -489,66 +489,76 @@ def verify_correspondence(
     return report
 
 
+def _linear_program(d: Diagram, f: GFamilyQ | GFamilyB) -> tuple:
+    """The ``rings.compile_homogeneous`` program of d's rows for the Alexander
+    family f, a row's slot the arc whose flow value picks its entries, kept
+    on d in an entry that holds f (the entries on f).  A quandle family's rows
+    are the biquandle family's with t = u and s = 1, read on arcs; a repeated
+    column (a kink, or two semi-arcs of one arc) sums its entries."""
+    programs = vars(d).setdefault("_linear_programs", {})
+    if id(f) not in programs:
+        arcs = arcs_of(d)
+        on_arcs = isinstance(f, GFamilyQ)
+        vars_ = sorted(set(arcs.values()) if on_arcs else arcs)
+        index = {v: i for i, v in enumerate(vars_)}
+        if on_arcs:
+            index = {k: index[a] for k, a in arcs.items()}
+        ring, t = f.alexander[1:3]
+        tb, n = ring.tables, f.group.n
+        coefs = getattr(f, "_linear_coefs", None)  # each entry by h, and if always a unit
+        if coefs is None:
+            s = ring.one if on_arcs else f.alexander[3]
+            t_pows, s_pows = (_unit_powers(ring, n, x).tolist() for x in (t, s))
+            base = {"1": [tb.one] * n, "-1": [tb.neg[tb.one]] * n,
+                    "-t": [tb.neg[p] for p in t_pows], "-s": [tb.neg[p] for p in s_pows],
+                    "t-s": [tb.sub[p][q] for p, q in zip(t_pows, s_pows)]}
+            coefs = f._linear_coefs = {k: (c, all(tb.inv[x] >= 0 for x in c))
+                                       for k, c in base.items()}
+        rows: list = []
+
+        def row(selector: str, *terms) -> None:
+            """A row whose entries are read at the flow on selector's arc."""
+            kept: dict[int, str] = {}  # each column's entry, by name
+            for var, name in terms:
+                j = index[var]
+                if j in kept:  # a sum, also kept on f by its name
+                    key = f"{kept[j]}+{name}"
+                    if key not in coefs:
+                        c = [tb.add[a][b] for a, b in zip(coefs[kept[j]][0], coefs[name][0])]
+                        coefs[key] = (c, all(tb.inv[x] >= 0 for x in c))
+                    name = key
+                kept[j] = name
+            terms = [(j, *entry) for j, name in kept.items() if any((entry := coefs[name])[0])]
+            if terms:
+                rows.append((arcs[selector], terms))
+
+        for c in d.crossings:
+            oi, oo, ui, uo = _crossing_slots(c)
+            # uo = t^h ui + (s^h - t^h) oo with h the flow on oi;  oi = s^g oo, g the flow on ui
+            row(oi, (uo, "1"), (ui, "-t"), (oo, "t-s"))
+            row(ui, (oi, "1"), (oo, "-s"))
+        for v in d.vertices:
+            # e1 = b over e2 and e3 = b . e2:  x_e1 = s^{flow(e2)} x_e2, x_e3 = x_e2
+            row(v.e2, (v.e1, "1"), (v.e2, "-s"))
+            row(v.e2, (v.e3, "1"), (v.e2, "-1"))
+        programs[id(f)] = (f, compile_homogeneous(len(vars_), rows))
+    return programs[id(f)][1]
+
+
 def linear_colorings(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow) -> ColoringSetReport:
     """Flow-filtered colorings of an Alexander family via exact linear algebra.
 
     One linear equation over the family's coefficient ring per local rule,
-    solved by propagation along the diagram (``rings.solve_homogeneous``);
-    over a field the report carries the solution module's dimension and a
-    basis (vectors indexed by sorted variable order).  A quandle family's
-    rows are the biquandle family's with t = u and s = 1, read on arcs.
+    propagated along the diagram by a program compiled once per (diagram,
+    family) (``_linear_program``) and run per flow; over a field the report
+    carries the solution module's dimension and a basis (vectors indexed by
+    sorted variable order).
     """
     if getattr(f, "alexander", None) is None:
         raise ValueError("linear path requires an Alexander family")
-    arcs, fd = _check_flow(d, f.group, flow)
-    on_arcs = isinstance(f, GFamilyQ)
-    ring, t = f.alexander[1:3]
-    s = ring.one if on_arcs else f.alexander[3]
-    vars_ = sorted(set(arcs.values()) if on_arcs else arcs)
-    index = {v: i for i, v in enumerate(vars_)}
-    if on_arcs:
-        index = {k: index[a] for k, a in arcs.items()}
-    tb = ring.tables
-    add, sub, neg = tb.add, tb.sub, tb.neg
-    one = tb.one
-    neg_one = neg[one]
-    rows: list[dict[int, int]] = []
-
-    def row(*terms):
-        """A row as column -> nonzero code, dropped if it sums to zero; a
-        repeated variable (a kink, or two semi-arcs of one arc) adds up."""
-        r: dict[int, int] = {}
-        for var, coef in terms:
-            i = index[var]
-            v = add[r.get(i, 0)][coef]
-            if v:
-                r[i] = v
-            else:
-                r.pop(i, None)
-        if r:
-            rows.append(r)
-
-    # the row coefficients -t^h, -s^h and t^h - s^h for each h in G, built once per family
-    coefs = getattr(f, "_linear_coefs", None)
-    if coefs is None:
-        t_pows, s_pows = (_unit_powers(ring, f.group.n, x).tolist() for x in (t, s))
-        coefs = f._linear_coefs = ([neg[p] for p in t_pows], [neg[p] for p in s_pows],
-                                   [sub[tp][sp] for tp, sp in zip(t_pows, s_pows)])
-    neg_t, neg_s, t_minus_s = coefs
-    for c in d.crossings:
-        oi, oo, ui, uo = _crossing_slots(c)
-        h = fd[arcs[oi]]
-        # uo = t^h ui + (s^h - t^h) oo ;  oi = s^g oo with g the flow on ui
-        row((uo, one), (ui, neg_t[h]), (oo, t_minus_s[h]))
-        row((oi, one), (oo, neg_s[fd[arcs[ui]]]))
-    for v in d.vertices:
-        # e1 = b over e2 and e3 = b . e2:  x_e1 = s^{flow(e2)} x_e2, x_e3 = x_e2
-        row((v.e1, one), (v.e2, neg_s[fd[arcs[v.e2]]]))
-        row((v.e3, one), (v.e2, neg_one))
-    sol = solve_homogeneous(ring, len(vars_), rows)
-    module_info = None
-    if sol.dimension is not None:
-        module_info = (sol.dimension, sol.basis)
+    _, fd = _check_flow(d, f.group, flow)
+    sol = run_homogeneous(f.alexander[1], _linear_program(d, f), fd)
+    module_info = None if sol.dimension is None else (sol.dimension, sol.basis)
     return ColoringSetReport(count=sol.cardinality, module_info=module_info)
 
 

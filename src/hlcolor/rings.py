@@ -13,15 +13,17 @@ Units, inverses, unit orders and ``is_field`` are read from those tables.
 
 Linear systems are solved exactly over every such ring by ``solve_linear``:
 by Gauss-Jordan elimination over a field, otherwise over Z_m through the
-regular representation.  ``solve_homogeneous`` takes the sparse homogeneous
-systems of the coloring rules: it places the variables by propagation, as
-linear forms in a few parameters, and hands ``solve_linear`` only the residual
-system in those parameters.
+regular representation.  The sparse homogeneous systems of the coloring rules
+are propagated: ``compile_homogeneous`` schedules, once for a family of
+systems, which row places which variable (pivots being units for every entry
+choice), and ``run_homogeneous`` places them as linear forms in a few
+parameters and hands ``solve_linear`` only the residual system in those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
@@ -171,7 +173,7 @@ class FiniteRing:
             n += 1
         return n
 
-    @property
+    @cached_property
     def is_field(self) -> bool:
         """True iff every nonzero element is invertible (read off the ``inv`` table)."""
         return all(c >= 0 for c in self.tables.inv[1:])
@@ -333,79 +335,99 @@ def _solve_field(
 def solve_homogeneous(
     ring: FiniteRing, ncols: int, rows: Sequence[dict[int, int]]
 ) -> LinearSystemSolution:
-    """Solve A x = 0 by propagation, with ``solve_linear`` on what is left.
+    """Solve A x = 0, each row a sparse dict column -> nonzero code of
+    ``ring.tables``: ``compile_homogeneous`` with a unit as a pivot, run once."""
+    one_h = [(0, [(j, [c], ring.tables.inv[c] >= 0) for j, c in row.items()]) for row in rows]
+    return run_homogeneous(ring, compile_homogeneous(ncols, one_h), [0])
 
-    Each row is a sparse dict column -> nonzero code of ``ring.tables``.  Every
-    variable is placed as a linear form (a dict parameter -> code) over k
-    parameters.  A row with one open variable, whose coefficient is a unit,
-    places it; when no row does, the next open variable in order of first
-    appearance becomes a parameter.  A row whose variables are all placed
-    leaves a residual form; a row whose one open coefficient is not a unit
-    waits until it does.  The map from parameters to solutions is the identity
-    on the parameters, so the solutions are in bijection with the kernel of
-    the residual system, which ``solve_linear`` solves.  Over a field the
-    kernel's basis is mapped back through the forms and reduced to the basis
-    that Gauss-Jordan elimination on the full system gives.
-    """
-    tb = ring.tables
-    mul, add, neg, inv, one = tb.mul, tb.add, tb.neg, tb.inv, tb.one
-    occurs: list[list[int]] = [[] for _ in range(ncols)]
-    for r, row in enumerate(rows):
-        for j in row:
+
+def compile_homogeneous(ncols: int, rows: Sequence[tuple[int, list]]) -> tuple:
+    """Schedule the propagation of A x = 0 once for every choice of entries.
+
+    A row is (slot, terms), each term (column, coefficients, unit): the entry
+    is coefficients[h] when the slot's value is h, unit says it is a unit for
+    every h.  A row with one open variable whose entry is a unit for every h
+    places it as a linear form in the parameters; when none does, the next
+    open variable in order of first appearance becomes a parameter.  Step i of
+    the program (ncols, params, heads, slots, pivots, ends, cols, coefs) places
+    heads[i] (a residual form if -1) as -1/pivots[i] times the sum of coefs[q]
+    times the form of cols[q], q in ends[i-1]:ends[i], read at values[slots[i]]."""
+    occurs, order = [[] for _ in range(ncols)], []  # rows by column; columns by appearance
+    for r, (_, terms) in enumerate(rows):
+        for j, _, _ in terms:
             occurs[j].append(r)
-    forms: list[dict[int, int] | None] = [None] * ncols
-    n_open = [len(row) for row in rows]
+            order.append(j)
+    placed, done = [False] * ncols, [False] * len(rows)
+    n_open = [len(terms) for _, terms in rows]
     ready = [r for r, n in enumerate(n_open) if n <= 1]
-    done = [False] * len(rows)
-    residual: list[dict[int, int]] = []
-
-    def count_down(j: int) -> None:
-        """Note that j is placed in each of its rows."""
-        for r in occurs[j]:
-            n_open[r] -= 1
-            if n_open[r] <= 1:
-                ready.append(r)
-
-    k = 0
-    for var in dict.fromkeys([j for row in rows for j in row] + list(range(ncols))):
-        if forms[var] is None:
-            forms[var], k = {k: one}, k + 1  # a branch: var becomes a parameter
-            count_down(var)
-        while ready:
-            r = ready.pop()
-            if done[r]:
-                continue
-            row = rows[r]
-            j, scale = None, one
-            if n_open[r]:
-                for j in row:
-                    if forms[j] is None:
-                        break
-                if inv[row[j]] < 0:
+    params: list[int] = []
+    steps = heads, slots, pivots, ends, cols, coefs = ([], [], [], [], [], [])
+    for var in order + list(range(ncols)):
+        if placed[var]:
+            continue
+        params.append(new := var)  # a branch: var becomes a parameter
+        while new is not None:  # note that new is placed in each of its rows
+            placed[new] = True
+            for r in occurs[new]:
+                n_open[r] -= 1
+                if n_open[r] <= 1:
+                    ready.append(r)
+            new = None
+            while ready and new is None:
+                r = ready.pop()
+                if done[r]:
                     continue
-                scale = neg[inv[row[j]]]
-            done[r] = True
-            # scale times the sum of coefficient times form over the placed variables
-            form: dict[int, int] = {}
-            for i, c in row.items():
-                placed = forms[i]
-                if placed is not None:
-                    times = mul[mul[scale][c]]
-                    for p, x in placed.items():
-                        v = add[form.get(p, 0)][times[x]]
-                        if v:
-                            form[p] = v
-                        else:
-                            form.pop(p, None)
-            if j is not None:
-                forms[j] = form
-                count_down(j)
-            elif form:
-                residual.append(form)
+                slot, terms = rows[r]
+                head, pivot = -1, None
+                if n_open[r]:
+                    head, pivot, unit = [t for t in terms if not placed[t[0]]][0]
+                    if not unit:  # the row waits until its open variable is placed
+                        continue
+                done[r] = True
+                for j, c, _ in terms:
+                    if j != head:
+                        cols.append(j)
+                        coefs.append(c)
+                heads.append(head)
+                slots.append(slot)
+                pivots.append(pivot)
+                ends.append(len(cols))
+                if pivot is not None:
+                    new = head
+    return (ncols, tuple(params), *map(tuple, steps))
+
+
+def run_homogeneous(ring: FiniteRing, program: tuple, values) -> LinearSystemSolution:
+    """Solve a compiled system with the entries that ``values[slot]`` picks:
+    the forms one parameter at a time (the solution with it 1, the others 0),
+    the residual system by ``solve_linear``, and over a field its kernel's
+    basis mapped back and reduced to the Gauss-Jordan basis of the full system."""
+    tb = ring.tables
+    mul, add, neg, inv = tb.mul, tb.add, tb.neg, tb.inv
+    ncols, params, heads, slots, pivots, ends, cols, coefs = program
+    hs = [values[s] for s in slots]
+    forms, sides = [], []  # by parameter: every column's coefficient, every residual's
+    for param in params:
+        form, side, start = [0] * ncols, [], 0
+        form[param] = tb.one
+        for j, h, pivot, end in zip(heads, hs, pivots, ends):
+            acc = 0
+            for q in range(start, end):
+                x = form[cols[q]]
+                if x:
+                    acc = add[acc][mul[coefs[q][h]][x]]
+            start = end
+            if pivot is None:
+                side.append(acc)
+            else:
+                form[j] = mul[neg[inv[pivot[h]]]][acc]
+        forms.append(form)
+        sides.append(side)
+    residual = [form for form in zip(*sides) if any(form)]
     els = tb.elements
     sol = solve_linear(
         ring,
-        [[els[form.get(p, 0)] for p in range(k)] for form in residual] or [[ring.zero] * k],
+        [[els[x] for x in form] for form in residual] or [[ring.zero] * len(params)],
         [ring.zero] * max(len(residual), 1),
     )
     if sol.dimension is None:
@@ -416,16 +438,13 @@ def solve_homogeneous(
     # there, so the pivots are its free columns and this is its basis.
     basis: list[tuple[int, list[int]]] = []
     for kernel_vec in sol.basis:
-        v = [tb.code[x] for x in kernel_vec]
         vec = [0] * ncols
-        for j, form in enumerate(forms):
-            acc = 0
-            for p, c in form.items():
-                acc = add[acc][mul[c][v[p]]]
-            vec[j] = acc
+        for x, form in zip(kernel_vec, forms):
+            times = mul[tb.code[x]]
+            vec = [add[y][times[z]] for y, z in zip(vec, form)]
         for piv, b in basis:
             _axpy(tb, vec, b, vec[piv])
-        piv = max(j for j, x in enumerate(vec) if x)
+        piv = next(j for j in range(ncols - 1, -1, -1) if vec[j])
         scale = mul[inv[vec[piv]]]
         vec = [scale[x] for x in vec]
         for _, b in basis:

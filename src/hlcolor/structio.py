@@ -18,6 +18,8 @@ from hlcolor.algebra import (
     Quandle,
     alexander_biquandle,
     alexander_quandle,
+    biquandle_check,
+    quandle_check,
 )
 from hlcolor.diagram import _strip_comment
 from hlcolor.gfamily import (
@@ -200,11 +202,13 @@ def _parse_parameters(tokens, fields, lineno, base_dir):
         path = os.path.join(base_dir, fields["from"])
         inner = parse_structure_file(path)
         k = int(fields.get("k", "1"))
-        if isinstance(inner, Quandle):
-            return zkm_family_from_quandle(inner, k)
-        if isinstance(inner, Biquandle):
-            return zkm_family_from_biquandle(inner, k)
-        raise StructParseError(f"line {lineno}: zkm-family needs a quandle or biquandle file")
+        check = {Quandle: quandle_check, Biquandle: biquandle_check}.get(type(inner))
+        if check is None:
+            raise StructParseError(f"line {lineno}: zkm-family needs a quandle or biquandle file")
+        if not check(inner).ok:
+            raise StructParseError(f"line {lineno}: zkm-family source fails its axioms")
+        make = zkm_family_from_quandle if check is quandle_check else zkm_family_from_biquandle
+        return make(inner, k)
     raise StructParseError(f"line {lineno}: unknown structure kind {kind!r}")
 
 

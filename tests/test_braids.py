@@ -31,10 +31,10 @@ ALL_MOVES = ("R1a", "R1b", "R2a", "R2b", "R3", "R4a", "R4b", "R5a", "R5b", "R6")
 
 
 @st.composite
-def braid_words(draw, min_pairs: int = 0):
+def braid_words(draw, min_pairs: int = 0, max_strands: int = 3):
     """(strands, word): splits, crossings and merges in any order, each merge
     that would leave fewer than one strand held back until a split."""
-    strands = draw(st.integers(1, 3))
+    strands = draw(st.integers(1, max_strands))
     pairs = draw(st.integers(min_pairs, 2))
     ops = draw(st.permutations(["x"] * draw(st.integers(0, 4)) + ["s", "m"] * pairs))
     word, width, held = [], strands, 0

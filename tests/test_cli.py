@@ -487,6 +487,64 @@ def test_build_zkm_k_must_be_positive(capsys, k):
     assert "--k: must be at least 1" in captured.err
 
 
+def _non_bijective_mcb(tmp_path) -> str:
+    """lift-dihedral-mcb with its second ``over`` row set to 0 1 1 1 1 1, so
+    that over column 0 is no permutation; it parses, and check rejects it."""
+    with open(corpus_path("structures", "lift-dihedral-mcb.txt"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    over = lines.index("over:")
+    lines[over + 2] = "0 1 1 1 1 1"
+    path = tmp_path / "bad-mcb.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["color", "verify", "move"])
+def test_a_non_bijective_mcb_column_exits_1_with_one_line(capsys, tmp_path, command):
+    """color, verify and move --transport used to end in a ValueError
+    traceback from the column inverse that the rules take."""
+    structure = _non_bijective_mcb(tmp_path)
+    trefoil = corpus_path("diagrams", "trefoil.txt")
+    if command == "move":
+        col_file = tmp_path / "col.txt"
+        col_file.write_text("coloring\n" + "".join(f"assign s{i} 0\n" for i in range(1, 7)))
+        argv = ["move", trefoil, "--move", "R1a", "--site", "s1", "--transport", str(col_file),
+                "--structure", structure]
+    else:
+        argv = [command, structure, trefoil]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        "axiom violation: mcb over column 0 is not a permutation; no inverse table\n")
+
+
+BAD_QUANDLE = "quandle n=3\n0 2 1\n2 1 0\n1 0 0\n"  # check rejects it
+
+
+def test_build_zkm_rejects_a_source_that_fails_its_axioms(capsys, tmp_path):
+    # it used to exit 0 and write a family that check rejects
+    (tmp_path / "bad.txt").write_text(BAD_QUANDLE)
+    code = main(["build", "zkm", str(tmp_path / "bad.txt"), "-o", str(tmp_path / "out.txt")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "input fails its axioms\n"
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "color"])
+def test_a_zkm_family_of_a_source_that_fails_its_axioms_is_a_parse_error(
+    capsys, tmp_path, command
+):
+    (tmp_path / "bad.txt").write_text(BAD_QUANDLE)
+    (tmp_path / "family.txt").write_text("zkm-family from=bad.txt k=1\n")
+    argv = [command, str(tmp_path / "family.txt")]
+    code = main(argv + [corpus_path("diagrams", "trefoil.txt")] * (command == "color"))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "parse error: line 1: zkm-family source fails its axioms\n"
+
+
 def test_running_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
     from hlcolor import cli
 

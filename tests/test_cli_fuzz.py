@@ -62,11 +62,23 @@ def rings(draw) -> str:
 
 
 @st.composite
-def tables(draw, n: int, dash: bool = False) -> list[str]:
-    cell = st.integers(-1, n).map(str)
+def tables(draw, n: int, dash: bool = False, in_range: bool = False) -> list[str]:
+    cell = (st.integers(0, n - 1) if in_range else st.integers(-1, n)).map(str)
     if dash:
         cell = st.one_of(cell, st.just("-"))
     return [" ".join(draw(st.lists(cell, min_size=n, max_size=n))) for _ in range(n)]
+
+
+@st.composite
+def singleton_block_lines(draw, kind: str) -> list[str]:
+    """An MCQ or MCB of one-element blocks, so that it parses, whose other
+    tables take any values in range(n): their columns need not be permutations."""
+    n = draw(st.integers(1, 4))
+    prod = [" ".join(str(i) if i == j else "-" for j in range(n)) for i in range(n)]
+    lines = [f"{kind} n={n}", "partition: " + " ".join(map(str, range(n))), "prod:", *prod]
+    for name in ("star",) if kind == "mcq" else ("under", "over"):
+        lines += [f"{name}:", *draw(tables(n, in_range=True))]
+    return lines
 
 
 @st.composite
@@ -461,7 +473,8 @@ def color_calls(draw) -> tuple[dict[str, str], list[str]]:
     files = {"diagram.txt": draw(diagram)}
     if draw(st.booleans()):
         lines = draw(st.one_of(alexander_families(),
-                               st.sampled_from(COLOR_KINDS).flatmap(structure_lines)))
+                               st.sampled_from(COLOR_KINDS).flatmap(structure_lines),
+                               st.sampled_from(("mcq", "mcb")).flatmap(singleton_block_lines)))
         files["structure.txt"] = "\n".join(lines) + "\n"
         files["inner.txt"] = "\n".join(draw(structure_lines("quandle"))) + "\n"
         structure = "{tmp}/structure.txt"
