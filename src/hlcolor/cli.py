@@ -20,9 +20,10 @@ from hlcolor.coloring import (
     coloring_problem,
     coloring_rows,
     coloring_vars,
+    colorings_by_flow,
     enumerate_colorings,
     enumerate_flows,
-    flow_domains,
+    flow_coloring_rows,
     linear_colorings,
     per_flow_counts,
     verify_correspondence,
@@ -188,7 +189,7 @@ def cmd_color(args) -> int:
     if args.dim and getattr(obj, "alexander", None) is None:
         print("--dim needs an Alexander family", file=sys.stderr)
         return EXIT_PARSE
-    domains = None
+    flow = None
     try:
         if family:
             flow = _load(args.flow, parse_flow_file) if args.flow else None
@@ -216,7 +217,6 @@ def cmd_color(args) -> int:
                                 )
                                 _emit(args, f"basis {i}", body)
                     return EXIT_OK
-                x, domains = flow_domains(d, obj, flow)
             else:
                 x = _ASSOCIATED[type(obj)](obj)
         elif isinstance(obj, (MCQ, MCB)):
@@ -226,10 +226,13 @@ def cmd_color(args) -> int:
             return EXIT_FAIL
         # a listing prints from the sorted rows, without a Coloring per row
         if args.list:
-            names, rows = coloring_rows(d, x, domains=domains, budget=args.budget)
+            names, rows = (coloring_rows(d, x, budget=args.budget) if flow is None
+                           else flow_coloring_rows(d, obj, flow, budget=args.budget))
             count = len(rows)
+        elif flow is not None:
+            count = colorings_by_flow(d, obj, flow, budget=args.budget).count
         else:
-            count = enumerate_colorings(d, x, domains=domains, budget=args.budget).count
+            count = enumerate_colorings(d, x, budget=args.budget).count
     except SizeBoundExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -17,6 +17,13 @@ vertices.  A G-flow is a coloring by G's conjugation MCQ (one block G,
 x * y = y^-1 x y, the group product at vertices), so a group enters the
 engine only as that MCQ and the flow rules are the MCQ rules.
 
+A coloring by a G-family is a G-flow plus colors that obey the operations at
+the flow's values.  In the associated MCB/MCQ, element i * |G| + g carries
+flow value g, so the colorings by one flow are those that keep each
+variable on the fibre of its flow value; colorings_by_flow runs the
+associated structure's plan on the fibres of its tables, which are the
+family's own tables, once per flow.
+
 This rule set is the unique one (up to a global mirror relabeling) that
 passes the kink, slide and triangle invariance tests together with the
 MCB/MCQ correspondence and reverse-mirror transfer on the structure corpus;
@@ -36,6 +43,7 @@ from hlcolor.groups import FiniteGroup
 from hlcolor.mcqb import MCB, MCQ, conjugation_mcq
 from hlcolor.oracle import semiarc_rules_hold
 from hlcolor.plan import KEYS as _KEYS
+from hlcolor.plan import on_fibres
 from hlcolor.plan import count as _plan_count
 from hlcolor.plan import depth_first as _depth_first
 from hlcolor.rings import SizeBoundExceededError, compile_homogeneous, run_homogeneous
@@ -100,7 +108,8 @@ class _RuleTable:
     in slot s and w in slot i, and candidates lists the values one slot takes
     beside known ones.  The depth-first executor and the coloring transport
     read lookups and candidates as nested lists (lookup_lists,
-    candidate_lists); the row executor reads the numpy arrays.
+    candidate_lists); the row executor reads the numpy arrays.  fibre gives
+    the table of an associated structure on one fibre of each slot.
     """
 
     def __init__(self, tbl: np.ndarray):
@@ -113,6 +122,7 @@ class _RuleTable:
         self._share: dict = {}
         self._candidates: dict = {}
         self._candidate_lists: dict = {}
+        self._fibres: dict = {}
 
     def support(self, s: int, i: int) -> np.ndarray:
         seen = self._support.get((s, i))
@@ -172,6 +182,24 @@ class _RuleTable:
             if len(keys) == 2:
                 found = [found[u * self.n:(u + 1) * self.n] for u in range(self.n)]
             self._candidate_lists[keys, i] = found
+        return found
+
+    def fibre(self, ga: int, gb: int, ng: int) -> _RuleTable:
+        """The table on the fibres of ga and gb, for the table of a structure
+        associated with a family over a group of ng elements, whose element
+        i * ng + g carries g (hlcolor.gfamily): entry [i, j] is
+        tbl[i * ng + ga, j * ng + gb] // ng, -1 kept.  That entry's group
+        element is fixed by ga and gb, so the fibre drops it.  Built on
+        first use and kept by (ga, gb); equal fibres share one table, and
+        so what the plan derives from it (a family's operation at gb is the
+        fibre at every ga)."""
+        found = self._fibres.get((ga, gb))
+        if found is None:
+            tbl = self.tbl[ga::ng, gb::ng] // ng
+            found = self._fibres.get(tbl.tobytes())
+            if found is None:
+                found = self._fibres[tbl.tobytes()] = _RuleTable(tbl)
+            self._fibres[ga, gb] = found
         return found
 
 
@@ -302,7 +330,9 @@ def _network(d: Diagram, x: MCB | MCQ | FiniteGroup) -> _Network:
 
 
 # Counts whose widest domain is smaller take the depth-first executor, larger
-# ones the row executor; both run the same plan.  Timed cold (the 12 corpus
+# ones the row executor; both run the same plan.  A per-flow count
+# (colorings_by_flow) picks its executor by the family's size, the number of
+# values each variable takes on its fibre.  Timed cold (the 12 corpus
 # diagrams parsed afresh, as the CLI does; every corpus MCB/MCQ, associated
 # MCB/MCQ and Q(X), best of 3, summed by size), depth-first against row:
 # 6 elements (11 structures) 10 against 13 ms, 20 (4) 14 against 6 ms,
@@ -411,34 +441,65 @@ def _check_flow(
     return arcs_of(d), fd
 
 
-def flow_domains(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow) -> tuple[MCB | MCQ, dict]:
-    """The associated MCQ/MCB of f and the domains that keep each variable on
-    the flow's group element; raises FlowInvalidError unless flow is a G-flow."""
+def _fibre_run(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow, lists: bool, budget) -> tuple:
+    """The associated MCQ/MCB of f, its network on d, each variable's group
+    element at the flow and a run of the network's plan on the flow's fibres
+    (``plan.on_fibres``), depth-first if lists, else on rows; raises
+    FlowInvalidError unless flow is a G-flow."""
     arcs, fd = _check_flow(d, f.group, flow)
     on_arcs = isinstance(f, GFamilyQ)
     x = associated_mcq(f) if on_arcs else associated_mcb(f)
-    ng = f.group.n
-    domains = {
-        k: [i * ng + fd[k if on_arcs else arcs[k]] for i in range(f.n)]
-        for k in _network(d, x).names
-    }
-    return x, domains
+    net = _network(d, x)
+    values = [fd[v] if on_arcs else fd[arcs[v]] for v in net.names]
+    return x, net, values, on_fibres(net, values, f.group.n, lists, budget)
 
 
 def colorings_by_flow(
     d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow, want_list: bool = False, budget=None
 ) -> ColoringSetReport:
-    """Colorings of the associated MCQ/MCB whose group projection equals the flow."""
-    x, domains = flow_domains(d, f, flow)
-    enumerate_ = enumerate_colorings_mcq if isinstance(f, GFamilyQ) else enumerate_colorings_mcb
-    return enumerate_(d, x, want_list=want_list, domains=domains, budget=budget)
+    """Colorings of the associated MCQ/MCB whose group projection equals the flow.
+
+    Each variable keeps to the fibre of its flow value g, the elements
+    i * |G| + g, so the plan of the associated structure runs once per flow
+    on the fibres of its tables, which are f's own tables.  A count of a
+    family of _PLAN_MIN_DOMAIN elements or more takes the row executor, any
+    other count or a listing the depth-first one; nodes and budget are the
+    fibre run's.
+    """
+    if want_list:
+        x, names, rows, nodes = _flow_rows(d, f, flow, budget)
+        out = [Coloring(x, dict(zip(names, row))) for row in rows.tolist()]
+        return ColoringSetReport(count=len(out), colorings=out, nodes=nodes)
+    *_, run = _fibre_run(d, f, flow, f.n < _PLAN_MIN_DOMAIN, budget)
+    return ColoringSetReport(count=run.count(), nodes=run.nodes)
 
 
-def coloring_rows(d: Diagram, x: MCB | MCQ, domains=None, budget=None) -> tuple[list[str], list]:
+def _flow_rows(d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow, budget) -> tuple:
+    """(x, names, rows, nodes): the associated structure, the variables in
+    sorted order, every coloring by the flow as its values in that order, in
+    lexicographic order, and the depth-first run's nodes."""
+    x, net, values, run = _fibre_run(d, f, flow, True, budget)
+    rows = run.rows().astype(np.min_scalar_type(net.n - 1))
+    # value i on the fibre of g is i * |G| + g, a map that keeps the row order
+    rows *= f.group.n
+    rows += np.array(values, dtype=rows.dtype)
+    return x, net.names, rows, run.nodes
+
+
+def flow_coloring_rows(
+    d: Diagram, f: GFamilyQ | GFamilyB, flow: Flow, budget=None
+) -> tuple[list[str], np.ndarray]:
+    """coloring_rows for the colorings by the flow: the rows of the listing
+    ``colorings_by_flow(want_list=True)``, without a Coloring per row."""
+    _, names, rows, _ = _flow_rows(d, f, flow, budget)
+    return names, rows
+
+
+def coloring_rows(d: Diagram, x: MCB | MCQ, budget=None) -> tuple[list[str], list]:
     """The variables in sorted order and every coloring as its values in that
     order, the rows in the order of a listing (want_list=True)."""
     net = _network(d, x)
-    return net.names, _depth_first(net, domains=domains, budget=budget).rows()
+    return net.names, _depth_first(net, budget=budget).rows()
 
 
 def per_flow_counts(d: Diagram, f: GFamilyQ | GFamilyB, budget=None) -> dict[Flow, int]:

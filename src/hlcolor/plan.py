@@ -20,6 +20,10 @@ structures: the partial colorings of one component are the rows of a numpy
 array, column j holding variable j, and each level expands every row at
 once, then keeps the rows its lookups and checks allow.  Both run the same
 levels, so they give the same count.
+
+A count or listing by one G-flow (``on_fibres``) takes the row executor's
+plan of the associated structure and swaps each table for its fibre at the
+flow, then runs the result on either executor.
 """
 
 from __future__ import annotations
@@ -63,15 +67,17 @@ class _Levels:
     (``lists``) the tables are nested lists: a source is (lists, a, b),
     where var takes lists[vals[a]] (lists[vals[a]][vals[b]]), and each lookup
     and check is (lists, a, b, c) on lists[vals[a]][vals[b]].
+
+    A lookup or check holds the variables of its equation's three slots; a
+    source holds two at most, so ``sources`` names, part by part and level
+    by level, the variables in slots 0 and 1 of the source's equation, or
+    None for no source.
     """
 
-    def __init__(self, net, fixed: frozenset, lists: bool):
-        self.n, self.size = net.n, len(net.names)
-        self.full = [True] * net.n + [False]  # index -1, an undefined entry, is never allowed
-        placer = _Placer(net, fixed, lists)
-        self.prefix = placer.settle([v for v in net.order if v in fixed])
-        placer.near.clear()  # the fixed variables belong to no component
-        self.parts = placer.parts()
+    def __init__(self, n: int, size: int, prefix: tuple, parts: list, sources: list):
+        self.n, self.size = n, size
+        self.full = [True] * n + [False]  # index -1, an undefined entry, is never allowed
+        self.prefix, self.parts, self.sources = prefix, parts, sources
 
 
 class _Placer:
@@ -125,9 +131,10 @@ class _Placer:
         first in left on a tie."""
         return max(left, key=self.score.__getitem__)
 
-    def source(self, var: int):
-        """Where var takes its values: the rule-table slot with the fewest
-        values expected beside var's placed neighbours, or None."""
+    def source(self, var: int) -> tuple:
+        """Where var takes its values, the rule-table slot with the fewest
+        values expected beside var's placed neighbours, and the variables in
+        slots 0 and 1 of its equation; (None, None) if there is none."""
         net, placed, n = self.net, self.placed, self.net.n
         source, fan = None, n
         for e in net.var_eqs[var]:
@@ -146,7 +153,7 @@ class _Placer:
             if guess < fan:
                 source, fan = (e, keys, i), guess
         if source is None:
-            return None
+            return None, None
         e, keys, i = source
         slots = net.eqs[e]
         t, a, b = slots[3], slots[keys[0]], -1
@@ -154,30 +161,33 @@ class _Placer:
             b = slots[keys[1]]
             self.done.add(e)  # the candidates satisfy it
         if self.lists:
-            return t.candidate_lists(keys, i), a, b
-        return t, keys, i, a, b
+            return (t.candidate_lists(keys, i), a, b), slots[:2]
+        return (t, keys, i, a, b), slots[:2]
 
-    def parts(self) -> list[tuple]:
+    def parts(self) -> tuple[list, list]:
         """Walk the open variables once, in the order of the network's
         records; a component ends when no open variable shares an equation
-        with one of its variables, and the next starts."""
+        with one of its variables, and the next starts.  Returns the parts
+        and the slot-0 and slot-1 variables of their sources (_Levels)."""
         placed = self.placed
         left = [v for v in self.net.order if v not in placed]
-        parts = []
+        parts, sources = [], []
         while left:
             near = [v for v in left if v in self.near]
             if not near:
-                comp, levels = [], []
+                comp, levels, named = [], [], []
                 parts.append((comp, levels))
+                sources.append(named)
             var = self.branch_var(near or left)
-            source = self.source(var)
+            source, ab = self.source(var)
+            named.append(ab)
             placed.add(var)
             lookups, checks = self.settle([var])
             levels.append((var, source, lookups, checks))
             comp.append(var)
             comp += [lookup[-1] for lookup in lookups]
             left = [v for v in left if v not in placed]
-        return [(comp, levels, getter(comp)) for comp, levels in parts]
+        return [(comp, levels, getter(comp)) for comp, levels in parts], sources
 
 
 def _levels(net, fixed: frozenset, lists: bool = True) -> _Levels:
@@ -187,7 +197,10 @@ def _levels(net, fixed: frozenset, lists: bool = True) -> _Levels:
     key = fixed if lists else None
     plan = net.plans.get(key)
     if plan is None:
-        plan = net.plans[key] = _Levels(net, fixed, lists)
+        placer = _Placer(net, fixed, lists)
+        prefix = placer.settle([v for v in net.order if v in fixed])
+        placer.near.clear()  # the fixed variables belong to no component
+        plan = net.plans[key] = _Levels(net.n, len(net.names), prefix, *placer.parts())
     return plan
 
 
@@ -442,3 +455,46 @@ def count(net, domains=None, budget=None) -> tuple[int, int]:
     plan = _levels(net, frozenset(), lists=False)
     run = _RowCount(plan, {net.index[v]: vals for v, vals in (domains or {}).items()}, budget)
     return run.count(), run.nodes
+
+
+# -- runs on fibres ------------------------------------------------------------------
+
+# the places in a row-form lookup (table, slot, a, b, c) of the variables in
+# slots 0 and 1 of its equation, by slot: a and b fill the slots KEYS[slot],
+# and c fills slot itself
+_LOOKUP_AB = {i: tuple(2 + keys.index(s) if s in keys else 4 for s in (0, 1))
+              for i, keys in KEYS.items()}
+
+
+def on_fibres(net, flow: list[int], ng: int, lists: bool, budget=None) -> _Run | _RowCount:
+    """A run of the row executor's plan of the network of an associated MCB
+    or MCQ (hlcolor.gfamily) with each table swapped for its fibre at the
+    flow: on the depth-first executor if lists, else on the row executor.
+
+    flow holds each variable's group element in a group of ng elements; an
+    equation reads its table's fibre (coloring._RuleTable.fibre) at the
+    elements of its slot-0 and slot-1 variables, and value i of a variable
+    stands for i * ng + its element.
+    """
+    plan = _levels(net, frozenset(), lists=False)
+    parts = []
+    for (comp, levels, take), sources in zip(plan.parts, plan.sources):
+        out = []
+        for (var, source, lookups, checks), ab in zip(levels, sources):
+            if source is not None:
+                t, keys, slot, a, b = source
+                t = t.fibre(flow[ab[0]], flow[ab[1]], ng)
+                source = (t.candidate_lists(keys, slot), a, b) if lists else (t, keys, slot, a, b)
+            fibred = []
+            for lookup in lookups:
+                t, slot, *abc = lookup
+                p, q = _LOOKUP_AB[slot]
+                t = t.fibre(flow[lookup[p]], flow[lookup[q]], ng)
+                fibred.append((t.lookup_lists[slot], *abc) if lists else (t, slot, *abc))
+            checks = [(t.fibre(flow[a], flow[b], ng), a, b, c) for t, a, b, c in checks]
+            if lists:
+                checks = [(t.lookup_lists[2], a, b, c) for t, a, b, c in checks]
+            out.append((var, source, fibred, checks))
+        parts.append((comp, out, take))
+    levels = _Levels(net.n // ng, len(net.names), ([], []), parts, plan.sources)
+    return _Run(levels, {}, {}, budget) if lists else _RowCount(levels, {}, budget)

@@ -23,6 +23,7 @@ from hlcolor.coloring import (
     verify_correspondence,
 )
 from hlcolor.diagram import (
+    arcs_of,
     build_braid,
     build_braid_open,
     disjoint_union,
@@ -233,6 +234,56 @@ def test_per_flow_decomposition(mcq6, dihedral_family):
     assert sum(table.values()) == total == 12
     counts = sorted(table.values())
     assert counts == [3, 9]
+
+
+def _fibre_domains(d, f, flow) -> dict:
+    """Each variable's fibre in the associated structure of f: the elements
+    i * |G| + g, g its flow value."""
+    on_arcs = isinstance(f, GFamilyQ)
+    arcs, fd, ng = arcs_of(d), flow.as_dict(), f.group.n
+    return {v: [i * ng + fd[v if on_arcs else arcs[v]] for i in range(f.n)]
+            for v in coloring_vars(d, on_arcs)}
+
+
+def test_per_flow_runs_match_the_fibre_domains_everywhere(corpus_structures, corpus_diagrams,
+                                                          monkeypatch):
+    """Every corpus family and its Q_G image, on every diagram and flow: the
+    per-flow count and listing equal enumerate_colorings on the associated
+    structure with each variable's fibre as its domain, and on the
+    depth-first executor the fibre run tries no more values than that run.
+    Families of at most 6 elements also match the restricted brute force
+    wherever its space has at most 2,500 assignments."""
+    from hlcolor import coloring
+
+    families = []
+    for name, f in sorted(corpus_structures.items()):
+        if isinstance(f, GFamilyB):
+            families += [(name, f), (f"QG({name})", qg_map(f))]
+        elif isinstance(f, GFamilyQ):
+            families.append((name, f))
+    calls = brute = 0
+    for fname, f in families:
+        x = associated_mcq(f) if isinstance(f, GFamilyQ) else associated_mcb(f)
+        for dname, d in sorted(corpus_diagrams.items()):
+            vars_ = coloring_vars(d, isinstance(f, GFamilyQ))
+            for flow in enumerate_flows(d, f.group):
+                where = (fname, dname, flow.assignment)
+                domains = _fibre_domains(d, f, flow)
+                assert (colorings_by_flow(d, f, flow).count
+                        == enumerate_colorings(d, x, domains=domains).count), where
+                got = colorings_by_flow(d, f, flow, want_list=True).colorings
+                want = enumerate_colorings(d, x, want_list=True, domains=domains).colorings
+                assert [c.assignment for c in got] == [c.assignment for c in want], where
+                with monkeypatch.context() as m:
+                    m.setattr(coloring, "_PLAN_MIN_DOMAIN", 10**9)  # every count depth-first
+                    assert (colorings_by_flow(d, f, flow).nodes
+                            <= enumerate_colorings(d, x, domains=domains).nodes), where
+                if f.n <= 6 and f.n ** len(vars_) <= 2_500:
+                    assert ([c.restrict(vars_) for c in got]
+                            == _restricted_brute_force(d, x, domains)), where
+                    brute += 1
+                calls += 1
+    assert len(families) == 9 and calls == 5824 and brute == 246, (calls, brute)
 
 
 def test_colorings_by_flow_theta(corpus_structures):
@@ -563,7 +614,7 @@ def test_plan_runs_in_slices_with_the_same_count_and_nodes(corpus_structures, co
 def test_counts_take_the_plan_only_for_large_domains(corpus_structures, corpus_diagrams,
                                                      monkeypatch):
     """The plan counts when the widest domain reaches _PLAN_MIN_DOMAIN; listings,
-    small structures and the per-flow domains of a 9-element family keep the
+    small structures and the per-flow counts of a 9-element family keep the
     depth-first plan."""
     from hlcolor import coloring, plan
 

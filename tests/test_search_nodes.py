@@ -6,7 +6,7 @@ table covers every corpus (structure, diagram) pair that takes the
 depth-first plan: each MCB and MCQ of under 16 elements among the corpus
 files, the associated MCBs and MCQs of the family files and the Q(X) of every
 such MCB, plus the G-flows of every corpus group and family group, and the
-per-flow counts of the small families.  The plan's order follows the records
+per-flow counts of the small families, run on each flow's fibres.  The plan's order follows the records
 of a diagram, not its names, so relabeled diagrams give the same table, and
 the row executor, which runs the same plan, gives the same (count, nodes) on
 relabeled diagrams for every target it counts.
@@ -36,7 +36,7 @@ from hlcolor.plan import count, depth_first
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "search-nodes.txt")
 
 SEARCH_MAX = 15  # counts on more elements take the row executor
-PER_FLOW_MAX = 15  # per-flow domains of more elements take the row executor
+PER_FLOW_MAX = 15  # per-flow counts on larger families take the row executor
 
 
 def _targets(structures):
