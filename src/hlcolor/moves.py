@@ -46,6 +46,18 @@ ask for the variant when pictures of both vertex kinds match.  An inverse
 site carries the variant of the picture used.  Rewrites preserve flow and
 coloring counts for every structure; colorings transport uniquely across
 each rewrite (``transport_coloring``).
+
+``find_sites`` matches each picture from the diagram's records, not from
+candidate ids.  The first record of a picture's match order is its anchor:
+one match starts at each of the diagram's records of the anchor's kind, and
+the rest of the side follows from the names that record binds.  A strand
+picture (R1 and R2 apply) has no records and matches at any ids: every
+semi-arc or loop for R1, every ordered pair of distinct semi-arcs for R2.
+Matches are keyed by their site ids.  A per-move list of candidates (sorted
+semi-arcs, or crossings and vertices in diagram order) gives the output
+order and each site's variant, and where several pictures match at one
+candidate, the first in table order wins, as in ``apply_move``.  A
+diagram's record index is built once and kept on the diagram.
 """
 
 from __future__ import annotations
@@ -166,16 +178,18 @@ _TABLE = _parse_pictures(_PICTURES)
 
 
 class _Records:
-    """A diagram's records, indexed by (semi-arc id, record kind, slot)."""
+    """A diagram's records, indexed by (semi-arc id, record kind, slot) and by kind."""
 
     def __init__(self, d: Diagram):
-        self.d = d
         self.ids = set(d.semiarcs) | set(d.loops)
         self.records = [("x+" if c.sign > 0 else "x-", c.slots()) for c in d.crossings]
         self.records += [("v<" if v.kind == "merge" else "v>", v.slots()) for v in d.vertices]
         self.index = {
             (s, kind, j): i for i, (kind, slots) in enumerate(self.records) for j, s in enumerate(slots)
         }
+        self.by_kind: dict[str, list[int]] = {}
+        for i, (kind, _) in enumerate(self.records):
+            self.by_kind.setdefault(kind, []).append(i)
 
     def consumer(self, s: str):
         """(record, slot) where semi-arc s ends, or None."""
@@ -185,13 +199,13 @@ class _Records:
                 return i, j
         return None
 
-    def match(self, pic: _Picture, ids):
-        """Bind the site to ids (None: bound by matching) and match the records
-        of the picture's source side; returns (bindings, matched records) or None."""
+    def match(self, pic: _Picture, env: dict, used=()):
+        """Match the records of the picture's source side from the names env
+        binds, used holding the records that the first records of its plan
+        matched; returns (bindings, matched records) or None."""
         side = pic.src
-        env = {v: s for v, s in zip(side.site, ids) if s is not None}
-        used: list[int] = []
-        for kind, names in side.plan:
+        env, used = dict(env), list(used)
+        for kind, names in side.plan[len(used):]:
             j = next(j for j, v in enumerate(names) if v in env)
             i = self.index.get((env[names[j]], kind, j))
             if i is None or i in used:
@@ -211,27 +225,31 @@ class _Records:
                 return None
         return env, used
 
-    def find(self, move: str, direction: str, ids, variant: str):
-        """The picture matching at the site, with its bindings, or None."""
-        hits = []
-        for pic in _TABLE[move, direction]:
-            if variant and pic.variant != variant:
-                continue
-            found = self.match(pic, ids)
-            if found is None:
-                continue
-            if variant or (move[:2], direction) not in _ASK_VARIANT:
-                return (pic, *found)
-            hits.append((pic, *found))
-        if len(hits) > 1:
-            raise SiteMismatchError(
-                f"both vertex kinds match at {','.join(ids)}; set the variant to merge/split"
-            )
-        return hits[0] if hits else None
+    def anchored(self, pic: _Picture) -> dict:
+        """Every match of the picture's source side, by its site ids: one match
+        starts at each record of the anchor's kind that binds its names."""
+        side = pic.src
+        kind, names = side.plan[0]
+        hits = {}
+        for i in self.by_kind.get(kind, ()):
+            slots = self.records[i][1]
+            env = dict(zip(names, slots))
+            if all(env[v] == s for v, s in zip(names, slots)):
+                found = self.match(pic, env, (i,))
+                if found is not None:
+                    hits[tuple(found[0][v] for v in side.site)] = found
+        return hits
 
-    def build(self, site: MoveSite, pic: _Picture, env: dict, used: list[int]) -> MoveResult:
-        """Replace the matched records by the picture's other side."""
-        d, dst = self.d, pic.dst
+    def find(self, move: str, direction: str, ids, variant: str):
+        """The picture matching at the site, with its bindings, or None; an id
+        None is bound by matching."""
+        return _first(move, direction, ids, variant, (
+            (pic, self.match(pic, {v: s for v, s in zip(pic.src.site, ids) if s is not None}))
+            for pic in _TABLE[move, direction] if not variant or pic.variant == variant))
+
+    def build(self, d: Diagram, site: MoveSite, pic: _Picture, env: dict, used: list[int]) -> MoveResult:
+        """Replace the matched records of d by the picture's other side."""
+        dst = pic.dst
         out = {v: env[v] for v in dst.names if not v.isdigit()}
         loops = set(d.loops)
         for entry, exit_ in pic.strands:
@@ -279,6 +297,32 @@ class _Records:
         return MoveResult(d2, inverse, tuple(fresh))
 
 
+def _first(move: str, direction: str, ids, variant: str, matches):
+    """The first (picture, bindings, matched records) of matches, pairs of a
+    picture and its match or None in table order, or None; raises
+    SiteMismatchError where an empty variant must not pick a vertex kind."""
+    hits = []
+    for pic, found in matches:
+        if found is None:
+            continue
+        if variant or (move[:2], direction) not in _ASK_VARIANT:
+            return (pic, *found)
+        hits.append((pic, *found))
+    if len(hits) > 1:
+        raise SiteMismatchError(
+            f"both vertex kinds match at {','.join(ids)}; set the variant to merge/split"
+        )
+    return hits[0] if hits else None
+
+
+def _view(d: Diagram) -> _Records:
+    """d's record index, built once and stored on d."""
+    view = getattr(d, "_records", None)
+    if view is None:
+        view = d._records = _Records(d)
+    return view
+
+
 def apply_move(d: Diagram, site: MoveSite) -> MoveResult:
     """Rewrite the diagram at the given move site; raises SiteMismatchError."""
     pics = _TABLE.get((site.move, site.direction))
@@ -289,61 +333,68 @@ def apply_move(d: Diagram, site: MoveSite) -> MoveResult:
             f"{site.move} {site.direction} takes {len(pics[0].src.site)} site id(s), "
             f"got {len(site.ids)}"
         )
-    view = _Records(d)
+    view = _view(d)
     hit = view.find(site.move, site.direction, site.ids, site.variant)
     if hit is None:
         variant = f" {site.variant}" if site.variant else ""
         raise SiteMismatchError(
             f"no {site.move} {site.direction}{variant} picture at {','.join(site.ids)}"
         )
-    return view.build(site, *hit)
+    return view.build(d, site, *hit)
 
 
-def find_sites(d: Diagram, move: str, direction: str) -> list[MoveSite]:
-    """Enumerate every site where the move applies, in deterministic order."""
-    if (move, direction) not in _TABLE:
-        return []
-    candidates: list[tuple[tuple, str]] = []  # (ids, variant); None marks an id the match binds
+def _candidates(d: Diagram, move: str, direction: str) -> list[tuple[tuple, str]]:
+    """(ids, variant) of each possible site of the move, in output order; None
+    marks an id the match binds."""
     semiarcs = sorted(d.semiarcs)
     if move in ("R1a", "R1b"):
         if direction == "apply":
             ids = sorted(set(d.semiarcs) | set(d.loops))
-            candidates = [((s,), v) for s in ids for v in ("under", "over")]
-        else:
-            candidates = [((s,), "") for s in semiarcs]
-    elif move in ("R2a", "R2b"):
+            return [((s,), v) for s in ids for v in ("under", "over")]
+        return [((s,), "") for s in semiarcs]
+    if move in ("R2a", "R2b"):
         if direction == "apply":
-            candidates = [((s, u), v) for s in semiarcs for u in semiarcs if s != u
-                          for v in ("+-", "-+")]
-        else:
-            candidates = [((s,), "") for s in semiarcs]
-    elif move == "R3":
+            return [((s, u), v) for s in semiarcs for u in semiarcs if s != u
+                    for v in ("+-", "-+")]
+        return [((s,), "") for s in semiarcs]
+    if move == "R3":
         ins = [(c.over_in, c.under_in) for c in d.crossings if c.sign == 1]
         if direction == "apply":
-            candidates = [((a, b, None), "") for a, b in ins]
-        else:
-            candidates = [((None, b, c), "") for b, c in ins]
-    elif move in ("R4a", "R4b"):
+            return [((a, b, None), "") for a, b in ins]
+        return [((None, b, c), "") for b, c in ins]
+    if move in ("R4a", "R4b"):
         if direction == "apply":
             ins = [(c.over_in, c.under_in) for c in d.crossings]
-            candidates = [((o, u) if move == "R4a" else (u, o), "") for o, u in ins]
-        else:
-            candidates = [((s,), v) for s in semiarcs for v in ("merge", "split")]
-    elif move in ("R5a", "R5b"):
-        candidates = [((v.e3,), v.kind) for v in d.vertices]
-    elif move == "R6":
-        candidates = [((s,), "") for s in semiarcs]
-    if not candidates:
+            return [((o, u) if move == "R4a" else (u, o), "") for o, u in ins]
+        return [((s,), v) for s in semiarcs for v in ("merge", "split")]
+    if move in ("R5a", "R5b"):
+        return [((v.e3,), v.kind) for v in d.vertices]
+    return [((s,), "") for s in semiarcs]  # R6
+
+
+def find_sites(d: Diagram, move: str, direction: str) -> list[MoveSite]:
+    """Enumerate every site where the move applies, in deterministic order."""
+    pics = _TABLE.get((move, direction))
+    if pics is None:
         return []
-    view = _Records(d)
+    if not pics[0].src.records:  # a strand picture matches at every candidate
+        return [MoveSite(move, direction, ids, variant)
+                for ids, variant in _candidates(d, move, direction)]
+    hits = [_view(d).anchored(pic) for pic in pics]
+    if not any(hits):
+        return []
+    candidates = _candidates(d, move, direction)
+    # key each match as the candidates name it: None where they leave an id to the match
+    mask = [s is None for s in candidates[0][0]]
+    keyed = [{tuple(None if m else s for m, s in zip(mask, ids)): found for ids, found in hit.items()}
+             for hit in hits]
     sites = []
-    for ids, variant in candidates:
-        try:
-            hit = view.find(move, direction, ids, variant)
-        except SiteMismatchError:
-            continue
-        if hit is not None:
-            pic, env, _ = hit
+    for ids, variant in candidates:  # a vertex-kind choice always has its variant here
+        found = _first(move, direction, ids, variant, (
+            (pic, hit.get(ids)) for pic, hit in zip(pics, keyed)
+            if not variant or pic.variant == variant))
+        if found is not None:
+            pic, env, _ = found
             sites.append(MoveSite(move, direction, tuple(env[v] for v in pic.src.site), variant))
     return sites
 

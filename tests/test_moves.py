@@ -364,6 +364,23 @@ def test_a_rewritten_diagram_is_validated_once(x6, monkeypatch):
             bad.validate(allow_open=True)
 
 
+def test_a_diagram_indexes_its_records_once(monkeypatch):
+    """Every find_sites call on a diagram and an apply_move at each of its
+    sites read one record index, built on the first call and kept on it."""
+    from hlcolor import moves
+
+    built = []
+    init = moves._Records.__init__
+    monkeypatch.setattr(moves._Records, "__init__", lambda view, d: built.append(d) or init(view, d))
+    d = handcuff_clasp()
+    sites = [site for move in ALL_MOVES for direction in ("apply", "undo")
+             for site in find_sites(d, move, direction)]
+    assert len(sites) > 100
+    for site in sites:
+        apply_move(d, site)
+    assert len(built) == 1 and built[0] is d
+
+
 # -- the transport contract ------------------------------------------------------
 
 
