@@ -2,8 +2,9 @@
 move rewriting and coloring/flow computations.
 
 Exit codes: 0 success, 1 semantic failure (axiom violation, count mismatch,
-site mismatch, invalid flow or coloring), 2 parse or usage error, 3 search
-budget exceeded.
+site mismatch, invalid flow or coloring, failed transport), 2 parse or usage
+error, 3 search budget exceeded.  ``_ERRORS`` maps each error a command
+raises to its stderr line and exit code.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from hlcolor.coloring import (
     per_flow_counts,
     verify_correspondence,
 )
-from hlcolor.diagram import DiagramError, parse_diagram, serialize_diagram
+from hlcolor.diagram import parse_diagram_file, serialize_diagram
 from hlcolor.gfamily import (
     GFamilyB,
     GFamilyQ,
@@ -50,7 +51,7 @@ from hlcolor.mcqb import (
     q_functor_mcb,
     quandle_lift_mcb,
 )
-from hlcolor.moves import MoveSite, SiteMismatchError, apply_move, transport_coloring
+from hlcolor.moves import MoveSite, SiteMismatchError, TransportError, apply_move, transport_coloring
 from hlcolor.rings import SizeBoundExceededError, format_element
 from hlcolor.structio import (
     StructParseError,
@@ -62,6 +63,16 @@ from hlcolor.structio import (
 )
 
 EXIT_OK, EXIT_FAIL, EXIT_PARSE, EXIT_BUDGET = 0, 1, 2, 3
+
+# Each error a command lets through: (the prefix of its one stderr line, exit code).
+_ERRORS = {
+    StructParseError: ("parse error", EXIT_PARSE),
+    AxiomError: ("axiom violation", EXIT_FAIL),
+    FlowInvalidError: ("invalid flow", EXIT_FAIL),
+    SiteMismatchError: ("site mismatch", EXIT_FAIL),
+    SizeBoundExceededError: ("budget exceeded", EXIT_BUDGET),
+    TransportError: ("transport failed", EXIT_FAIL),
+}
 
 
 def _emit(args, key, value):
@@ -80,13 +91,9 @@ def _load(path: str, parse=parse_structure_file):
         raise SystemExit(EXIT_PARSE) from None
 
 
-def _load_diagram(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_diagram(fh.read())
-    except DiagramError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE) from None
+def _emit_flow(args, i: int, flow, tail: str = "") -> None:
+    """The line of flow i: its arc:value pairs, then tail."""
+    _emit(args, f"flow {i}", " ".join(f"{a}:{v}" for a, v in flow.assignment) + tail)
 
 
 _CHECKERS = {Quandle: quandle_check, Biquandle: biquandle_check, MCQ: mcq_check, MCB: mcb_check,
@@ -94,6 +101,7 @@ _CHECKERS = {Quandle: quandle_check, Biquandle: biquandle_check, MCQ: mcq_check,
 
 # A G-family colors a diagram through its associated MCQ or MCB.
 _ASSOCIATED = {GFamilyQ: associated_mcq, GFamilyB: associated_mcb}
+_COLORS = (MCQ, MCB, *_ASSOCIATED)  # the structures that color a diagram
 
 # functor, qg and each build target: (input class -> constructor, the message
 # for any other input, the message when the input fails its axioms or None to
@@ -109,6 +117,16 @@ _CONSTRUCTIONS = {
     "lift": ({MCQ: quandle_lift_mcb}, "lift expects an MCQ file", None),
     "tables": (dict.fromkeys(_CHECKERS, lambda obj: obj), None, None),
 }
+
+
+def _colored_by(obj, kinds: tuple, expects: str):
+    """The MCQ or MCB that obj colors with: itself, or a G-family's associated
+    structure.  An obj of none of kinds exits 1 with the line expects."""
+    if not isinstance(obj, kinds):
+        print(expects, file=sys.stderr)
+        raise SystemExit(EXIT_FAIL)
+    make = _ASSOCIATED.get(type(obj))
+    return make(obj) if make else obj
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -162,7 +180,7 @@ def _group_from_args(args):
 
 
 def cmd_flows(args) -> int:
-    d = _load_diagram(args.diagram)
+    d = _load(args.diagram, parse_diagram_file)
     g = _group_from_args(args)
     if not args.list:
         # a count of the colorings by g's conjugation MCQ, without a Flow per row
@@ -171,14 +189,13 @@ def cmd_flows(args) -> int:
     flows = enumerate_flows(d, g)
     _emit(args, "count", len(flows))
     for i, flow in enumerate(flows):
-        body = " ".join(f"{a}:{v}" for a, v in flow.assignment)
-        _emit(args, f"flow {i}", body)
+        _emit_flow(args, i, flow)
     return EXIT_OK
 
 
 def cmd_color(args) -> int:
     obj = _load(args.structure)
-    d = _load_diagram(args.diagram)
+    d = _load(args.diagram, parse_diagram_file)
     family = type(obj) in _ASSOCIATED
     if not family and (args.dim or args.flow or args.per_flow):
         print("--dim, --flow and --per-flow need a G-family structure", file=sys.stderr)
@@ -189,56 +206,38 @@ def cmd_color(args) -> int:
     if args.dim and getattr(obj, "alexander", None) is None:
         print("--dim needs an Alexander family", file=sys.stderr)
         return EXIT_PARSE
-    flow = None
-    try:
-        if family:
-            flow = _load(args.flow, parse_flow_file) if args.flow else None
-            if args.per_flow:
-                table = per_flow_counts(d, obj, budget=args.budget)
-                _emit(args, "count", sum(table.values()))
-                for i, (fl, n) in enumerate(table.items()):
-                    body = " ".join(f"{a}:{v}" for a, v in fl.assignment)
-                    _emit(args, f"flow {i}", f"{body} count={n}")
-                return EXIT_OK
-            if args.dim and flow is None:
-                print("--dim needs --flow", file=sys.stderr)
-                return EXIT_PARSE
-            if flow is not None:
-                if args.dim:
-                    rep = linear_colorings(d, obj, flow)
-                    _emit(args, "count", rep.count)
-                    if rep.module_info is not None:
-                        _emit(args, "dimension", rep.module_info[0])
-                        if args.list and rep.module_info[1]:
-                            vars_ = coloring_vars(d, isinstance(obj, GFamilyQ))
-                            for i, vec in enumerate(rep.module_info[1]):
-                                body = " ".join(
-                                    f"{v}:{format_element(e)}" for v, e in zip(vars_, vec)
-                                )
-                                _emit(args, f"basis {i}", body)
-                    return EXIT_OK
-            else:
-                x = _ASSOCIATED[type(obj)](obj)
-        elif isinstance(obj, (MCQ, MCB)):
-            x = obj
-        else:
-            print("color expects an MCQ/MCB or G-family structure", file=sys.stderr)
-            return EXIT_FAIL
-        # a listing prints from the sorted rows, without a Coloring per row
-        if args.list:
-            names, rows = (coloring_rows(d, x, budget=args.budget) if flow is None
-                           else flow_coloring_rows(d, obj, flow, budget=args.budget))
-            count = len(rows)
-        elif flow is not None:
-            count = colorings_by_flow(d, obj, flow, budget=args.budget).count
-        else:
-            count = enumerate_colorings(d, x, budget=args.budget).count
-    except SizeBoundExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except FlowInvalidError as exc:
-        print(f"invalid flow: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    if args.dim and not args.flow:
+        print("--dim needs --flow", file=sys.stderr)
+        return EXIT_PARSE
+    flow = _load(args.flow, parse_flow_file) if args.flow else None
+    if args.per_flow:
+        table = per_flow_counts(d, obj, budget=args.budget)
+        _emit(args, "count", sum(table.values()))
+        for i, (fl, n) in enumerate(table.items()):
+            _emit_flow(args, i, fl, f" count={n}")
+        return EXIT_OK
+    if args.dim:
+        rep = linear_colorings(d, obj, flow)
+        _emit(args, "count", rep.count)
+        if rep.module_info is not None:
+            _emit(args, "dimension", rep.module_info[0])
+            if args.list and rep.module_info[1]:
+                vars_ = coloring_vars(d, isinstance(obj, GFamilyQ))
+                for i, vec in enumerate(rep.module_info[1]):
+                    body = " ".join(f"{v}:{format_element(e)}" for v, e in zip(vars_, vec))
+                    _emit(args, f"basis {i}", body)
+        return EXIT_OK
+    x = obj if flow is not None else _colored_by(
+        obj, _COLORS, "color expects an MCQ/MCB or G-family structure")
+    # a listing prints from the sorted rows, without a Coloring per row
+    if args.list:
+        names, rows = (coloring_rows(d, x, budget=args.budget) if flow is None
+                       else flow_coloring_rows(d, x, flow, budget=args.budget))
+        count = len(rows)
+    elif flow is not None:
+        count = colorings_by_flow(d, x, flow, budget=args.budget).count
+    else:
+        count = enumerate_colorings(d, x, budget=args.budget).count
     _emit(args, "count", count)
     if args.list:
         for i, row in enumerate(rows):
@@ -248,23 +247,10 @@ def cmd_color(args) -> int:
 
 def cmd_verify(args) -> int:
     obj = _load(args.structure)
-    d = _load_diagram(args.diagram)
-    family = None
-    if isinstance(obj, GFamilyB):
-        family = obj
-        x = associated_mcb(obj)
-    elif isinstance(obj, MCB):
-        x = obj
-    else:
-        print("verify expects an MCB or G-family-of-biquandles file", file=sys.stderr)
-        return EXIT_FAIL
-    try:
-        report = verify_correspondence(
-            d, x, family=family if args.per_flow else None, budget=args.budget
-        )
-    except SizeBoundExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    d = _load(args.diagram, parse_diagram_file)
+    x = _colored_by(obj, (MCB, GFamilyB), "verify expects an MCB or G-family-of-biquandles file")
+    family = obj if args.per_flow and isinstance(obj, GFamilyB) else None
+    report = verify_correspondence(d, x, family=family, budget=args.budget)
     _emit(args, "count_mcb", report.count_mcb)
     _emit(args, "count_mcq", report.count_mcq)
     _emit(args, "equal", str(report.equal).lower())
@@ -275,39 +261,31 @@ def cmd_verify(args) -> int:
             _emit(args, "dims_equal", str(report.dims_equal).lower())
             ok = ok and report.dims_equal
         for i, (fl, nb, nq) in enumerate(report.per_flow):
-            body = " ".join(f"{a}:{v}" for a, v in fl.assignment)
-            _emit(args, f"flow {i}", f"{body} mcb={nb} mcq={nq}")
+            _emit_flow(args, i, fl, f" mcb={nb} mcq={nq}")
         ok = ok and report.per_flow_equal
     return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_move(args) -> int:
-    d = _load_diagram(args.diagram)
+    d = _load(args.diagram, parse_diagram_file)
     site = MoveSite(args.move, args.direction, tuple(args.site.split(",")), args.variant)
-    try:
-        result = apply_move(d, site)
-    except SiteMismatchError as exc:
-        print(f"site mismatch: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    result = apply_move(d, site)
+    moved = None
     if args.transport:
         if not args.structure:
             print("--transport needs --structure", file=sys.stderr)
             return EXIT_FAIL
-        x = _load(args.structure)
-        if type(x) in _ASSOCIATED:
-            x = _ASSOCIATED[type(x)](x)
-        elif not isinstance(x, (MCQ, MCB)):
-            print("--transport expects an MCQ/MCB or G-family structure", file=sys.stderr)
-            return EXIT_FAIL
+        x = _colored_by(_load(args.structure), _COLORS,
+                        "--transport expects an MCQ/MCB or G-family structure")
         with open(args.transport, encoding="utf-8") as fh:
             assignment = parse_coloring_assignment(fh.read())
         problem = coloring_problem(d, x, assignment)
         if problem is not None:
             print(f"invalid coloring: {problem}", file=sys.stderr)
             return EXIT_FAIL
-    _write_out(args.out, serialize_diagram(result.diagram))
-    if args.transport:
         moved = transport_coloring(d, result.diagram, Coloring(x, assignment), x)
+    _write_out(args.out, serialize_diagram(result.diagram))
+    if moved is not None:
         _write_out(args.transport_out, serialize_coloring(moved))
     return EXIT_OK
 
@@ -414,12 +392,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except StructParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except AxiomError as exc:
-        print(f"axiom violation: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    except tuple(_ERRORS) as exc:
+        prefix, code = next(v for cls, v in _ERRORS.items() if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     except MemoryError:
         print("error: out of memory (the structure is too large to build)", file=sys.stderr)
         return EXIT_FAIL

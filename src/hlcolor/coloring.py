@@ -24,10 +24,11 @@ variable on the fibre of its flow value; colorings_by_flow runs the
 associated structure's plan on the fibres of its tables, which are the
 family's own tables, once per flow.
 
-This rule set is the unique one (up to a global mirror relabeling) that
-passes the kink, slide and triangle invariance tests together with the
-MCB/MCQ correspondence and reverse-mirror transfer on the structure corpus;
-it is pinned by those tests rather than by figure inspection (see README).
+On structures with abelian blocks, this rule set passes the kink, slide and
+triangle invariance tests together with the MCB/MCQ correspondence and
+reverse-mirror transfer on the structure corpus; it is pinned by those tests
+rather than by figure inspection (see README).  On S3-block structures,
+counts change at R4a, R5a and R5b.
 """
 
 from __future__ import annotations
@@ -433,7 +434,8 @@ def _check_flow(
     coloring of d by its conjugation MCQ (``coloring_problem``).
     """
     if flow.group is not group and flow.group != group:
-        raise FlowInvalidError(f"flow group has order {flow.group.n}, the family's has {group.n}")
+        raise FlowInvalidError(f"flow group (order {flow.group.n}) is not the family's group "
+                               f"(order {group.n})")
     fd = flow.as_dict()
     problem = coloring_problem(d, group, fd)
     if problem is not None:

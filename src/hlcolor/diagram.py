@@ -191,6 +191,11 @@ def parse_diagram(text: str, allow_open: bool = False) -> Diagram:
     return d
 
 
+def parse_diagram_file(path: str) -> Diagram:
+    with open(path, encoding="utf-8") as fh:
+        return parse_diagram(fh.read())
+
+
 def serialize_diagram(d: Diagram) -> str:
     """Canonical form: sorted ids first, then records in declaration order."""
     lines = [f"semiarc {s}" for s in d.semiarcs]

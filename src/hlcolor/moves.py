@@ -43,9 +43,11 @@ a strand that runs on into the other strand does not match.
 An empty variant takes the first picture that matches (``under`` for R1
 apply, ``+-`` for R2 apply, merge for R4 apply), except that R4 undo and R5
 ask for the variant when pictures of both vertex kinds match.  An inverse
-site carries the variant of the picture used.  Rewrites preserve flow and
-coloring counts for every structure; colorings transport uniquely across
-each rewrite (``transport_coloring``).
+site carries the variant of the picture used.  On structures with abelian
+blocks, every rewrite preserves flow and coloring counts and each coloring
+transports uniquely across it (``transport_coloring``).  On S3-block
+structures, counts change at R4a, R5a and R5b, and a transport there can
+fail (``TransportError``).
 
 ``find_sites`` matches each picture from the diagram's records, not from
 candidate ids.  The first record of a picture's match order is its anchor:
@@ -73,6 +75,10 @@ from hlcolor.plan import _levels, _Run, extend, getter
 
 class SiteMismatchError(ValueError):
     """The requested move pattern is not present at the given site."""
+
+
+class TransportError(RuntimeError):
+    """A coloring has no unique extension across a rewrite."""
 
 
 @dataclass(frozen=True)
@@ -405,8 +411,10 @@ def find_sites(d: Diagram, move: str, direction: str) -> list[MoveSite]:
 def transport_coloring(d: Diagram, d2: Diagram, c, x) -> Coloring:
     """The unique coloring of d2 agreeing with c away from the rewrite site.
 
-    d2 must be the result of a move on d; failure to find exactly one
-    extension indicates a wiring bug and raises RuntimeError.
+    d2 must be the result of a move on d.  Failure to find exactly one
+    extension raises TransportError: on structures with abelian blocks it
+    indicates a wiring bug, and on S3-block structures it can happen at R4a,
+    R5a and R5b, whose pictures the vertex rule does not yet agree with.
 
     The values kept from c are those of each kept semi-arc on an MCB and, on
     an MCQ, of each new arc from the old arc of a shared semi-arc.  They fix
@@ -442,10 +450,10 @@ def transport_coloring(d: Diagram, d2: Diagram, c, x) -> Coloring:
     fed = read(source)
     for p, name in same:
         if source[name] != fed[p]:
-            raise RuntimeError("inconsistent arc transport; wiring bug")
+            raise TransportError("inconsistent arc transport; wiring bug")
     if not fed or 0 <= min(fed) and max(fed) < net.n:
         found = extend(plan, list(spread(fed + (0,))))
         if found is not None:
             return Coloring(x, dict(zip(net.names, found)))
     found = _Run(plan, dict(zip(kept, fed)), {}).count()
-    raise RuntimeError(f"transport expected a unique extension, found {found}; wiring bug")
+    raise TransportError(f"transport expected a unique extension, found {found}; wiring bug")

@@ -400,8 +400,9 @@ def compile_homogeneous(ncols: int, rows: Sequence[tuple[int, list]]) -> tuple:
 def run_homogeneous(ring: FiniteRing, program: tuple, values) -> LinearSystemSolution:
     """Solve a compiled system with the entries that ``values[slot]`` picks:
     the forms one parameter at a time (the solution with it 1, the others 0),
-    the residual system by ``solve_linear``, and over a field its kernel's
-    basis mapped back and reduced to the Gauss-Jordan basis of the full system."""
+    the residual system by ``solve_linear`` when a nonzero row is left, and
+    over a field its kernel's basis mapped back and reduced to the
+    Gauss-Jordan basis of the full system."""
     tb = ring.tables
     mul, add, neg, inv = tb.mul, tb.add, tb.neg, tb.inv
     ncols, params, heads, slots, pivots, ends, cols, coefs = program
@@ -425,11 +426,14 @@ def run_homogeneous(ring: FiniteRing, program: tuple, values) -> LinearSystemSol
         sides.append(side)
     residual = [form for form in zip(*sides) if any(form)]
     els = tb.elements
-    sol = solve_linear(
-        ring,
-        [[els[x] for x in form] for form in residual] or [[ring.zero] * len(params)],
-        [ring.zero] * max(len(residual), 1),
-    )
+    if residual:
+        sol = solve_linear(ring, [[els[x] for x in form] for form in residual],
+                           [ring.zero] * len(residual))
+    else:  # every parameter is free; over a field the kernel's basis is the unit vectors
+        k = len(params)
+        units = [[ring.one if i == j else ring.zero for j in range(k)] for i in range(k)]
+        sol = (LinearSystemSolution(ring.size**k, k, units) if ring.is_field
+               else LinearSystemSolution(ring.size**k))
     if sol.dimension is None:
         return LinearSystemSolution(cardinality=sol.cardinality, particular=[ring.zero] * ncols)
     # Each kernel vector is mapped through the forms, then reduced to a 1 at

@@ -286,6 +286,10 @@ def parse_flow_file(path: str):
 
 
 def serialize_flow(flow) -> str:
+    """The flow file of a flow by a cyclic group; any other group raises ValueError."""
+    if flow.group != cyclic_group(flow.group.n):
+        raise ValueError(f"flow zn={flow.group.n} names Z_{flow.group.n}; this flow's group "
+                         "is another group of that order")
     lines = [f"flow zn={flow.group.n}"]
     for arc, g in flow.assignment:
         lines.append(f"assign {arc} {g}")

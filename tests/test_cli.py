@@ -740,3 +740,66 @@ def test_a_directory_for_a_file_exits_2_without_a_traceback(capsys, tmp_path, ar
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+KLEIN_FOUR = "group table n=4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n"
+
+
+def test_a_flow_by_another_group_of_the_same_order_says_the_groups_differ(capsys, tmp_path):
+    # it used to print "flow group has order 4, the family's has 4"
+    (tmp_path / "klein.txt").write_text(KLEIN_FOUR)
+    (tmp_path / "f.txt").write_text("flow group=klein.txt\nassign s1 1\nassign s2 2\nassign s3 3\n")
+    code = main(["color", corpus_path("structures", "z5-z4-family.txt"),
+                 corpus_path("diagrams", "theta.txt"), "--flow", str(tmp_path / "f.txt")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "invalid flow: flow group (order 4) is not the family's group (order 4)\n"
+
+
+def _transport_across_theta_r5a(structure: str) -> list[str]:
+    """R5a apply split on theta, with a coloring that has no extension
+    across it by an S3-block structure."""
+    return ["move", corpus_path("diagrams", "theta.txt"), "--move", "R5a", "--site", "s3",
+            "--variant", "split", "--transport", "col.txt",
+            "--structure", corpus_path("structures", f"{structure}.txt"),
+            "-o", "d2.txt", "--transport-out", "moved.txt"]
+
+
+# One call per entry of cli._ERRORS: (argv in a directory holding FILES,
+# the stderr prefix, the exit code).
+ERROR_CALLS = {
+    "parse": (["move", corpus_path("diagrams", "trefoil.txt"), "--move", "R1a", "--site", "s1",
+               "--transport", "bad-col.txt",
+               "--structure", corpus_path("structures", "assoc-z3-z2-mcb.txt")],
+              "parse error", 2),
+    "axiom": (["color", "bad-mcb.txt", corpus_path("diagrams", "trefoil.txt")],
+              "axiom violation", 1),
+    "flow": (["color", corpus_path("structures", "gf9-z8-family.txt"),
+              corpus_path("diagrams", "trefoil.txt"), "--flow", "z4-flow.txt"],
+             "invalid flow", 1),
+    "site": (["move", corpus_path("diagrams", "trefoil.txt"), "--move", "R5a", "--site", "s1"],
+             "site mismatch", 1),
+    "budget": (["color", corpus_path("structures", "assoc-z5-z4-mcb.txt"),
+                corpus_path("diagrams", "fig8.txt"), "--budget", "5"],
+               "budget exceeded", 3),
+    "transport-mcb": (_transport_across_theta_r5a("lift-s3-conj-mcb"), "transport failed", 1),
+    "transport-mcq": (_transport_across_theta_r5a("s3-conj-mcq"), "transport failed", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CALLS))
+def test_each_error_exits_with_its_code_and_one_stderr_line(tmp_path, case):
+    argv, prefix, exit_code = ERROR_CALLS[case]
+    (tmp_path / "bad-col.txt").write_text("colouring\nassign s1 0\n")
+    _non_bijective_mcb(tmp_path)  # bad-mcb.txt
+    (tmp_path / "z4-flow.txt").write_text("flow zn=4\nassign s1 2\nassign s2 2\nassign s4 2\n")
+    (tmp_path / "col.txt").write_text("coloring\nassign s1 1\nassign s2 3\nassign s3 5\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hlcolor", *argv], capture_output=True,
+                          text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=60)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == exit_code
+    assert proc.stderr.startswith(f"{prefix}: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / "d2.txt").exists() and not (tmp_path / "moved.txt").exists()

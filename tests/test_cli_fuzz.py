@@ -188,7 +188,12 @@ CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 SMALL_DIAGRAMS = ("trefoil", "theta", "loop", "kinked-unknot", "clasp", "union-loop-loop")
 MOVE_NAMES = ("R1a", "R1b", "R2a", "R2b", "R3", "R4a", "R4b", "R5a", "R5b", "R6", "R7", "r1a", "")
 VARIANTS = ("", "under", "over", "+-", "-+", "merge", "split", "sideways")
-STRUCTURES = ("assoc-z3-z2-mcb", "s3-conj-mcq", "z3-z2-family", "dihedral3", "z8")
+# lift-s3-conj-mcb and s3-conj-mcq have S3 blocks, on which a transport can fail.
+# Of the 300 examples of the arguments-and-transport test, 26 pass one of them
+# to --structure (hypothesis 6.155, derandomized) and none reaches a failing
+# transport; the error table test in tests/test_cli.py runs that case.
+STRUCTURES = ("assoc-z3-z2-mcb", "s3-conj-mcq", "lift-s3-conj-mcb", "z3-z2-family", "dihedral3",
+              "z8")
 IDS = ("s1", "s2", "s3", "s4", "s5", "s6", "l0", "a", "r1a#1", "")
 RECORDS = ("semiarc", "loop", "x+", "x-", "v<", "v>", "x0")
 

@@ -460,7 +460,7 @@ def test_solve_homogeneous_matches_the_full_solve_and_brute_force(name, monkeypa
         seen["column in no row"] += any(all(j not in row for row in rows) for j in range(ncols))
         seen["row without a unit"] += any(row and all(tb.inv[c] < 0 for c in row.values())
                                           for row in rows)
-        seen["residual"] += residuals.pop()
+        seen["residual"] += residuals.pop() if residuals else False  # no call: nothing left
         seen["dimension > 0"] += bool(got.dimension)
     if ring.is_field:
         del seen["row without a unit"]

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from hlcolor.algebra import Biquandle, Quandle, dihedral_quandle
-from hlcolor.coloring import Flow
+from hlcolor.coloring import Flow, enumerate_flows
+from hlcolor.diagram import theta_curve
 from hlcolor.gfamily import GFamilyB, GFamilyQ, qg_map
-from hlcolor.groups import FiniteGroup, cyclic_group
+from hlcolor.groups import FiniteGroup, cyclic_group, symmetric_group
 from hlcolor.mcqb import MCB, MCQ
 from hlcolor.structio import (
     StructParseError,
@@ -86,6 +87,13 @@ def test_flow_roundtrip():
     text = serialize_flow(flow)
     again = parse_flow(text)
     assert again == flow
+
+
+def test_serialize_flow_rejects_a_group_that_zn_cannot_name():
+    # an S3 flow used to be written as flow zn=6 and read back as a Z_6 flow
+    flow = enumerate_flows(theta_curve(), symmetric_group(3))[7]
+    with pytest.raises(ValueError, match="another group of that order"):
+        serialize_flow(flow)
 
 
 def test_flow_group_reference(tmp_path):
